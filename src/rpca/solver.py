@@ -23,7 +23,7 @@ from .surrogates import (
     DcConfig,
     RankSurrogate,
     gamma_surrogate,
-    prox_matrix_with_iters,
+    prox_vector,
     prox_vector_with_iters,
     surrogate_gradient,
     surrogate_value,
@@ -33,6 +33,10 @@ from . import linalg
 # Relative cutoff below which a shrunk singular value no longer counts
 # toward the per-iteration rank diagnostic.
 RANK_REL_THRESHOLD = 1e-6
+
+# Relative accuracy to which every kept squared singular value must be known
+# before the L-step uses the Gram spectrum instead of the thin SVD.
+KEPT_REL_ERROR = 1e-8
 
 
 def scaled_lambda(m: int, n: int) -> float:
@@ -112,11 +116,46 @@ class SolverResult:
     kkt_dual: float
 
 
+def l_step(target, mu: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """Spectral prox of ``target`` at weight mu.
+
+    Returns ``(L, proxed singular values, dc_iters)``. The singular values
+    come from the eigendecomposition of the smaller Gram matrix
+    (``linalg.gram_spectrum``), a fraction of the cost of a thin SVD, and
+    only the kept components are rebuilt. That result is used only when it
+    is certified: both ends of each eigenvalue's error interval must get the
+    same keep/drop decision from the prox as the computed value (the prox is
+    monotone, so the whole interval then agrees), and every kept value must
+    be known to ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver
+    fails, the step takes the thin SVD of ``target`` instead.
+    """
+    a = as_matrix(target)
+    try:
+        g = linalg.gram_spectrum(a)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        sig, dc_iters = prox_vector_with_iters(g.singulars, mu, cfg.surrogate, cfg.dc)
+        keep = sig > 0.0
+        sq = g.singulars**2
+        ends = np.sqrt(np.concatenate([np.maximum(sq - g.delta, 0.0), sq + g.delta]))
+        ends_keep = prox_vector(ends, mu, cfg.surrogate, cfg.dc).reshape(2, -1) > 0.0
+        if (ends_keep == keep).all() and (g.delta <= KEPT_REL_ERROR * sq[keep]).all():
+            v = g.vectors[:, keep]
+            scale = sig[keep] / g.singulars[keep]
+            if g.right:
+                return ((a @ v) * scale) @ v.T, sig, dc_iters
+            return (v * scale) @ (v.T @ a), sig, dc_iters
+    f = linalg.svd(a)
+    sig, dc_iters = prox_vector_with_iters(f.singulars, mu, cfg.surrogate, cfg.dc)
+    return (f.u * sig) @ f.vt, sig, dc_iters
+
+
 def update_l(x, state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """L-step: spectral prox of ``X - S - Y/mu`` at weight mu."""
+    """L-step: spectral prox of ``X - S - Y/mu`` at weight mu (see ``l_step``)."""
     x = as_matrix(x)
     target = x - state.s - state.y / state.mu
-    return prox_matrix_with_iters(target, state.mu, cfg.surrogate, cfg.dc)[0]
+    return l_step(target, state.mu, cfg)[0]
 
 
 def update_s(x, state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -206,10 +245,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     converged = False
 
     for t in range(cfg.max_outer):
-        target = x - s - y / mu
-        f = linalg.svd(target)
-        sig, dc_iters = prox_vector_with_iters(f.singulars, mu, cfg.surrogate, cfg.dc)
-        l = (f.u * sig) @ f.vt
+        l, sig, dc_iters = l_step(x - s - y / mu, mu, cfg)
 
         s_prev = s
         q = x - l - y / mu

@@ -2,7 +2,9 @@
 
 Nothing here calls the shrinkage/prox code paths it is used to check: the
 prox oracle evaluates the objective on an explicit lattice, the shrink
-oracles minimize the scalar objectives by interval shrinking.
+oracles minimize the scalar objectives by interval shrinking, and the
+reference ALM loop takes its L-step from ``np.linalg.svd`` rather than from
+the solver's spectral step.
 """
 
 import numpy as np
@@ -94,6 +96,39 @@ def central_diff(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 def random_orthonormal(rng, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
+
+
+def reference_solve(x, cfg):
+    """The ALM loop with a full ``np.linalg.svd`` in every L-step.
+
+    Same updates and stopping rule as ``rpca.solve``, independent of
+    ``rpca.linalg``. Returns ``(L, S, history)`` where history lists each
+    iteration's ``(rank_estimate, dc_iters)``.
+    """
+    from rpca.solver import RANK_REL_THRESHOLD
+    from rpca.sparse import shrink
+    from rpca.surrogates import prox_vector_with_iters
+
+    l = np.zeros_like(x)
+    s = np.zeros_like(x)
+    y = np.zeros_like(x)
+    mu = cfg.mu0
+    norm_x = float(np.linalg.norm(x))
+    history = []
+    for _ in range(cfg.max_outer):
+        u, sv, vt = np.linalg.svd(x - s - y / mu, full_matrices=False)
+        sig, dc_iters = prox_vector_with_iters(sv, mu, cfg.surrogate, cfg.dc)
+        l = (u * sig) @ vt
+        s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
+        resid = l + s - x
+        y = y + mu * resid
+        mu = min(cfg.rho * mu, cfg.mu_max)
+        top = float(sig.max()) if sig.size else 0.0
+        history.append((int(np.count_nonzero(sig > RANK_REL_THRESHOLD * top)), dc_iters))
+        resid_norm = float(np.linalg.norm(resid))
+        if (resid_norm / norm_x if norm_x > 0.0 else resid_norm) <= cfg.tol:
+            break
+    return l, s, history
 
 
 class IterationAuditor:

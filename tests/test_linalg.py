@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from rpca.linalg import SvdFactors, frobenius_norm, reconstruct, relative_residual, svd
+from rpca.linalg import (
+    SvdFactors,
+    frobenius_norm,
+    gram_spectrum,
+    reconstruct,
+    relative_residual,
+    svd,
+)
 
 
 def test_svd_identity():
@@ -45,6 +52,47 @@ def test_svd_sign_convention_and_determinism():
         nz = np.nonzero(col)[0]
         if nz.size:
             assert col[nz[0]] >= 0
+
+
+def test_svd_sign_fix_with_leading_zero_entries():
+    # every left singular vector of this scaled permutation starts with
+    # exact zeros, and two of them lead with a negative entry
+    m = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, -3.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 4.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.0],
+    ])
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    assert (u[0] == 0.0).all()
+    for j in range(u.shape[1]):  # the per-column rule, as a reference
+        nz = np.nonzero(u[:, j])[0]
+        if nz.size and u[nz[0], j] < 0:
+            u[:, j] = -u[:, j]
+            vt[j, :] = -vt[j, :]
+    f = svd(m)
+    assert np.array_equal(f.u, u) and np.array_equal(f.singulars, s) and np.array_equal(f.vt, vt)
+    assert (f.u >= 0.0).all()
+
+
+def test_gram_spectrum_matches_svd():
+    rng = np.random.default_rng(9)
+    for shape in [(7, 4), (4, 7), (5, 5), (0, 3)]:
+        m = rng.standard_normal(shape)
+        g = gram_spectrum(m)
+        k = min(shape)
+        assert g.right == (shape[0] >= shape[1])
+        assert g.vectors.shape == (shape[1] if g.right else shape[0], k)
+        assert np.all(np.diff(g.singulars) <= 0) and np.all(g.singulars >= 0)
+        assert np.abs(g.singulars**2 - svd(m).singulars**2).max(initial=0.0) <= g.delta
+        assert np.abs(g.vectors.T @ g.vectors - np.eye(k)).max(initial=0.0) <= 1e-12
+    assert gram_spectrum(np.zeros((3, 2))).delta == 0.0
+
+
+def test_gram_spectrum_overflow_is_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError):
+        gram_spectrum(np.full((3, 2), 1e200))
 
 
 def test_svd_rejects_nonfinite():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import rpca.linalg
+from helpers import reference_solve
 from rpca.linalg import relative_residual
 from rpca.solver import (
     SolverConfig,
     SolverState,
     kkt_residuals,
+    l_step,
     lagrangian,
     scaled_lambda,
     solve,
@@ -14,7 +17,13 @@ from rpca.solver import (
     update_s,
 )
 from rpca.sparse import COLUMNWISE_L21, penalty_value
-from rpca.surrogates import nuclear_surrogate, surrogate_gradient, surrogate_value
+from rpca.surrogates import (
+    gamma_surrogate,
+    nuclear_surrogate,
+    prox_matrix,
+    surrogate_gradient,
+    surrogate_value,
+)
 from rpca.synthetic import SyntheticSpec, generate_synthetic, rank_estimate, recovery_errors
 
 
@@ -306,3 +315,117 @@ def test_gamma_run_beats_nuclear_shrink_bias():
     err_nuc = recovery_errors(r_nuc.l, l_star, r_nuc.s, s_star)[0]
     assert r_gamma.converged and r_nuc.converged
     assert err_gamma <= err_nuc + 1e-3
+
+
+SURROGATES = [pytest.param(gamma_surrogate(), id="gamma"), pytest.param(nuclear_surrogate(), id="nuclear")]
+
+
+def planted_spectrum(rng, m, n, singulars):
+    u = np.linalg.qr(rng.standard_normal((m, len(singulars))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(singulars))))[0]
+    return (u * singulars) @ v.T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count calls to ``rpca.linalg.svd``, the L-step's fallback."""
+    calls = []
+    original = rpca.linalg.svd
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(rpca.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("surrogate", SURROGATES)
+def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
+    # keep-thresholds sqrt(2/mu) (gamma) and 1/mu (nuclear) both sit near 10,
+    # inside each planted spectrum
+    mu = 0.02 if surrogate.kind == "gamma" else 0.1
+    cfg = SolverConfig(surrogate=surrogate)
+    rng = np.random.default_rng(31)
+    spread = np.linspace(20.0, 1.0, 12)
+    deficient = np.concatenate([np.linspace(20.0, 5.0, 5), np.zeros(7)])
+    cases = {
+        "tall": planted_spectrum(rng, 40, 12, spread),
+        "wide": planted_spectrum(rng, 12, 40, spread),
+        "square": planted_spectrum(rng, 12, 12, spread),
+        "zero": np.zeros((6, 9)),
+        "deficient-tall": planted_spectrum(rng, 40, 12, deficient),
+        "deficient-wide": planted_spectrum(rng, 12, 40, deficient),
+    }
+    for name, a in cases.items():
+        l, sig, _ = l_step(a, mu, cfg)
+        ref = prox_matrix(a, mu, surrogate)
+        assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), name
+        assert np.count_nonzero(sig) == np.linalg.matrix_rank(ref), name
+    assert svd_calls == []
+
+
+@pytest.mark.parametrize("surrogate", SURROGATES)
+def test_l_step_falls_back_when_kept_values_are_uncertified(surrogate, svd_calls):
+    # at mu = 1e11 both keep-thresholds fall below sqrt(delta) of this
+    # twelve-decade spectrum, so the Gram spectrum cannot certify the step
+    a = planted_spectrum(np.random.default_rng(32), 30, 20, np.logspace(0, -12, 20))
+    l, _, _ = l_step(a, 1e11, SolverConfig(surrogate=surrogate))
+    assert np.array_equal(l, prox_matrix(a, 1e11, surrogate))
+    assert svd_calls == [a.shape]
+
+
+def test_l_step_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg = SolverConfig()
+    a = planted_spectrum(np.random.default_rng(33), 20, 15, np.linspace(20.0, 1.0, 15))
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert np.array_equal(l_step(a, 0.02, cfg)[0], prox_matrix(a, 0.02, cfg.surrogate))
+    assert svd_calls == [a.shape]
+
+
+def test_l_step_rejects_nonfinite_target():
+    with pytest.raises(ValueError, match="finite"):
+        l_step(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0, SolverConfig())
+
+
+SPEC_200 = SyntheticSpec(m=200, n=200, rank=5, sparsity=0.05, magnitude_low=1.0, magnitude_high=10.0)
+
+
+def planted_200(seed):
+    return generate_synthetic(SPEC_200, seed)[0]
+
+
+def wide_injected_columns(seed):
+    rng = np.random.default_rng(seed)
+    u1 = np.linalg.qr(rng.standard_normal((100, 3)))[0]
+    u2 = np.linalg.qr(rng.standard_normal((100, 3)))[0]
+    return np.hstack([u1 @ rng.standard_normal((3, 190)), u2 @ rng.standard_normal((3, 10))])
+
+
+# The acceptance instances: the C05 planted 200x200 runs (gamma, l1), the
+# C06 nuclear baseline and the C07 l2,1 config on the same instances, and the
+# C09 wide injected-column runs.
+EQUIVALENCE_CASES = [
+    pytest.param(planted_200, SolverConfig(), id="c05-gamma-l1"),
+    pytest.param(
+        planted_200,
+        SolverConfig(lam=scaled_lambda(200, 200), surrogate=nuclear_surrogate()),
+        id="c06-nuclear",
+    ),
+    pytest.param(planted_200, SolverConfig(penalty=COLUMNWISE_L21), id="c07-l21"),
+    pytest.param(wide_injected_columns, SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21), id="c09-wide"),
+]
+
+
+@pytest.mark.parametrize("make_x, cfg", EQUIVALENCE_CASES)
+def test_solve_matches_full_svd_reference_loop(make_x, cfg):
+    for seed in range(5):
+        x = make_x(seed)
+        r = solve(x, cfg)
+        l_ref, s_ref, history_ref = reference_solve(x, cfg)
+        assert [(rec.rank_estimate, rec.dc_iters) for rec in r.history] == history_ref, seed
+        assert np.linalg.norm(r.l - l_ref) <= 1e-10 * np.linalg.norm(l_ref), seed
+        assert np.linalg.norm(r.s - s_ref) <= 1e-10 * np.linalg.norm(s_ref), seed
