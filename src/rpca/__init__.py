@@ -7,7 +7,7 @@ An augmented Lagrange multiplier loop alternates a spectral proximal step, an
 exact shrinkage step, and the standard dual updates.
 """
 
-from .linalg import SvdFactors, frobenius_norm, reconstruct, relative_residual, svd
+from .linalg import svd
 from .solver import (
     IterationRecord,
     SolverConfig,
@@ -17,9 +17,6 @@ from .solver import (
     lagrangian,
     scaled_lambda,
     solve,
-    update_duals,
-    update_l,
-    update_s,
 )
 from .sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value, shrink
 from .surrogates import (
@@ -41,17 +38,12 @@ from .synthetic import (
     rank_estimate,
     recovery_errors,
     stack_frames,
-    unstack_frames,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SvdFactors",
     "svd",
-    "reconstruct",
-    "frobenius_norm",
-    "relative_residual",
     "RankSurrogate",
     "DcConfig",
     "gamma_surrogate",
@@ -71,9 +63,6 @@ __all__ = [
     "SolverResult",
     "IterationRecord",
     "solve",
-    "update_l",
-    "update_s",
-    "update_duals",
     "lagrangian",
     "kkt_residuals",
     "scaled_lambda",
@@ -84,6 +73,5 @@ __all__ = [
     "anomaly_scores",
     "detect_anomalies",
     "stack_frames",
-    "unstack_frames",
     "__version__",
 ]

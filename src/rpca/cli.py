@@ -12,6 +12,7 @@ converge (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .synthetic import (
     anomaly_scores,
     detect_anomalies,
     generate_synthetic,
-    rank_estimate,
     stack_frames,
 )
 
@@ -42,24 +42,28 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NO_CONVERGENCE = 4
 
+_DEFAULTS = SolverConfig()
+
 
 def _add_solver_flags(p: argparse.ArgumentParser, penalty_default: str = "l1") -> None:
+    d = _DEFAULTS
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="sparsity weight (overrides --lambda-policy)")
     p.add_argument("--lambda-policy", choices=["fixed", "scale"], default="fixed",
                    help="fixed: 1e-3; scale: 1/sqrt(max(m, n))")
-    p.add_argument("--mu0", type=float, default=1e-4, help="initial penalty weight")
-    p.add_argument("--rho", type=float, default=1.1, help="penalty growth factor (> 1)")
-    p.add_argument("--mu-max", type=float, default=1e10, help="penalty weight cap")
-    p.add_argument("--gamma", type=float, default=0.01, help="rank-penalty scale")
-    p.add_argument("--tol", type=float, default=1e-3, help="relative-residual stopping tolerance")
-    p.add_argument("--max-outer", type=int, default=500, help="outer iteration cap")
+    p.add_argument("--mu0", type=float, default=d.mu0, help="initial penalty weight")
+    p.add_argument("--rho", type=float, default=d.rho, help="penalty growth factor (> 1)")
+    p.add_argument("--mu-max", type=float, default=d.mu_max, help="penalty weight cap")
+    p.add_argument("--gamma", type=float, default=d.surrogate.gamma, help="rank-penalty scale")
+    p.add_argument("--tol", type=float, default=d.tol, help="relative-residual stopping tolerance")
+    p.add_argument("--max-outer", type=int, default=d.max_outer, help="outer iteration cap")
     p.add_argument("--penalty", choices=["l1", "l21"], default=penalty_default,
                    help="sparsity penalty on S")
-    p.add_argument("--surrogate", choices=["gamma", "nuclear"], default="gamma",
+    p.add_argument("--surrogate", choices=["gamma", "nuclear"], default=d.surrogate.kind,
                    help="rank penalty on L")
-    p.add_argument("--dc-max-inner", type=int, default=30, help="inner prox iteration cap")
-    p.add_argument("--dc-tol", type=float, default=1e-10, help="inner prox stopping change")
+    p.add_argument("--dc-max-inner", type=int, default=d.dc.max_inner,
+                   help="inner prox iteration cap")
+    p.add_argument("--dc-tol", type=float, default=d.dc.tol, help="inner prox stopping change")
 
 
 def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
@@ -68,7 +72,7 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
     elif args.lambda_policy == "scale":
         lam = scaled_lambda(*shape)
     else:
-        lam = 1e-3
+        lam = _DEFAULTS.lam
     surrogate = (
         RankSurrogate(GAMMA, args.gamma) if args.surrogate == "gamma" else RankSurrogate(NUCLEAR)
     )
@@ -87,22 +91,22 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
 
 def _run_and_write(x, cfg: SolverConfig, outdir: Path, seed: int | None = None):
     result = solve(x, cfg)
-    rank = rank_estimate(result.l)
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(outdir / "L.csv", result.l)
     write_matrix_csv(outdir / "S.csv", result.s)
-    write_json(outdir / "report.json", build_report(cfg, result, rank, seed))
-    return result, rank
+    write_json(outdir / "report.json", build_report(cfg, result, seed))
+    return result
 
 
 def cmd_decompose(args) -> int:
     x = read_matrix_csv(args.input)
     cfg = _build_config(args, x.shape)
     outdir = Path(args.outdir)
-    result, rank = _run_and_write(x, cfg, outdir)
+    result = _run_and_write(x, cfg, outdir)
     status = "converged" if result.converged else "did NOT converge"
     print(
-        f"{status} in {result.iterations} iterations; rank estimate {rank}; "
+        f"{status} in {result.iterations} iterations; "
+        f"rank estimate {result.history[-1].rank_estimate}; "
         f"final residual {result.history[-1].residual:.3e}; outputs in {outdir}"
     )
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
@@ -145,7 +149,7 @@ def cmd_anomaly(args) -> int:
     x = read_matrix_csv(args.input)
     cfg = _build_config(args, x.shape)
     outdir = Path(args.outdir)
-    result, _ = _run_and_write(x, cfg, outdir)
+    result = _run_and_write(x, cfg, outdir)
     scores = anomaly_scores(result.s)
     flagged = detect_anomalies(scores, args.threshold)
     write_matrix_csv(outdir / "scores.csv", scores[:, None])
@@ -196,27 +200,19 @@ def cmd_bench(args) -> int:
     # the trivial L = 0 split; the tiny fixed default only suits the bounded
     # gamma penalty.
     nuclear_lam = args.nuclear_lambda if args.nuclear_lambda is not None else scaled_lambda(*x.shape)
-    nuclear_cfg = SolverConfig(
-        lam=nuclear_lam,
-        mu0=gamma_cfg.mu0,
-        rho=gamma_cfg.rho,
-        mu_max=gamma_cfg.mu_max,
-        tol=gamma_cfg.tol,
-        max_outer=gamma_cfg.max_outer,
-        surrogate=RankSurrogate(NUCLEAR),
-        penalty=gamma_cfg.penalty,
-        dc=gamma_cfg.dc,
+    nuclear_cfg = dataclasses.replace(
+        gamma_cfg, lam=nuclear_lam, surrogate=RankSurrogate(NUCLEAR)
     )
 
     runs = {}
     all_converged = True
     for name, cfg in (("gamma", gamma_cfg), ("nuclear", nuclear_cfg)):
         result = solve(x, cfg)
-        rank = rank_estimate(result.l)
-        runs[name] = build_report(cfg, result, rank)
+        report = runs[name] = build_report(cfg, result)
         all_converged = all_converged and result.converged
         print(
-            f"{name:8s} rank {rank:4d}  residual {runs[name]['final_residual']:.3e}  "
+            f"{name:8s} rank {report['rank_estimate']:4d}  "
+            f"residual {report['final_residual']:.3e}  "
             f"iterations {result.iterations:4d}  time {result.elapsed_seconds:.2f}s"
         )
     outdir = Path(args.outdir)
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", help="tabulate the rank penalty over a grid of singular values")
     p.add_argument("--surrogate", choices=["gamma", "nuclear", "both"], default="both")
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=_DEFAULTS.surrogate.gamma)
     p.add_argument("--grid", default=None, help="explicit comma-separated grid values")
     p.add_argument("--grid-max", type=float, default=5.0)
     p.add_argument("--grid-points", type=int, default=501)

@@ -1,4 +1,4 @@
-"""Dense-matrix plumbing: deterministic thin SVD, Gram spectrum, norms, and residuals."""
+"""Dense-matrix plumbing: deterministic thin SVD, Gram spectrum, and the numerical rank rule."""
 
 from __future__ import annotations
 
@@ -13,6 +13,16 @@ class SvdFactors(NamedTuple):
     u: np.ndarray
     singulars: np.ndarray
     vt: np.ndarray
+
+
+# Relative cutoff below which a singular value no longer counts toward a rank.
+RANK_REL_THRESHOLD = 1e-6
+
+
+def numerical_rank(singulars) -> int:
+    """Count singular values above ``RANK_REL_THRESHOLD`` times the largest one."""
+    top = float(singulars.max()) if singulars.size else 0.0
+    return int(np.count_nonzero(singulars > RANK_REL_THRESHOLD * top)) if top > 0.0 else 0
 
 
 def as_matrix(m) -> np.ndarray:
@@ -95,40 +105,3 @@ def gram_spectrum(m) -> GramSpectrum:
     eps = np.finfo(np.float64).eps
     delta = GRAM_ERROR_FACTOR * max(rows, cols) * eps * float(np.max(lam, initial=0.0))
     return GramSpectrum(np.sqrt(np.maximum(lam[::-1], 0.0)), vecs[:, ::-1], right, delta)
-
-
-def reconstruct(f: SvdFactors) -> np.ndarray:
-    """Multiply factors back together: ``u @ diag(singulars) @ vt``."""
-    u = np.asarray(f.u, dtype=np.float64)
-    s = np.asarray(f.singulars, dtype=np.float64)
-    vt = np.asarray(f.vt, dtype=np.float64)
-    if u.ndim != 2 or vt.ndim != 2 or s.ndim != 1:
-        raise ValueError("factors must be (2-D, 1-D, 2-D) arrays")
-    if u.shape[1] != s.size or vt.shape[0] != s.size:
-        raise ValueError(
-            f"inconsistent factor shapes: u {u.shape}, {s.size} singular values, vt {vt.shape}"
-        )
-    return (u * s) @ vt
-
-
-def frobenius_norm(m) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
-def relative_residual(x, l, s) -> float:
-    """``||X - L - S||_F / ||X||_F``, or the absolute residual when ``X`` is zero.
-
-    The zero-``X`` fallback keeps the stopping rule meaningful instead of
-    dividing by zero: a feasible pair still reports 0.
-    """
-    x = as_matrix(x)
-    l = as_matrix(l)
-    s = as_matrix(s)
-    if l.shape != x.shape or s.shape != x.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, l {l.shape}, s {s.shape}"
-        )
-    r = float(np.linalg.norm(x - l - s))
-    nx = float(np.linalg.norm(x))
-    return r / nx if nx > 0.0 else r

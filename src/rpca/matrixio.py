@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -204,29 +205,21 @@ def config_from_params(params: dict) -> SolverConfig:
     )
 
 
-def build_report(cfg: SolverConfig, result: SolverResult, rank: int, seed: int | None = None) -> dict:
-    """Assemble the run report: params echo, outcome summary, full history."""
+def build_report(cfg: SolverConfig, result: SolverResult, seed: int | None = None) -> dict:
+    """Assemble the run report: params echo, outcome summary, full history.
+
+    The final residual and rank estimate are the last iteration's.
+    """
+    last = result.history[-1]
     return {
         "params": config_to_params(cfg, seed),
         "iterations": result.iterations,
         "converged": result.converged,
-        "final_residual": result.history[-1].residual if result.history else 0.0,
-        "rank_estimate": rank,
+        "final_residual": last.residual,
+        "rank_estimate": last.rank_estimate,
         "elapsed_seconds": result.elapsed_seconds,
         "kkt": {"primal": result.kkt_primal, "dual": result.kkt_dual},
-        "history": [
-            {
-                "iter": r.iter,
-                "residual": r.residual,
-                "lagrangian": r.lagrangian,
-                "rank_estimate": r.rank_estimate,
-                "y_inf_norm": r.y_inf_norm,
-                "dc_iters": r.dc_iters,
-                "mu": r.mu,
-                "mu_s_change": r.mu_s_change,
-            }
-            for r in result.history
-        ],
+        "history": [dataclasses.asdict(r) for r in result.history],
     }
 
 

@@ -30,10 +30,6 @@ from .surrogates import (
 )
 from . import linalg
 
-# Relative cutoff below which a shrunk singular value no longer counts
-# toward the per-iteration rank diagnostic.
-RANK_REL_THRESHOLD = 1e-6
-
 # Relative accuracy to which every kept squared singular value must be known
 # before the L-step uses the Gram spectrum instead of the thin SVD.
 KEPT_REL_ERROR = 1e-8
@@ -79,9 +75,9 @@ class SolverConfig:
             raise ValueError("max_outer must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverState:
-    """Live iterate: primal pair, multiplier, penalty weight, iteration count."""
+    """Iterate: primal pair, multiplier, penalty weight, iteration count."""
 
     l: np.ndarray
     s: np.ndarray
@@ -151,25 +147,14 @@ def l_step(target, mu: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray
     return (f.u * sig) @ f.vt, sig, dc_iters
 
 
-def update_l(x, state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """L-step: spectral prox of ``X - S - Y/mu`` at weight mu (see ``l_step``)."""
-    x = as_matrix(x)
-    target = x - state.s - state.y / state.mu
-    return l_step(target, state.mu, cfg)[0]
-
-
-def update_s(x, state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """S-step: shrink ``X - L - Y/mu`` at threshold lambda/mu."""
-    x = as_matrix(x)
-    q = x - state.l - state.y / state.mu
-    return shrink(q, cfg.lam / state.mu, cfg.penalty)
-
-
-def update_duals(x, state: SolverState, cfg: SolverConfig) -> tuple[np.ndarray, float]:
-    """Multiplier step ``Y + mu*(L + S - X)`` and penalty growth ``min(rho*mu, mu_max)``."""
-    x = as_matrix(x)
-    y = state.y + state.mu * (state.l + state.s - x)
-    return y, min(cfg.rho * state.mu, cfg.mu_max)
+def _lagrangian(sig, s, y, mu: float, resid, cfg: SolverConfig) -> float:
+    """The augmented Lagrangian from L's singular values ``sig`` and ``resid = L + S - X``."""
+    return (
+        surrogate_value(sig, cfg.surrogate)
+        + cfg.lam * penalty_value(s, cfg.penalty)
+        + float(np.sum(y * resid))
+        + 0.5 * mu * float(np.sum(resid * resid))
+    )
 
 
 def lagrangian(x, state: SolverState, cfg: SolverConfig) -> float:
@@ -179,14 +164,42 @@ def lagrangian(x, state: SolverState, cfg: SolverConfig) -> float:
     trace inner product.
     """
     x = as_matrix(x)
-    resid = state.l + state.s - x
     sig = linalg.svd(state.l).singulars
-    return (
-        surrogate_value(sig, cfg.surrogate)
-        + cfg.lam * penalty_value(state.s, cfg.penalty)
-        + float(np.sum(state.y * resid))
-        + 0.5 * state.mu * float(np.sum(resid * resid))
+    return _lagrangian(sig, state.s, state.y, state.mu, state.l + state.s - x, cfg)
+
+
+def step(
+    x, state: SolverState, cfg: SolverConfig, norm_x: float
+) -> tuple[SolverState, IterationRecord]:
+    """One multiplier iteration from ``state``: L-step, S-step, dual step.
+
+    L is the spectral prox of ``X - S - Y/mu`` at weight mu (see ``l_step``),
+    S the shrink of ``X - L - Y/mu`` at threshold lambda/mu, then
+    ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
+    finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
+    Frobenius norm. Returns the next state and the iteration's record, whose
+    Lagrangian is evaluated at the new pair and the old multiplier and mu.
+    """
+    y, mu = state.y, state.mu
+    l, sig, dc_iters = l_step(x - state.s - y / mu, mu, cfg)
+    s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
+    resid = l + s - x
+    resid_norm = float(np.linalg.norm(resid))
+    y_next = y + mu * resid
+    record = IterationRecord(
+        iter=state.iter + 1,
+        residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
+        lagrangian=_lagrangian(sig, s, y, mu, resid, cfg),
+        rank_estimate=linalg.numerical_rank(sig),
+        y_inf_norm=float(np.max(np.abs(y_next))) if y_next.size else 0.0,
+        dc_iters=dc_iters,
+        mu=mu,
+        mu_s_change=mu * float(np.linalg.norm(s - state.s)),
     )
+    next_state = SolverState(
+        l=l, s=s, y=y_next, mu=min(cfg.rho * mu, cfg.mu_max), iter=state.iter + 1
+    )
+    return next_state, record
 
 
 def kkt_residuals(x, state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
@@ -221,8 +234,9 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     cfg : SolverConfig, optional
         Tuning parameters; defaults are the library-wide defaults.
     callback : callable, optional
-        Invoked once per outer iteration with the post-update state and that
-        iteration's record. The arrays handed over are not mutated afterwards.
+        Invoked once per outer iteration with the state the loop continues
+        from (frozen) and that iteration's record. The arrays handed over are
+        not mutated afterwards.
 
     Returns
     -------
@@ -236,61 +250,25 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    l = np.zeros_like(x)
-    s = np.zeros_like(x)
-    y = np.zeros_like(x)
-    mu = cfg.mu0
+    zero = np.zeros_like(x)
+    state = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
     norm_x = float(np.linalg.norm(x))
     history: list[IterationRecord] = []
     converged = False
-
-    for t in range(cfg.max_outer):
-        l, sig, dc_iters = l_step(x - s - y / mu, mu, cfg)
-
-        s_prev = s
-        q = x - l - y / mu
-        s = shrink(q, cfg.lam / mu, cfg.penalty)
-
-        resid = l + s - x
-        resid_norm = float(np.linalg.norm(resid))
-        lag = (
-            surrogate_value(sig, cfg.surrogate)
-            + cfg.lam * penalty_value(s, cfg.penalty)
-            + float(np.sum(y * resid))
-            + 0.5 * mu * float(np.sum(resid * resid))
-        )
-        mu_s_change = mu * float(np.linalg.norm(s - s_prev))
-
-        y = y + mu * resid
-        mu_next = min(cfg.rho * mu, cfg.mu_max)
-
-        residual = resid_norm / norm_x if norm_x > 0.0 else resid_norm
-        top = float(sig.max()) if sig.size else 0.0
-        rank_est = int(np.count_nonzero(sig > RANK_REL_THRESHOLD * top)) if top > 0.0 else 0
-        record = IterationRecord(
-            iter=t + 1,
-            residual=residual,
-            lagrangian=lag,
-            rank_estimate=rank_est,
-            y_inf_norm=float(np.max(np.abs(y))) if y.size else 0.0,
-            dc_iters=dc_iters,
-            mu=mu,
-            mu_s_change=mu_s_change,
-        )
+    while state.iter < cfg.max_outer:
+        state, record = step(x, state, cfg, norm_x)
         history.append(record)
-        mu = mu_next
         if callback is not None:
-            callback(SolverState(l=l, s=s, y=y, mu=mu, iter=t + 1), record)
-        if residual <= cfg.tol:
+            callback(state, record)
+        if record.residual <= cfg.tol:
             converged = True
             break
 
-    final = SolverState(l=l, s=s, y=y, mu=mu, iter=len(history))
-    kkt_primal, kkt_dual = kkt_residuals(x, final, cfg)
+    kkt_primal, kkt_dual = kkt_residuals(x, state, cfg)
     return SolverResult(
-        l=l,
-        s=s,
-        iterations=len(history),
+        l=state.l,
+        s=state.s,
+        iterations=state.iter,
         converged=converged,
         history=history,
         elapsed_seconds=time.perf_counter() - t0,

@@ -146,15 +146,6 @@ def prox_vector(sigma_a, mu: float, s: RankSurrogate, cfg: DcConfig | None = Non
     return prox_vector_with_iters(sigma_a, mu, s, cfg)[0]
 
 
-def prox_matrix_with_iters(
-    a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None
-) -> tuple[np.ndarray, int]:
-    """Matrix prox: SVD the input, prox the singular values, reassemble."""
-    f = svd(as_matrix(a))
-    sig, iters = prox_vector_with_iters(f.singulars, mu, s, cfg)
-    return (f.u * sig) @ f.vt, iters
-
-
 def prox_matrix(a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None) -> np.ndarray:
     """Minimizer of ``F(Z) + (mu/2)*||Z - A||_F^2`` for a spectral penalty F.
 
@@ -162,7 +153,8 @@ def prox_matrix(a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None) -> 
     values, the matrix problem reduces to the vector prox applied to the
     singular values of ``A``, keeping A's singular vectors.
     """
-    return prox_matrix_with_iters(a, mu, s, cfg)[0]
+    f = svd(as_matrix(a))
+    return (f.u * prox_vector(f.singulars, mu, s, cfg)) @ f.vt
 
 
 def rank_curve(s: RankSurrogate, grid) -> np.ndarray:

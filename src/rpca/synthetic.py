@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, numerical_rank
 
 ENTRYWISE = "entrywise"
 COLUMNWISE = "columnwise"
@@ -75,17 +75,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[np.ndarray, np.n
     return l_star + s_star, l_star, s_star
 
 
-def rank_estimate(l, rel_threshold: float = 1e-6) -> int:
-    """Count singular values above ``rel_threshold`` times the largest one."""
-    if not 0.0 < rel_threshold < 1.0:
-        raise ValueError("rel_threshold must lie strictly between 0 and 1")
+def rank_estimate(l) -> int:
+    """Numerical rank of ``l`` under the rule of ``linalg.numerical_rank``."""
     a = as_matrix(l)
     if min(a.shape) == 0:
         return 0
-    sig = np.linalg.svd(a, compute_uv=False)
-    if sig.size == 0 or sig[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(sig > rel_threshold * sig[0]))
+    return numerical_rank(np.linalg.svd(a, compute_uv=False))
 
 
 def recovery_errors(l, l_star, s, s_star) -> tuple[float, float, float]:
@@ -138,12 +133,3 @@ def stack_frames(frames) -> np.ndarray:
         if f.shape != shape:
             raise ValueError(f"frame {i} has shape {f.shape}, expected {shape}")
     return np.stack([f.flatten(order="F") for f in mats], axis=1)
-
-
-def unstack_frames(stacked, frame_shape: tuple[int, int]) -> list[np.ndarray]:
-    """Inverse of :func:`stack_frames` for the given per-frame shape."""
-    a = as_matrix(stacked)
-    h, w = frame_shape
-    if a.shape[0] != h * w:
-        raise ValueError(f"column length {a.shape[0]} does not match frame shape {frame_shape}")
-    return [a[:, j].reshape((h, w), order="F") for j in range(a.shape[1])]

@@ -105,7 +105,7 @@ def reference_solve(x, cfg):
     ``rpca.linalg``. Returns ``(L, S, history)`` where history lists each
     iteration's ``(rank_estimate, dc_iters)``.
     """
-    from rpca.solver import RANK_REL_THRESHOLD
+    from rpca.linalg import RANK_REL_THRESHOLD
     from rpca.sparse import shrink
     from rpca.surrogates import prox_vector_with_iters
 

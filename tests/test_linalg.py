@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from rpca.linalg import (
-    SvdFactors,
-    frobenius_norm,
-    gram_spectrum,
-    reconstruct,
-    relative_residual,
-    svd,
-)
+from rpca.linalg import gram_spectrum, svd
 
 
 def test_svd_identity():
@@ -25,7 +18,7 @@ def test_svd_reconstruction_residual():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 3))
     f = svd(m)
-    err = np.linalg.norm(reconstruct(f) - m) / np.linalg.norm(m)
+    err = np.linalg.norm((f.u * f.singulars) @ f.vt - m) / np.linalg.norm(m)
     assert err <= 1e-10
 
 
@@ -98,58 +91,6 @@ def test_gram_spectrum_overflow_is_linalg_error():
 def test_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def test_reconstruct_identity_factors():
-    f = SvdFactors(np.eye(2), np.array([1.0, 1.0]), np.eye(2))
-    assert np.allclose(reconstruct(f), np.eye(2))
-    f0 = SvdFactors(np.eye(2), np.array([0.0, 0.0]), np.eye(2))
-    assert np.array_equal(reconstruct(f0), np.zeros((2, 2)))
-
-
-def test_reconstruct_round_trip():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((5, 4))
-    err = np.linalg.norm(reconstruct(svd(m)) - m) / np.linalg.norm(m)
-    assert err <= 1e-10
-
-
-def test_reconstruct_dimension_mismatch():
-    with pytest.raises(ValueError):
-        reconstruct(SvdFactors(np.eye(2), np.array([1.0]), np.eye(2)))
-
-
-def test_frobenius_norm_values():
-    assert frobenius_norm(np.zeros((3, 2))) == 0.0
-    assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-    assert frobenius_norm(np.array([[1.0, 2.0], [2.0, 1.0]])) == pytest.approx(np.sqrt(10.0))
-
-
-def test_frobenius_transpose_invariant():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 7))
-    assert frobenius_norm(m) == pytest.approx(frobenius_norm(m.T), rel=1e-15)
-
-
-def test_relative_residual_cases():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((10, 10))
-    l = 0.6 * x
-    s = 0.4 * x
-    assert relative_residual(x, l, s) <= 1e-12
-    assert relative_residual(x, np.zeros_like(x), np.zeros_like(x)) == pytest.approx(1.0)
-    assert relative_residual(x, 0.5 * x, 0.25 * x) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_relative_residual_zero_x_is_absolute():
-    l = np.full((2, 2), 0.5)
-    s = np.full((2, 2), 0.5)
-    assert relative_residual(np.zeros((2, 2)), l, s) == pytest.approx(2.0)
-
-
-def test_relative_residual_dimension_mismatch():
-    with pytest.raises(ValueError):
-        relative_residual(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 def test_singular_values_unitarily_invariant():

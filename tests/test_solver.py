@@ -1,9 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import rpca.linalg
 from helpers import reference_solve
-from rpca.linalg import relative_residual
 from rpca.solver import (
     SolverConfig,
     SolverState,
@@ -12,9 +13,7 @@ from rpca.solver import (
     lagrangian,
     scaled_lambda,
     solve,
-    update_duals,
-    update_l,
-    update_s,
+    step,
 )
 from rpca.sparse import COLUMNWISE_L21, penalty_value
 from rpca.surrogates import (
@@ -112,7 +111,7 @@ def test_solve_history_contract():
     assert [rec.iter for rec in r.history] == list(range(1, r.iterations + 1))
     assert r.converged
     assert r.history[-1].residual <= 1e-3
-    assert relative_residual(x, r.l, r.s) <= 1e-3
+    assert np.linalg.norm(x - r.l - r.s) / np.linalg.norm(x) <= 1e-3
 
 
 def test_solve_non_convergence_returns_flag():
@@ -123,79 +122,75 @@ def test_solve_non_convergence_returns_flag():
     assert r.iterations == 3 and len(r.history) == 3
 
 
-def test_solve_iteration_composes_the_update_ops():
-    # one solver iteration is exactly update_l, then update_s, then
-    # update_duals, bit for bit
-    spec = SyntheticSpec(m=25, n=30, rank=2, sparsity=0.1)
-    x, _, _ = generate_synthetic(spec, 12)
-    cfg = SolverConfig(mu0=1e-2)
-    captured = []
-    solve(x, cfg, callback=lambda state, rec: captured.append(state) if rec.iter <= 2 else None)
-
-    state = SolverState(l=np.zeros_like(x), s=np.zeros_like(x), y=np.zeros_like(x), mu=cfg.mu0)
-    for step in range(2):
-        state.l = update_l(x, state, cfg)
-        state.s = update_s(x, state, cfg)
-        state.y, state.mu = update_duals(x, state, cfg)
-        assert np.array_equal(state.l, captured[step].l)
-        assert np.array_equal(state.s, captured[step].s)
-        assert np.array_equal(state.y, captured[step].y)
-        assert state.mu == captured[step].mu
-
-
 def test_callback_once_per_iteration():
     spec = SyntheticSpec(m=30, n=30, rank=2, sparsity=0.05)
     x, _, _ = generate_synthetic(spec, 3)
     seen = []
-    r = solve(x, callback=lambda state, rec: seen.append(rec.iter))
-    assert seen == list(range(1, r.iterations + 1))
+    r = solve(x, callback=lambda state, rec: seen.append((state, rec)))
+    assert [rec.iter for _, rec in seen] == list(range(1, r.iterations + 1))
+    assert all(state.iter == rec.iter for state, rec in seen)
+    # the callback gets the state the loop continues from, so it is frozen
+    last = seen[-1][0]
+    assert last.l is r.l and last.s is r.s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        last.mu = 1.0
+
+
+def one_step(x, state, cfg):
+    return step(x, state, cfg, float(np.linalg.norm(x)))
 
 
 def test_update_l_cases():
     cfg = SolverConfig(surrogate=nuclear_surrogate())
     zero = np.zeros((2, 2))
     state = SolverState(l=zero, s=zero, y=zero, mu=1.0)
-    assert np.array_equal(update_l(zero, state, cfg), zero)
+    assert np.array_equal(one_step(zero, state, cfg)[0].l, zero)
     x = np.diag([2.0, 0.0])
-    assert np.allclose(update_l(x, state, cfg), np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(one_step(x, state, cfg)[0].l, np.diag([1.0, 0.0]), atol=1e-12)
     # S = X makes the prox target zero
     state_sx = SolverState(l=zero, s=x, y=zero, mu=1.0)
-    assert np.abs(update_l(x, state_sx, cfg)).max() <= 1e-15
+    assert np.abs(one_step(x, state_sx, cfg)[0].l).max() <= 1e-15
 
 
 def test_update_s_cases():
+    # the previous S is X, so the L-step's target is zero, L stays zero and
+    # the S-step shrinks X itself
     cfg = SolverConfig(lam=0.2)
     zero = np.zeros((1, 1))
     state = SolverState(l=zero, s=zero, y=zero, mu=1.0)
-    assert np.array_equal(update_s(zero, state, cfg), zero)
-    out = update_s(np.array([[0.5]]), state, cfg)
-    assert out[0, 0] == pytest.approx(0.3)
+    assert np.array_equal(one_step(zero, state, cfg)[0].s, zero)
+    x = np.array([[0.5]])
+    new, _ = one_step(x, SolverState(l=zero, s=x, y=zero, mu=1.0), cfg)
+    assert np.array_equal(new.l, zero)
+    assert new.s[0, 0] == pytest.approx(0.3)
     cfg21 = SolverConfig(lam=2.0, penalty=COLUMNWISE_L21)
     z2 = np.zeros((2, 1))
-    state2 = SolverState(l=z2, s=z2, y=z2, mu=1.0)
-    out21 = update_s(np.array([[3.0], [4.0]]), state2, cfg21)
-    assert out21.ravel() == pytest.approx([1.8, 2.4])
+    x21 = np.array([[3.0], [4.0]])
+    new21, _ = one_step(x21, SolverState(l=z2, s=x21, y=z2, mu=1.0), cfg21)
+    assert np.array_equal(new21.l, z2)
+    assert new21.s.ravel() == pytest.approx([1.8, 2.4])
 
 
 def test_update_duals_cases():
     cfg = SolverConfig()
     rng = np.random.default_rng(8)
     x = rng.standard_normal((3, 3))
-    # feasible split leaves Y unchanged and scales mu by rho
+    # Y moves by mu times the new pair's residual; mu grows by rho
     state = SolverState(l=0.5 * x, s=0.5 * x, y=rng.standard_normal((3, 3)), mu=2.0)
-    y_new, mu_new = update_duals(x, state, cfg)
-    assert np.allclose(y_new, state.y)
-    assert mu_new == pytest.approx(2.2)
-    # direct formula
+    new, rec = one_step(x, state, cfg)
+    assert np.allclose(new.y, state.y + 2.0 * (new.l + new.s - x))
+    assert new.mu == pytest.approx(2.2) and rec.mu == 2.0
     r = rng.standard_normal((3, 3))
     state2 = SolverState(l=x + r, s=np.zeros((3, 3)), y=np.zeros((3, 3)), mu=1e-4)
-    y2, mu2 = update_duals(x, state2, cfg)
-    assert np.allclose(y2, 1e-4 * r)
-    assert mu2 == pytest.approx(1.1e-4)
+    # at mu = 1e-4 every singular value of X is under the keep-threshold and
+    # every entry under lam/mu = 10, so L = S = 0 and Y = mu*(0 + 0 - X)
+    new2, _ = one_step(x, state2, cfg)
+    assert not new2.l.any() and not new2.s.any()
+    assert np.allclose(new2.y, -1e-4 * x)
+    assert new2.mu == pytest.approx(1.1e-4)
     # cap saturation
     state3 = SolverState(l=x, s=np.zeros((3, 3)), y=np.zeros((3, 3)), mu=cfg.mu_max)
-    _, mu3 = update_duals(x, state3, cfg)
-    assert mu3 == cfg.mu_max
+    assert one_step(x, state3, cfg)[0].mu == cfg.mu_max
 
 
 def test_lagrangian_cases():
@@ -427,5 +422,6 @@ def test_solve_matches_full_svd_reference_loop(make_x, cfg):
         r = solve(x, cfg)
         l_ref, s_ref, history_ref = reference_solve(x, cfg)
         assert [(rec.rank_estimate, rec.dc_iters) for rec in r.history] == history_ref, seed
+        assert r.history[-1].rank_estimate == rank_estimate(r.l), seed
         assert np.linalg.norm(r.l - l_ref) <= 1e-10 * np.linalg.norm(l_ref), seed
         assert np.linalg.norm(r.s - s_ref) <= 1e-10 * np.linalg.norm(s_ref), seed
