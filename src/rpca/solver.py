@@ -25,7 +25,6 @@ from .surrogates import (
     gamma_surrogate,
     prox_vector,
     prox_vector_with_iters,
-    surrogate_gradient,
     surrogate_value,
 )
 from . import linalg
@@ -102,6 +101,14 @@ class IterationRecord:
 
 @dataclass
 class SolverResult:
+    """Outcome of :func:`solve`: the final pair, its history and stationarity.
+
+    ``kkt_primal`` is the final relative residual ``||L+S-X||_F / max(1, ||X||_F)``.
+    ``kkt_dual`` is the last iteration's ``mu*||S - S_prev||_F / max(1, ||Y||_F)``,
+    the norm of ``G + Y`` for the subgradient ``G`` of the rank penalty that the
+    last L-step's prox certifies at L (see :func:`kkt_residuals`).
+    """
+
     l: np.ndarray
     s: np.ndarray
     iterations: int
@@ -202,22 +209,22 @@ def step(
     return next_state, record
 
 
-def kkt_residuals(x, state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
-    """Normalized stationarity measures at the given state.
+def kkt_residuals(x, state: SolverState, record: IterationRecord) -> tuple[float, float]:
+    """Normalized stationarity measures at the state a step returned with ``record``.
 
-    primal: ``||L+S-X||_F / max(1, ||X||_F)``. dual: feasibility of the
-    L-stationarity condition, ``||U diag(theta) V^T + Y||_F / max(1, ||Y||_F)``
-    where theta is the penalty gradient at the singular values of L (the
-    gradient of a spectral function keeps L's singular vectors).
+    primal: ``||L+S-X||_F / max(1, ||X||_F)``. dual:
+    ``record.mu_s_change / max(1, ||Y||_F)``, the norm of an explicit
+    subgradient residual. The step's L is the exact prox of
+    ``T = X - S_prev - Y_prev/mu`` at weight mu, so ``G = mu*(T - L)`` lies in
+    the subdifferential of F at L, and ``G + Y = mu*(S - S_prev)``: the figure
+    bounds the distance of ``-Y`` to that subdifferential without a
+    factorization of L.
     """
     x = as_matrix(x)
     primal = float(np.linalg.norm(state.l + state.s - x)) / max(
         1.0, float(np.linalg.norm(x))
     )
-    f = linalg.svd(state.l)
-    theta = surrogate_gradient(f.singulars, cfg.surrogate)
-    dual_mat = (f.u * theta) @ f.vt + state.y
-    dual = float(np.linalg.norm(dual_mat)) / max(1.0, float(np.linalg.norm(state.y)))
+    dual = record.mu_s_change / max(1.0, float(np.linalg.norm(state.y)))
     return primal, dual
 
 
@@ -264,7 +271,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
             converged = True
             break
 
-    kkt_primal, kkt_dual = kkt_residuals(x, state, cfg)
+    kkt_primal, kkt_dual = kkt_residuals(x, state, record)
     return SolverResult(
         l=state.l,
         s=state.s,

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import rpca.linalg
-from helpers import reference_solve
+from helpers import random_orthonormal, reference_solve
 from rpca.solver import (
+    IterationRecord,
     SolverConfig,
     SolverState,
     kkt_residuals,
@@ -230,16 +231,23 @@ def test_lagrangian_term_by_term():
 
 
 def test_kkt_residuals_stationary_pair():
+    # a fixed point of step: X = L, S = 0 and Y = -U diag(theta) V^T, the
+    # prox's own stationarity term, so the L-step returns L; every |Y_ij| is
+    # under lam, so the shrink leaves S at zero and S does not change at all
     cfg = SolverConfig()
-    l = np.diag([3.0, 1.0])
-    sig = np.array([3.0, 1.0])
-    theta = surrogate_gradient(sig, cfg.surrogate)
-    y = -np.diag(theta)
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((2, 2))
-    state = SolverState(l=l, s=x - l, y=y, mu=1.0)
-    primal, dual = kkt_residuals(x, state, cfg)
-    assert primal <= 1e-10 and dual <= 1e-10
+    u, v = random_orthonormal(rng, 2), random_orthonormal(rng, 2)
+    sig = np.array([30.0, 10.0])
+    theta = surrogate_gradient(sig, cfg.surrogate)
+    x = (u * sig) @ v.T
+    state = SolverState(l=x, s=np.zeros_like(x), y=-(u * theta) @ v.T, mu=1.0)
+    assert np.abs(state.y).max() <= cfg.lam
+    nxt, record = step(x, state, cfg, float(np.linalg.norm(x)))
+    assert np.array_equal(nxt.s, state.s)
+    assert np.linalg.norm(nxt.l - state.l) <= 1e-10 * np.linalg.norm(x)
+    assert np.linalg.norm(nxt.y - state.y) <= 1e-10
+    primal, dual = kkt_residuals(x, nxt, record)
+    assert primal <= 1e-10 and dual <= 1e-12
 
 
 def test_kkt_residuals_initial_state():
@@ -248,9 +256,15 @@ def test_kkt_residuals_initial_state():
     x = rng.standard_normal((4, 4))
     zero = np.zeros((4, 4))
     state = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
-    primal, _ = kkt_residuals(x, state, cfg)
+    # the zero start has no previous S, so nothing has changed yet
+    record = IterationRecord(
+        iter=0, residual=1.0, lagrangian=0.0, rank_estimate=0, y_inf_norm=0.0,
+        dc_iters=0, mu=cfg.mu0, mu_s_change=0.0,
+    )
+    primal, dual = kkt_residuals(x, state, record)
     nx = np.linalg.norm(x)
     assert primal == pytest.approx(nx / max(1.0, nx))
+    assert dual == 0.0
 
 
 def test_kkt_primal_small_after_convergence():
@@ -416,12 +430,46 @@ EQUIVALENCE_CASES = [
 
 
 @pytest.mark.parametrize("make_x, cfg", EQUIVALENCE_CASES)
-def test_solve_matches_full_svd_reference_loop(make_x, cfg):
+def test_solve_matches_full_svd_reference_loop(make_x, cfg, svd_calls):
     for seed in range(5):
         x = make_x(seed)
         r = solve(x, cfg)
+        assert svd_calls == [], seed
         l_ref, s_ref, history_ref = reference_solve(x, cfg)
         assert [(rec.rank_estimate, rec.dc_iters) for rec in r.history] == history_ref, seed
         assert r.history[-1].rank_estimate == rank_estimate(r.l), seed
         assert np.linalg.norm(r.l - l_ref) <= 1e-10 * np.linalg.norm(l_ref), seed
         assert np.linalg.norm(r.s - s_ref) <= 1e-10 * np.linalg.norm(s_ref), seed
+
+
+@pytest.mark.parametrize("make_x, cfg", EQUIVALENCE_CASES)
+def test_kkt_dual_is_a_subgradient_certificate(make_x, cfg):
+    # G = mu*(T - L) from the last L-step, checked on T's own np.linalg.svd
+    # factors against the subdifferential of F at L: diag(theta) on L's kept
+    # singular pairs, nothing across, spectral norm at most theta(0) on the
+    # rest; the reported dual figure must be the norm of G + Y
+    theta0 = surrogate_gradient(np.zeros(1), cfg.surrogate)[0]
+    for seed in range(5):
+        x = make_x(seed)
+        zero = np.zeros_like(x)
+        states = [SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)]
+        records = []
+        r = solve(x, cfg, callback=lambda st, rec: (states.append(st), records.append(rec)))
+        prev, last, rec = states[-2], states[-1], records[-1]
+        t = x - prev.s - prev.y / rec.mu
+        g = rec.mu * (t - last.l)
+        u, _, vt = np.linalg.svd(t, full_matrices=False)
+        sig_l = np.linalg.svd(last.l, compute_uv=False)
+        k = int(np.count_nonzero(sig_l > 1e-12 * sig_l[0]))
+        assert k == rec.rank_estimate, seed
+        uk, vk = u[:, :k], vt[:k].T
+        kept = uk.T @ g @ vk
+        assert np.abs(kept - np.diag(surrogate_gradient(sig_l[:k], cfg.surrogate))).max() <= 1e-12, seed
+        assert np.abs(g @ vk - uk @ kept).max() <= 1e-12, seed
+        assert np.abs(uk.T @ g - kept @ vk.T).max() <= 1e-12, seed
+        rest = g - uk @ (uk.T @ g) - (g @ vk) @ vk.T + uk @ kept @ vk.T
+        assert np.linalg.norm(rest, 2) <= theta0, seed
+        residual = np.linalg.norm(g + last.y)
+        assert r.kkt_dual * max(1.0, np.linalg.norm(last.y)) == pytest.approx(residual, rel=1e-10), seed
+        if cfg.surrogate.kind == "gamma" and cfg.penalty.kind == "l1":
+            assert r.kkt_dual <= 1e-3, seed
