@@ -19,7 +19,14 @@ class MatrixIoError(ValueError):
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Parse a headerless rectangular CSV of numbers into a matrix."""
+    """Parse a headerless rectangular CSV of numbers into a matrix.
+
+    Every field is one Python ``float`` token, surrounding whitespace
+    allowed; one trailing blank line is tolerated. The rows are parsed
+    straight into a preallocated array. If that fails, or the matrix holds a
+    non-finite value, the file is parsed again token by token
+    (``_parse_rows``), only to name the first bad row and column.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -28,6 +35,27 @@ def read_matrix_csv(path) -> np.ndarray:
     lines = text.splitlines()
     if lines and lines[-1] == "":
         lines.pop()  # tolerate one trailing blank line
+    if not lines:
+        raise MatrixIoError(f"{path}: no rows")
+    commas = lines[0].count(",")
+    # fromiter stops at ``width`` values and would silently drop the extra
+    # fields of a longer row, so every row's width is checked first
+    if all(line.count(",") == commas for line in lines):
+        width = commas + 1
+        out = np.empty((len(lines), width), dtype=np.float64)
+        try:
+            for i, line in enumerate(lines):
+                out[i] = np.fromiter(map(float, line.split(",")), np.float64, width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    return _parse_rows(path, lines)
+
+
+def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
+    """Token-by-token parse that raises on the first ragged row or bad token."""
     rows: list[list[float]] = []
     width = None
     for lineno, line in enumerate(lines, start=1):
@@ -52,8 +80,6 @@ def read_matrix_csv(path) -> np.ndarray:
                 )
             parsed.append(value)
         rows.append(parsed)
-    if not rows:
-        raise MatrixIoError(f"{path}: no rows")
     return np.array(rows, dtype=np.float64)
 
 
@@ -62,10 +88,15 @@ def write_matrix_csv(path, m) -> None:
 
     17 digits round-trip a 64-bit float exactly, so write-then-read is
     lossless and repeated writes of the same matrix are byte-identical.
+    Each row is formatted with one ``%`` template and written as it is made,
+    so no copy of the whole text is held in memory.
     """
     a = as_matrix(m)
-    lines = [",".join(format(v, ".17g") for v in row) for row in a]
-    Path(path).write_text("\n".join(lines) + "\n")
+    row_format = ",".join(["%.17g"] * a.shape[1]) + "\n"
+    with Path(path).open("w") as f:
+        f.writelines(row_format % tuple(row.tolist()) for row in a)
+        if not a.shape[0]:
+            f.write("\n")  # a matrix with no rows is one empty line
 
 
 def _pgm_tokens(data: bytes):

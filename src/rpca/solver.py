@@ -209,10 +209,14 @@ def step(
     return next_state, record
 
 
-def kkt_residuals(x, state: SolverState, record: IterationRecord) -> tuple[float, float]:
+def kkt_residuals(
+    state: SolverState, record: IterationRecord, norm_x: float
+) -> tuple[float, float]:
     """Normalized stationarity measures at the state a step returned with ``record``.
 
-    primal: ``||L+S-X||_F / max(1, ||X||_F)``. dual:
+    ``norm_x`` is ``||X||_F``, as passed to the step. primal:
+    ``||L+S-X||_F / max(1, ||X||_F)``, read off the record's relative
+    residual (the same figure when ``||X||_F >= 1``). dual:
     ``record.mu_s_change / max(1, ||Y||_F)``, the norm of an explicit
     subgradient residual. The step's L is the exact prox of
     ``T = X - S_prev - Y_prev/mu`` at weight mu, so ``G = mu*(T - L)`` lies in
@@ -220,10 +224,8 @@ def kkt_residuals(x, state: SolverState, record: IterationRecord) -> tuple[float
     bounds the distance of ``-Y`` to that subdifferential without a
     factorization of L.
     """
-    x = as_matrix(x)
-    primal = float(np.linalg.norm(state.l + state.s - x)) / max(
-        1.0, float(np.linalg.norm(x))
-    )
+    # the record divides by ||X||_F, or by nothing when X = 0
+    primal = record.residual * min(1.0, norm_x) if norm_x > 0.0 else record.residual
     dual = record.mu_s_change / max(1.0, float(np.linalg.norm(state.y)))
     return primal, dual
 
@@ -271,7 +273,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
             converged = True
             break
 
-    kkt_primal, kkt_dual = kkt_residuals(x, state, record)
+    kkt_primal, kkt_dual = kkt_residuals(state, record, norm_x)
     return SolverResult(
         l=state.l,
         s=state.s,

@@ -4,8 +4,11 @@ Nothing here calls the shrinkage/prox code paths it is used to check: the
 prox oracle evaluates the objective on an explicit lattice, the shrink
 oracles minimize the scalar objectives by interval shrinking, and the
 reference ALM loop takes its L-step from ``np.linalg.svd`` rather than from
-the solver's spectral step.
+the solver's spectral step. The reference CSV writer formats one entry at a
+time with ``format`` rather than a row at a time with ``%``.
 """
+
+from pathlib import Path
 
 import numpy as np
 
@@ -87,6 +90,13 @@ def l21_shrink_oracle(q: np.ndarray, tau: float) -> np.ndarray:
     c = bisect_root(deriv, np.zeros_like(norms), np.ones_like(norms))
     c[norms == 0.0] = 0.0
     return q * c
+
+
+def reference_write_matrix_csv(path, m) -> None:
+    """The CSV writer's byte format, one ``format(v, ".17g")`` per entry."""
+    a = np.asarray(m, dtype=np.float64)
+    lines = [",".join(format(v, ".17g") for v in row) for row in a]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def central_diff(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -157,3 +157,10 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     r0 = json.loads((outs[0] / "report.json").read_text())
     r1 = json.loads((outs[1] / "report.json").read_text())
     assert r0["history"] == r1["history"]
+
+
+def test_decompose_longer_row_is_input_error(tmp_path, capsys):
+    (tmp_path / "X.csv").write_text("1,2,3\n4,5,6\n7,8,9,10\n1,1,1\n")
+    assert run("decompose", tmp_path / "X.csv", "--outdir", tmp_path / "run") == 3
+    assert "ragged row 3" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

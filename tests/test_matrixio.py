@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import reference_write_matrix_csv
 from rpca.matrixio import (
     MatrixIoError,
     build_report,
@@ -60,6 +61,80 @@ def test_read_matrix_csv_empty(tmp_path):
     p.write_text("")
     with pytest.raises(MatrixIoError, match="no rows"):
         read_matrix_csv(p)
+
+
+def read_error(path) -> str:
+    with pytest.raises(MatrixIoError) as exc:
+        read_matrix_csv(path)
+    return str(exc.value)
+
+
+def test_read_matrix_csv_longer_row_is_ragged(tmp_path):
+    # a row longer than the first must be rejected, not cut to the first's width
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n3,4,5\n6,7\n")
+    assert read_error(p) == f"{p}: ragged row 2 has 3 fields, expected 2"
+
+
+def test_read_matrix_csv_inner_blank_line(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n\n3,4\n")
+    assert read_error(p) == f"{p}: ragged row 2 has 1 fields, expected 2"
+    p.write_text("1\n\n2\n")
+    assert read_error(p) == f"{p}: row 2, column 1: not a number: ''"
+
+
+def test_read_matrix_csv_bad_token_deep_in_file(tmp_path):
+    rows = [",".join(["1.5"] * 8)] * 2000
+    rows[1499] = "1.5,1.5,1.5,1.5,1.5,1.5,oops,1.5"
+    p = tmp_path / "m.csv"
+    p.write_text("\n".join(rows) + "\n")
+    assert read_error(p) == f"{p}: row 1500, column 7: not a number: 'oops'"
+
+
+def test_read_matrix_csv_overflow_is_non_finite(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n3,1e999\n")
+    assert read_error(p) == f"{p}: row 2, column 2: non-finite value '1e999'"
+
+
+def test_read_matrix_csv_reports_first_error_in_file_order(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_text("1,2\n3,x\n5,6,7\n")
+    assert read_error(p) == f"{p}: row 2, column 2: not a number: 'x'"
+    p.write_text("1,2\n3,-inf\n5\n")
+    assert read_error(p) == f"{p}: row 2, column 2: non-finite value '-inf'"
+    p.write_text("1,2\n3,4,5\nx,6\n")
+    assert read_error(p) == f"{p}: ragged row 2 has 3 fields, expected 2"
+
+
+def test_read_matrix_csv_accepts_float_tokens(tmp_path):
+    # every field is one Python float token: padding, CRLF and digit
+    # separators are accepted, as is one trailing blank line
+    p = tmp_path / "m.csv"
+    p.write_bytes(b" 3 ,4\r\n1_0,\t-0\r\n")
+    back = read_matrix_csv(p)
+    assert back.tolist() == [[3.0, 4.0], [10.0, 0.0]]
+    assert np.signbit(back[1, 1])
+    p.write_text("1e-320,2\n")
+    assert read_matrix_csv(p)[0, 0] == 1e-320
+
+
+def test_write_matrix_csv_matches_reference_bytes(tmp_path):
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+    m[0] = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308]
+    m[1, :3] = [-1.7976931348623157e308, 0.1, -1e16]
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_matrix_csv(ours, m)
+    reference_write_matrix_csv(ref, m)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert read_matrix_csv(ours).tobytes() == m.tobytes()
+    for shape in [(0, 3), (3, 0), (0, 0)]:
+        write_matrix_csv(ours, np.zeros(shape))
+        reference_write_matrix_csv(ref, np.zeros(shape))
+        assert ours.read_bytes() == ref.read_bytes(), shape
+    assert ours.read_bytes() == b"\n"
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -246,7 +246,7 @@ def test_kkt_residuals_stationary_pair():
     assert np.array_equal(nxt.s, state.s)
     assert np.linalg.norm(nxt.l - state.l) <= 1e-10 * np.linalg.norm(x)
     assert np.linalg.norm(nxt.y - state.y) <= 1e-10
-    primal, dual = kkt_residuals(x, nxt, record)
+    primal, dual = kkt_residuals(nxt, record, float(np.linalg.norm(x)))
     assert primal <= 1e-10 and dual <= 1e-12
 
 
@@ -261,8 +261,8 @@ def test_kkt_residuals_initial_state():
         iter=0, residual=1.0, lagrangian=0.0, rank_estimate=0, y_inf_norm=0.0,
         dc_iters=0, mu=cfg.mu0, mu_s_change=0.0,
     )
-    primal, dual = kkt_residuals(x, state, record)
-    nx = np.linalg.norm(x)
+    nx = float(np.linalg.norm(x))
+    primal, dual = kkt_residuals(state, record, nx)
     assert primal == pytest.approx(nx / max(1.0, nx))
     assert dual == 0.0
 
@@ -275,6 +275,21 @@ def test_kkt_primal_small_after_convergence():
     assert rank_estimate(r.l) == 3
     assert r.kkt_primal <= 1e-3
     assert np.isfinite(r.kkt_dual)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 0.0])
+def test_kkt_primal_is_the_final_residual(scale):
+    # kkt_primal is read off the last record; it must equal the residual
+    # recomputed from the returned pair, bit for bit once ||X||_F >= 1
+    spec = SyntheticSpec(m=30, n=30, rank=2, sparsity=0.05)
+    x = generate_synthetic(spec, 6)[0] * scale
+    r = solve(x, SolverConfig(mu0=1e-2, max_outer=5))
+    nx = float(np.linalg.norm(x))
+    direct = float(np.linalg.norm(r.l + r.s - x)) / max(1.0, nx)
+    if nx >= 1.0:
+        assert r.kkt_primal == direct
+    else:
+        assert r.kkt_primal == pytest.approx(direct, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("penalty_kind", ["l1", "l21"])
