@@ -1,4 +1,4 @@
-"""Dense-matrix plumbing: deterministic thin SVD, Gram spectrum, and the numerical rank rule."""
+"""Dense-matrix plumbing: thin SVD, Gram spectrum, Ritz pairs and the numerical rank rule."""
 
 from __future__ import annotations
 
@@ -105,3 +105,89 @@ def gram_spectrum(m) -> GramSpectrum:
     eps = np.finfo(np.float64).eps
     delta = GRAM_ERROR_FACTOR * max(rows, cols) * eps * float(np.max(lam, initial=0.0))
     return GramSpectrum(np.sqrt(np.maximum(lam[::-1], 0.0)), vecs[:, ::-1], right, delta)
+
+
+class RitzSpectrum(NamedTuple):
+    """Rayleigh–Ritz pairs of a Gram matrix ``G`` from products with ``A`` alone.
+
+    ``theta`` holds the Ritz values, nonincreasing, and ``vectors`` the
+    orthonormal Ritz vectors ``W`` (right singular side when ``right``, as in
+    :class:`GramSpectrum`); ``images`` is ``A W`` when ``right`` and
+    ``A^T W`` otherwise. ``rest = ||A||_F^2 - sum(theta)`` is the trace of
+    ``G`` outside the span of ``W``, so it bounds every eigenvalue of ``G``
+    compressed to that complement. ``slack`` bounds the rounding in ``rest``
+    and in :func:`ritz_residual`.
+    """
+
+    theta: np.ndarray
+    vectors: np.ndarray
+    images: np.ndarray
+    right: bool
+    rest: float
+    slack: float
+
+
+# Width of the Gaussian block behind ritz_spectrum.
+RITZ_BLOCK = 16
+
+
+def ritz_spectrum(a: np.ndarray) -> RitzSpectrum | None:
+    """Ritz pairs of ``A``'s smaller Gram matrix on one power step of a Gaussian block.
+
+    With ``G = A^T A`` (``A`` at least as tall as wide) or ``A A^T``, of size
+    ``p = min(m, n)``, and a ``p x RITZ_BLOCK`` block ``Omega`` drawn from
+    ``default_rng(0)``: ``Q = qr(G Omega)``, then the eigenpairs of
+    ``Q^T G Q``. ``G`` itself is never formed; the result costs three
+    products with ``A`` and one pass for ``||A||_F``. Returns ``None`` when
+    ``p <= RITZ_BLOCK``, where the block spans everything. ``a`` must be a
+    finite 2-D float array. Raises ``LinAlgError`` when the eigensolver fails
+    or a product overflows.
+    """
+    rows, cols = a.shape
+    right = rows >= cols
+    p = min(rows, cols)
+    if p <= RITZ_BLOCK:
+        return None
+    omega = np.random.default_rng(0).standard_normal((p, RITZ_BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        q = np.linalg.qr(_times(a, right, _times(a, not right, omega)))[0]
+        z = _times(a, not right, q)
+        frob2 = float(np.vdot(a, a))
+        try:
+            theta, e = np.linalg.eigh(z.T @ z)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                f"Ritz eigendecomposition did not converge for a {rows}x{cols} matrix"
+            ) from exc
+    if not (np.isfinite(theta).all() and np.isfinite(frob2)):
+        raise np.linalg.LinAlgError(f"Gram products of a {rows}x{cols} matrix are not finite")
+    theta, e = theta[::-1], e[:, ::-1]
+    # Every computed figure here (||A||_F^2, the entries of Z and of the
+    # residual's Gram product) is a sum of at most max(m, n) products, whose
+    # rounding is at most length * eps times the sum of the magnitudes, and
+    # the magnitudes add up to at most ||A||_F^2 >= lambda_max(G). The Gram
+    # path's factor bounds the same rounding with lambda_max; ||A||_F^2 also
+    # covers the loss of orthogonality of the Householder Q, O(p * eps).
+    slack = GRAM_ERROR_FACTOR * max(rows, cols) * np.finfo(np.float64).eps * frob2
+    return RitzSpectrum(theta, q @ e, z @ e, right, frob2 - float(theta.sum()), slack)
+
+
+def _times(a: np.ndarray, transpose: bool, y: np.ndarray) -> np.ndarray:
+    """``A^T @ y`` when ``transpose``, taken as ``(y^T A)^T``, else ``A @ y``.
+
+    The transposed form reads ``A`` row by row, which BLAS does several times
+    faster than ``A^T @ y`` on a row-major ``A`` with few columns in ``y``.
+    """
+    return (y.T @ a).T if transpose else a @ y
+
+
+def ritz_residual(a: np.ndarray, r: RitzSpectrum) -> float:
+    """``||G W - W diag(theta)||_F`` for the Ritz pairs ``r`` of ``a``'s Gram matrix.
+
+    One more product with ``A``. By Weyl's inequality every eigenvalue of
+    ``G`` lies within this figure of the eigenvalues of the block-diagonal
+    ``diag(diag(theta), C)``, ``C`` the compression of ``G`` to the
+    complement of ``W``.
+    """
+    gw = _times(a, r.right, r.images)
+    return float(np.linalg.norm(gw - r.vectors * r.theta))

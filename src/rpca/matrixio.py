@@ -21,6 +21,7 @@ class MatrixIoError(ValueError):
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a headerless rectangular CSV of numbers into a matrix.
 
+    The file is read as UTF-8, and a leading byte-order mark is skipped.
     Every field is one Python ``float`` token, surrounding whitespace
     allowed; one trailing blank line is tolerated. The rows are parsed
     straight into a preallocated array. If that fails, or the matrix holds a
@@ -29,7 +30,7 @@ def read_matrix_csv(path) -> np.ndarray:
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise MatrixIoError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()

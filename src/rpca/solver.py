@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class SolverConfig:
             raise ValueError("mu0 must be positive")
         if not self.rho > 1.0:
             raise ValueError("rho must exceed 1")
-        if self.mu_max < self.mu0:
+        if not self.mu_max >= self.mu0:
             raise ValueError("mu_max must be >= mu0")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
@@ -83,11 +83,18 @@ class SolverState:
     y: np.ndarray
     mu: float
     iter: int = 0
+    # the next L-step tries the Gram-free route (see ``l_step``): true at the
+    # start and then while the L-step keeps taking it
+    low_rank: bool = True
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration diagnostics appended to the solve history."""
+    """Per-iteration diagnostics appended to the solve history.
+
+    ``l_route`` names the path the L-step took: ``"low_rank"``, ``"gram"`` or
+    ``"svd"`` (see ``l_step``).
+    """
 
     iter: int
     residual: float
@@ -97,6 +104,7 @@ class IterationRecord:
     dc_iters: int
     mu: float
     mu_s_change: float
+    l_route: str
 
 
 @dataclass
@@ -119,20 +127,90 @@ class SolverResult:
     kkt_dual: float
 
 
-def l_step(target, mu: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, int]:
+class LStep(NamedTuple):
+    """An L-step's result: L, the proxed singular values, the prox's inner
+    iteration count and the route that produced them."""
+
+    l: np.ndarray
+    singulars: np.ndarray
+    dc_iters: int
+    route: str
+
+
+def _keeps_exactly(kept_low, drop_high: float, mu: float, cfg: SolverConfig) -> bool:
+    """Whether the prox keeps every square root of ``kept_low`` and drops that of ``drop_high``.
+
+    The prox is monotone in the singular value, so every value in between
+    these ends then gets the same decision as the end it is on.
+    """
+    ends = np.sqrt(np.maximum(np.append(kept_low, drop_high), 0.0))
+    keep = prox_vector(ends, mu, cfg.surrogate, cfg.dc) > 0.0
+    return bool(keep[:-1].all() and not keep[-1])
+
+
+def _low_rank_step(a: np.ndarray, mu: float, cfg: SolverConfig) -> LStep | None:
+    """The Gram-free L-step, or ``None`` when it cannot be certified.
+
+    Proxes the square roots of the Ritz values from ``linalg.ritz_spectrum``.
+    With ``rho = ||G W - W Theta||_F`` and ``G = [[Theta, E^T], [E, C]]`` in
+    the basis ``[W, W_perp]``, ``||E||_2 <= rho`` and ``lambda_max(C) <=
+    rest``, so by Weyl's inequality ``lambda_(k+1)(G) <= max(theta_(k+1),
+    rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho`` for the ``k`` kept
+    values. The step is certified when the prox keeps each ``theta_i - rho``
+    and drops that tail bound (both widened by the rounding ``slack``), and
+    ``rho`` is within ``KEPT_REL_ERROR`` of every kept value: then exactly
+    ``k`` values are kept, each known as well as on the Gram path. The tail
+    is checked with ``rho = 0`` first, so an attempt that fails there skips
+    the residual's product.
+    """
+    try:
+        r = linalg.ritz_spectrum(a)
+    except np.linalg.LinAlgError:
+        return None
+    if r is None:
+        return None
+    singulars = np.sqrt(np.maximum(r.theta, 0.0))
+    sig, dc_iters = prox_vector_with_iters(singulars, mu, cfg.surrogate, cfg.dc)
+    k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
+    if k == r.theta.size:
+        return None  # no dropped Ritz value, so no bound on the rest
+    kept, tail = r.theta[:k] - r.slack, max(float(r.theta[k]), r.rest) + r.slack
+    if not _keeps_exactly(kept, tail, mu, cfg):
+        return None
+    rho = linalg.ritz_residual(a, r)
+    if k and not rho + r.slack <= KEPT_REL_ERROR * r.theta[k - 1]:
+        return None
+    if not _keeps_exactly(kept - rho, tail + rho, mu, cfg):
+        return None
+    w, aw = r.vectors[:, :k], r.images[:, :k]
+    scale = sig[:k] / singulars[:k]
+    l = (aw * scale) @ w.T if r.right else (w * scale) @ aw.T
+    return LStep(l, sig, dc_iters, "low_rank")
+
+
+def l_step(target, mu: float, cfg: SolverConfig, low_rank: bool = True) -> LStep:
     """Spectral prox of ``target`` at weight mu.
 
-    Returns ``(L, proxed singular values, dc_iters)``. The singular values
-    come from the eigendecomposition of the smaller Gram matrix
-    (``linalg.gram_spectrum``), a fraction of the cost of a thin SVD, and
-    only the kept components are rebuilt. That result is used only when it
-    is certified: both ends of each eigenvalue's error interval must get the
-    same keep/drop decision from the prox as the computed value (the prox is
-    monotone, so the whole interval then agrees), and every kept value must
-    be known to ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver
-    fails, the step takes the thin SVD of ``target`` instead.
+    Three routes, each used only when its result is the exact prox with a
+    certified keep/drop decision. With ``low_rank``, the step first tries
+    the Gram-free route (``_low_rank_step``): one power step on a Gaussian
+    block and Rayleigh–Ritz, a few products with the target and no
+    eigensolve of size ``min(m, n)``. It certifies when the kept rank is
+    small and little spectral mass lies below the keep-threshold.
+    Otherwise the singular values come from the eigendecomposition of the
+    smaller Gram matrix (``linalg.gram_spectrum``), a fraction of the cost
+    of a thin SVD, and only the kept components are rebuilt. That result is
+    used only when both ends of each eigenvalue's error interval get the same
+    keep/drop decision from the prox as the computed value (the prox is
+    monotone, so the whole interval then agrees), and every kept value is
+    known to ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver fails,
+    the step takes the thin SVD of ``target``.
     """
     a = as_matrix(target)
+    if low_rank:
+        low = _low_rank_step(a, mu, cfg)
+        if low is not None:
+            return low
     try:
         g = linalg.gram_spectrum(a)
     except np.linalg.LinAlgError:
@@ -147,11 +225,11 @@ def l_step(target, mu: float, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray
             v = g.vectors[:, keep]
             scale = sig[keep] / g.singulars[keep]
             if g.right:
-                return ((a @ v) * scale) @ v.T, sig, dc_iters
-            return (v * scale) @ (v.T @ a), sig, dc_iters
+                return LStep(((a @ v) * scale) @ v.T, sig, dc_iters, "gram")
+            return LStep((v * scale) @ (v.T @ a), sig, dc_iters, "gram")
     f = linalg.svd(a)
     sig, dc_iters = prox_vector_with_iters(f.singulars, mu, cfg.surrogate, cfg.dc)
-    return (f.u * sig) @ f.vt, sig, dc_iters
+    return LStep((f.u * sig) @ f.vt, sig, dc_iters, "svd")
 
 
 def _lagrangian(sig, s, y, mu: float, resid, cfg: SolverConfig) -> float:
@@ -184,11 +262,14 @@ def step(
     S the shrink of ``X - L - Y/mu`` at threshold lambda/mu, then
     ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
-    Frobenius norm. Returns the next state and the iteration's record, whose
-    Lagrangian is evaluated at the new pair and the old multiplier and mu.
+    Frobenius norm. The L-step tries the Gram-free route only when
+    ``state.low_rank``, and the next state's flag says whether it took it,
+    so a solve makes at most one failed attempt. Returns the next state and
+    the iteration's record, whose Lagrangian is evaluated at the new pair
+    and the old multiplier and mu.
     """
     y, mu = state.y, state.mu
-    l, sig, dc_iters = l_step(x - state.s - y / mu, mu, cfg)
+    l, sig, dc_iters, route = l_step(x - state.s - y / mu, mu, cfg, state.low_rank)
     s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))
@@ -202,9 +283,15 @@ def step(
         dc_iters=dc_iters,
         mu=mu,
         mu_s_change=mu * float(np.linalg.norm(s - state.s)),
+        l_route=route,
     )
     next_state = SolverState(
-        l=l, s=s, y=y_next, mu=min(cfg.rho * mu, cfg.mu_max), iter=state.iter + 1
+        l=l,
+        s=s,
+        y=y_next,
+        mu=min(cfg.rho * mu, cfg.mu_max),
+        iter=state.iter + 1,
+        low_rank=route == "low_rank",
     )
     return next_state, record
 

@@ -164,3 +164,18 @@ def test_decompose_longer_row_is_input_error(tmp_path, capsys):
     assert run("decompose", tmp_path / "X.csv", "--outdir", tmp_path / "run") == 3
     assert "ragged row 3" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_decompose_reads_a_byte_order_mark(tmp_path):
+    (tmp_path / "X.csv").write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    assert run("decompose", tmp_path / "X.csv", "--outdir", tmp_path / "run") == 0
+    assert (tmp_path / "run" / "L.csv").exists()
+
+
+def test_nan_mu_max_is_usage_error(tmp_path, capsys):
+    spec = SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1)
+    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(spec, 0)[0])
+    out = tmp_path / "run"
+    assert run("decompose", tmp_path / "X.csv", "--mu-max", "nan", "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: mu_max must be >= mu0\n"
+    assert not out.exists()

@@ -120,6 +120,20 @@ def test_read_matrix_csv_accepts_float_tokens(tmp_path):
     assert read_matrix_csv(p)[0, 0] == 1e-320
 
 
+def test_read_matrix_csv_skips_a_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(b"1,2\n3,4\n")
+    marked.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    assert np.array_equal(read_matrix_csv(marked), read_matrix_csv(plain))
+
+
+def test_read_matrix_csv_rejects_a_byte_order_mark_inside(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"1,2\n\xef\xbb\xbf3,4\n")
+    assert read_error(p) == f"{p}: row 2, column 1: not a number: '\\ufeff3'"
+
+
 def test_write_matrix_csv_matches_reference_bytes(tmp_path):
     rng = np.random.default_rng(4)
     m = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
@@ -232,7 +246,8 @@ def test_report_fields_and_rerun(tmp_path):
     assert len(report["history"]) == report["iterations"]
     for rec in report["history"]:
         assert {"iter", "residual", "lagrangian", "rank_estimate",
-                "y_inf_norm", "dc_iters", "mu", "mu_s_change"} <= set(rec)
+                "y_inf_norm", "dc_iters", "mu", "mu_s_change", "l_route"} <= set(rec)
+        assert rec["l_route"] in {"low_rank", "gram", "svd"}
     # the params echo is enough to reproduce the run
     rerun = solve(x, config_from_params(report["params"]))
     assert [r.residual for r in rerun.history] == [r.residual for r in result.history]

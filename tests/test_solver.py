@@ -50,6 +50,12 @@ def test_config_validation():
         SolverConfig(max_outer=0)
 
 
+def test_config_rejects_nan_mu_max():
+    # NaN fails every comparison, so it must not pass as "not below mu0"
+    with pytest.raises(ValueError, match="mu_max must be >= mu0"):
+        SolverConfig(mu_max=float("nan"))
+
+
 def test_scaled_lambda():
     assert scaled_lambda(200, 100) == pytest.approx(1.0 / np.sqrt(200))
 
@@ -259,7 +265,7 @@ def test_kkt_residuals_initial_state():
     # the zero start has no previous S, so nothing has changed yet
     record = IterationRecord(
         iter=0, residual=1.0, lagrangian=0.0, rank_estimate=0, y_inf_norm=0.0,
-        dc_iters=0, mu=cfg.mu0, mu_s_change=0.0,
+        dc_iters=0, mu=cfg.mu0, mu_s_change=0.0, l_route="gram",
     )
     nx = float(np.linalg.norm(x))
     primal, dual = kkt_residuals(state, record, nx)
@@ -382,7 +388,7 @@ def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
         "deficient-wide": planted_spectrum(rng, 12, 40, deficient),
     }
     for name, a in cases.items():
-        l, sig, _ = l_step(a, mu, cfg)
+        l, sig, _, _ = l_step(a, mu, cfg)
         ref = prox_matrix(a, mu, surrogate)
         assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), name
         assert np.count_nonzero(sig) == np.linalg.matrix_rank(ref), name
@@ -394,7 +400,7 @@ def test_l_step_falls_back_when_kept_values_are_uncertified(surrogate, svd_calls
     # at mu = 1e11 both keep-thresholds fall below sqrt(delta) of this
     # twelve-decade spectrum, so the Gram spectrum cannot certify the step
     a = planted_spectrum(np.random.default_rng(32), 30, 20, np.logspace(0, -12, 20))
-    l, _, _ = l_step(a, 1e11, SolverConfig(surrogate=surrogate))
+    l, _, _, _ = l_step(a, 1e11, SolverConfig(surrogate=surrogate))
     assert np.array_equal(l, prox_matrix(a, 1e11, surrogate))
     assert svd_calls == [a.shape]
 
@@ -407,6 +413,19 @@ def test_l_step_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
     a = planted_spectrum(np.random.default_rng(33), 20, 15, np.linspace(20.0, 1.0, 15))
     monkeypatch.setattr(np.linalg, "eigh", fail)
     assert np.array_equal(l_step(a, 0.02, cfg)[0], prox_matrix(a, 0.02, cfg.surrogate))
+    assert svd_calls == [a.shape]
+
+
+def test_low_rank_route_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    cfg = SolverConfig()
+    a = planted_spectrum(np.random.default_rng(33), 40, 30, np.linspace(20.0, 1.0, 30))
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    l, _, _, route = l_step(a, 0.02, cfg)
+    assert route == "svd"
+    assert np.array_equal(l, prox_matrix(a, 0.02, cfg.surrogate))
     assert svd_calls == [a.shape]
 
 
@@ -488,3 +507,110 @@ def test_kkt_dual_is_a_subgradient_certificate(make_x, cfg):
         assert r.kkt_dual * max(1.0, np.linalg.norm(last.y)) == pytest.approx(residual, rel=1e-10), seed
         if cfg.surrogate.kind == "gamma" and cfg.penalty.kind == "l1":
             assert r.kkt_dual <= 1e-3, seed
+
+
+@pytest.fixture
+def ritz_calls(monkeypatch):
+    """Count attempts of the Gram-free L-step and the residuals it takes."""
+    calls = {"spectrum": 0, "residual": 0}
+    spectrum, residual = rpca.linalg.ritz_spectrum, rpca.linalg.ritz_residual
+
+    def counted_spectrum(a):
+        calls["spectrum"] += 1
+        return spectrum(a)
+
+    def counted_residual(a, r):
+        calls["residual"] += 1
+        return residual(a, r)
+
+    monkeypatch.setattr(rpca.linalg, "ritz_spectrum", counted_spectrum)
+    monkeypatch.setattr(rpca.linalg, "ritz_residual", counted_residual)
+    return calls
+
+
+@pytest.mark.parametrize("surrogate", SURROGATES)
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+def test_low_rank_route_matches_full_svd_prox(surrogate, tall, svd_calls):
+    # rank 3 plus ten columns from a second rank-3 subspace: singular values
+    # near 14 and near 3, and keep-thresholds sqrt(2/mu) (gamma) and 1/mu
+    # (nuclear) near 8, between the two groups
+    mu = 0.03 if surrogate.kind == "gamma" else 0.125
+    cfg = SolverConfig(surrogate=surrogate)
+    for seed in range(3):
+        a = wide_injected_columns(seed)
+        a = a.T if tall else a
+        l, sig, _, route = l_step(a, mu, cfg)
+        ref = prox_matrix(a, mu, surrogate)
+        assert route == "low_rank", seed
+        assert np.count_nonzero(sig) == 3, seed
+        assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), seed
+    assert svd_calls == []
+
+
+def test_low_rank_route_falls_through_on_an_entrywise_bulk(ritz_calls):
+    # 5% entrywise corruption spreads its energy over all 200 directions, far
+    # above the keep-threshold's square, so the tail check fails before the
+    # residual is taken and the Gram path gives its own result unchanged
+    cfg = SolverConfig()
+    a = planted_200(0)
+    l, _, _, route = l_step(a, cfg.mu0, cfg)
+    assert route == "gram"
+    assert ritz_calls == {"spectrum": 1, "residual": 0}
+    assert np.array_equal(l, l_step(a, cfg.mu0, cfg, low_rank=False).l)
+
+
+def test_low_rank_route_is_tried_at_most_once_when_it_fails(ritz_calls):
+    x = generate_synthetic(SyntheticSpec(m=300, n=300, rank=10, sparsity=0.05), 0)[0]
+    r = solve(x)
+    certified = sum(rec.l_route == "low_rank" for rec in r.history)
+    assert r.iterations > 2
+    assert ritz_calls["spectrum"] - certified <= 1
+
+
+def test_low_rank_route_solves_are_bit_identical():
+    cfg = SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21)
+    x = wide_injected_columns(0)
+    first, second = solve(x, cfg), solve(x, cfg)
+    assert all(rec.l_route == "low_rank" for rec in first.history)
+    assert np.array_equal(first.l, second.l) and np.array_equal(first.s, second.s)
+    assert first.history == second.history
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
+def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
+    # three values of order 1e6 over 57 unit values: the bound on the
+    # fourth eigenvalue of the Gram matrix, max(theta_4, rest) + rho, lies
+    # far above every single unit value. The nuclear prox keeps sigma
+    # exactly when sigma > 1/mu, so putting 1/mu just above the bound (plus
+    # its rounding slack) certifies the route, and just below it falls
+    # through to the Gram path; both give the prox of the full spectrum
+    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e6, 2e6, 1e6, np.ones(57)])
+    r = rpca.linalg.ritz_spectrum(a)
+    tail = max(r.theta[3], r.rest) + rpca.linalg.ritz_residual(a, r) + r.slack
+    assert tail > 20.0
+    mu = 1.0 / (np.sqrt(tail) * (1.0 - side * 1e-3))
+    l, sig, _, route = l_step(a, mu, cfg)
+    ref = prox_matrix(a, mu, cfg.surrogate)
+    assert route == ("low_rank" if side < 0 else "gram")
+    assert np.count_nonzero(sig) == 3
+    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_low_rank_route_needs_accurate_kept_values():
+    # the boundary instance with its top values 1000x smaller: 1/mu at twice
+    # the tail bound certifies the keep/drop decision, but rho (about 3.4)
+    # is far above 1e-8 of the smallest kept theta (1e6), so the step falls
+    # through to the Gram path
+    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e3, 2e3, 1e3, np.ones(57)])
+    r = rpca.linalg.ritz_spectrum(a)
+    rho = rpca.linalg.ritz_residual(a, r)
+    tail = max(r.theta[3], r.rest) + rho + r.slack
+    assert rho > 1e-6 * r.theta[2]
+    mu = 1.0 / (2.0 * np.sqrt(tail))
+    l, sig, _, route = l_step(a, mu, cfg)
+    assert route == "gram"
+    assert np.count_nonzero(sig) == 3
+    ref = prox_matrix(a, mu, cfg.surrogate)
+    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
