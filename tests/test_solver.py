@@ -577,7 +577,7 @@ def test_low_rank_route_solves_are_bit_identical():
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
-def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
+def test_low_rank_certificate_boundary_on_the_tail(side):
     # three values of order 1e6 over 57 unit values: the bound on the
     # fourth eigenvalue of the Gram matrix, max(theta_4, rest) + rho, lies
     # far above every single unit value. The nuclear prox keeps sigma
