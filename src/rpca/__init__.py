@@ -7,20 +7,17 @@ An augmented Lagrange multiplier loop alternates a spectral proximal step, an
 exact shrinkage step, and the standard dual updates.
 """
 
-from .linalg import svd
 from .solver import (
     IterationRecord,
     SolverConfig,
     SolverResult,
     SolverState,
     kkt_residuals,
-    lagrangian,
     scaled_lambda,
     solve,
 )
 from .sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value, shrink
 from .surrogates import (
-    DcConfig,
     RankSurrogate,
     gamma_surrogate,
     nuclear_surrogate,
@@ -43,9 +40,7 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "svd",
     "RankSurrogate",
-    "DcConfig",
     "gamma_surrogate",
     "nuclear_surrogate",
     "surrogate_value",
@@ -63,7 +58,6 @@ __all__ = [
     "SolverResult",
     "IterationRecord",
     "solve",
-    "lagrangian",
     "kkt_residuals",
     "scaled_lambda",
     "SyntheticSpec",

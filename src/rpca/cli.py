@@ -28,7 +28,7 @@ from .matrixio import (
 )
 from .solver import SolverConfig, scaled_lambda, solve
 from .sparse import SparsePenalty
-from .surrogates import GAMMA, NUCLEAR, DcConfig, RankSurrogate, rank_curve
+from .surrogates import GAMMA, NUCLEAR, RankSurrogate, rank_curve
 from .synthetic import (
     SyntheticSpec,
     anomaly_scores,
@@ -61,9 +61,6 @@ def _add_solver_flags(p: argparse.ArgumentParser, penalty_default: str = "l1") -
                    help="sparsity penalty on S")
     p.add_argument("--surrogate", choices=["gamma", "nuclear"], default=d.surrogate.kind,
                    help="rank penalty on L")
-    p.add_argument("--dc-max-inner", type=int, default=d.dc.max_inner,
-                   help="inner prox iteration cap")
-    p.add_argument("--dc-tol", type=float, default=d.dc.tol, help="inner prox stopping change")
 
 
 def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
@@ -85,7 +82,6 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
         max_outer=args.max_outer,
         surrogate=surrogate,
         penalty=SparsePenalty(args.penalty),
-        dc=DcConfig(max_inner=args.dc_max_inner, tol=args.dc_tol),
     )
 
 

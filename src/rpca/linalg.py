@@ -36,12 +36,11 @@ def as_matrix(m) -> np.ndarray:
 
 
 def svd(m) -> SvdFactors:
-    """Thin SVD with deterministic factors.
+    """Thin SVD of a finite matrix, singular values nonincreasing.
 
-    Singular values come back nonincreasing, and each left singular vector is
-    flipped so its first nonzero entry is nonnegative (the matching row of
-    ``vt`` is flipped with it). That makes the factors reproducible run to
-    run, which the file outputs rely on.
+    The signs of the singular-vector pairs are whatever LAPACK returns.
+    Callers form only ``(u * singulars) @ vt`` or read ``singulars``, and
+    flipping the sign of a pair leaves both unchanged.
     """
     a = as_matrix(m)
     try:
@@ -50,10 +49,6 @@ def svd(m) -> SvdFactors:
         raise np.linalg.LinAlgError(
             f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
-    if u.size:
-        flip = u[np.argmax(u != 0, axis=0), np.arange(u.shape[1])] < 0
-        u[:, flip] = -u[:, flip]
-        vt[flip] = -vt[flip]
     return SvdFactors(u, s, vt)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from .linalg import as_matrix
 from .solver import SolverConfig, SolverResult
 from .sparse import SparsePenalty
-from .surrogates import DcConfig, RankSurrogate, GAMMA, NUCLEAR
+from .surrogates import RankSurrogate, GAMMA, NUCLEAR
 
 
 class MatrixIoError(ValueError):
@@ -33,6 +33,8 @@ def read_matrix_csv(path) -> np.ndarray:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise MatrixIoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixIoError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     lines = text.splitlines()
     if lines and lines[-1] == "":
         lines.pop()  # tolerate one trailing blank line
@@ -211,7 +213,6 @@ def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
         "max_outer": cfg.max_outer,
         "surrogate": surrogate,
         "penalty": cfg.penalty.kind,
-        "dc": {"max_inner": cfg.dc.max_inner, "tol": cfg.dc.tol},
     }
     if seed is not None:
         params["seed"] = seed
@@ -219,7 +220,11 @@ def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
 
 
 def config_from_params(params: dict) -> SolverConfig:
-    """Rebuild a solver config from a params echo (inverse of config_to_params)."""
+    """Rebuild a solver config from a params echo (inverse of config_to_params).
+
+    Keys the config does not have, such as the ``"dc"`` block that older
+    reports echo, are ignored.
+    """
     sur = params["surrogate"]
     surrogate = (
         RankSurrogate(GAMMA, sur["gamma"]) if sur["kind"] == GAMMA else RankSurrogate(NUCLEAR)
@@ -233,7 +238,6 @@ def config_from_params(params: dict) -> SolverConfig:
         max_outer=params["max_outer"],
         surrogate=surrogate,
         penalty=SparsePenalty(params["penalty"]),
-        dc=DcConfig(max_inner=params["dc"]["max_inner"], tol=params["dc"]["tol"]),
     )
 
 

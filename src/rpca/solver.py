@@ -19,14 +19,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .sparse import ENTRYWISE_L1, SparsePenalty, penalty_value, shrink
-from .surrogates import (
-    DcConfig,
-    RankSurrogate,
-    gamma_surrogate,
-    prox_vector,
-    prox_vector_with_iters,
-    surrogate_value,
-)
+from .surrogates import RankSurrogate, gamma_surrogate, prox_vector, surrogate_value
 from . import linalg
 
 # Relative accuracy to which every kept squared singular value must be known
@@ -57,7 +50,6 @@ class SolverConfig:
     max_outer: int = 500
     surrogate: RankSurrogate = field(default_factory=gamma_surrogate)
     penalty: SparsePenalty = ENTRYWISE_L1
-    dc: DcConfig = field(default_factory=DcConfig)
 
     def __post_init__(self):
         if not self.lam > 0.0:
@@ -101,7 +93,6 @@ class IterationRecord:
     lagrangian: float
     rank_estimate: int
     y_inf_norm: float
-    dc_iters: int
     mu: float
     mu_s_change: float
     l_route: str
@@ -128,12 +119,10 @@ class SolverResult:
 
 
 class LStep(NamedTuple):
-    """An L-step's result: L, the proxed singular values, the prox's inner
-    iteration count and the route that produced them."""
+    """An L-step's result: L, the proxed singular values and the route that produced them."""
 
     l: np.ndarray
     singulars: np.ndarray
-    dc_iters: int
     route: str
 
 
@@ -144,7 +133,7 @@ def _keeps_exactly(kept_low, drop_high: float, mu: float, cfg: SolverConfig) -> 
     these ends then gets the same decision as the end it is on.
     """
     ends = np.sqrt(np.maximum(np.append(kept_low, drop_high), 0.0))
-    keep = prox_vector(ends, mu, cfg.surrogate, cfg.dc) > 0.0
+    keep = prox_vector(ends, mu, cfg.surrogate) > 0.0
     return bool(keep[:-1].all() and not keep[-1])
 
 
@@ -170,7 +159,7 @@ def _low_rank_step(a: np.ndarray, mu: float, cfg: SolverConfig) -> LStep | None:
     if r is None:
         return None
     singulars = np.sqrt(np.maximum(r.theta, 0.0))
-    sig, dc_iters = prox_vector_with_iters(singulars, mu, cfg.surrogate, cfg.dc)
+    sig = prox_vector(singulars, mu, cfg.surrogate)
     k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
     if k == r.theta.size:
         return None  # no dropped Ritz value, so no bound on the rest
@@ -185,7 +174,7 @@ def _low_rank_step(a: np.ndarray, mu: float, cfg: SolverConfig) -> LStep | None:
     w, aw = r.vectors[:, :k], r.images[:, :k]
     scale = sig[:k] / singulars[:k]
     l = (aw * scale) @ w.T if r.right else (w * scale) @ aw.T
-    return LStep(l, sig, dc_iters, "low_rank")
+    return LStep(l, sig, "low_rank")
 
 
 def l_step(target, mu: float, cfg: SolverConfig, low_rank: bool = True) -> LStep:
@@ -216,41 +205,34 @@ def l_step(target, mu: float, cfg: SolverConfig, low_rank: bool = True) -> LStep
     except np.linalg.LinAlgError:
         pass
     else:
-        sig, dc_iters = prox_vector_with_iters(g.singulars, mu, cfg.surrogate, cfg.dc)
+        sig = prox_vector(g.singulars, mu, cfg.surrogate)
         keep = sig > 0.0
         sq = g.singulars**2
         ends = np.sqrt(np.concatenate([np.maximum(sq - g.delta, 0.0), sq + g.delta]))
-        ends_keep = prox_vector(ends, mu, cfg.surrogate, cfg.dc).reshape(2, -1) > 0.0
+        ends_keep = prox_vector(ends, mu, cfg.surrogate).reshape(2, -1) > 0.0
         if (ends_keep == keep).all() and (g.delta <= KEPT_REL_ERROR * sq[keep]).all():
             v = g.vectors[:, keep]
             scale = sig[keep] / g.singulars[keep]
             if g.right:
-                return LStep(((a @ v) * scale) @ v.T, sig, dc_iters, "gram")
-            return LStep((v * scale) @ (v.T @ a), sig, dc_iters, "gram")
+                return LStep(((a @ v) * scale) @ v.T, sig, "gram")
+            return LStep((v * scale) @ (v.T @ a), sig, "gram")
     f = linalg.svd(a)
-    sig, dc_iters = prox_vector_with_iters(f.singulars, mu, cfg.surrogate, cfg.dc)
-    return LStep((f.u * sig) @ f.vt, sig, dc_iters, "svd")
+    sig = prox_vector(f.singulars, mu, cfg.surrogate)
+    return LStep((f.u * sig) @ f.vt, sig, "svd")
 
 
 def _lagrangian(sig, s, y, mu: float, resid, cfg: SolverConfig) -> float:
-    """The augmented Lagrangian from L's singular values ``sig`` and ``resid = L + S - X``."""
+    """The augmented Lagrangian from L's singular values ``sig`` and ``resid = L + S - X``.
+
+    ``F(L) + lam*penalty(S) + <Y, L+S-X> + (mu/2)*||L+S-X||_F^2`` with the
+    trace inner product.
+    """
     return (
         surrogate_value(sig, cfg.surrogate)
         + cfg.lam * penalty_value(s, cfg.penalty)
         + float(np.sum(y * resid))
         + 0.5 * mu * float(np.sum(resid * resid))
     )
-
-
-def lagrangian(x, state: SolverState, cfg: SolverConfig) -> float:
-    """Augmented Lagrangian value at the given state.
-
-    ``F(L) + lam*penalty(S) + <Y, L+S-X> + (mu/2)*||L+S-X||_F^2`` with the
-    trace inner product.
-    """
-    x = as_matrix(x)
-    sig = linalg.svd(state.l).singulars
-    return _lagrangian(sig, state.s, state.y, state.mu, state.l + state.s - x, cfg)
 
 
 def step(
@@ -269,7 +251,7 @@ def step(
     and the old multiplier and mu.
     """
     y, mu = state.y, state.mu
-    l, sig, dc_iters, route = l_step(x - state.s - y / mu, mu, cfg, state.low_rank)
+    l, sig, route = l_step(x - state.s - y / mu, mu, cfg, state.low_rank)
     s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))
@@ -280,7 +262,6 @@ def step(
         lagrangian=_lagrangian(sig, s, y, mu, resid, cfg),
         rank_estimate=linalg.numerical_rank(sig),
         y_inf_norm=float(np.max(np.abs(y_next))) if y_next.size else 0.0,
-        dc_iters=dc_iters,
         mu=mu,
         mu_s_change=mu * float(np.linalg.norm(s - state.s)),
         l_route=route,

@@ -8,10 +8,10 @@ Two penalties on the singular-value vector are supported:
   singular values are barely penalized.
 * ``"nuclear"``: plain ``sum sigma_i``, the convex baseline.
 
-The proximal map of the gamma penalty has no closed form; it is computed per
-component by iterating a linearize-then-shrink step (the penalty splits into
-convex quadratic minus convex, so linearizing the concave part yields the
-closed-form update ``sigma <- max(sigma_a - f'(sigma)/mu, 0)``).
+The proximal map of the gamma penalty is computed per component in closed
+form: a stationary point is the largest root of a cubic, taken in
+trigonometric form (see ``prox_vector``), and is then compared against
+collapsing the component to zero.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class RankSurrogate:
         if self.kind not in (GAMMA, NUCLEAR):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
         if self.kind == GAMMA:
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ValueError("gamma surrogate requires gamma > 0")
+            if self.gamma is None or not 0.0 < self.gamma < np.inf:
+                raise ValueError("gamma surrogate requires a finite gamma > 0")
         elif self.gamma is not None:
             raise ValueError("nuclear surrogate takes no gamma")
 
@@ -49,20 +49,6 @@ def gamma_surrogate(gamma: float = 0.01) -> RankSurrogate:
 
 def nuclear_surrogate() -> RankSurrogate:
     return RankSurrogate(NUCLEAR)
-
-
-@dataclass(frozen=True)
-class DcConfig:
-    """Inner-loop control for the gamma prox: iteration cap and absolute tolerance."""
-
-    max_inner: int = 30
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
 
 
 def _checked_sigma(sigma) -> np.ndarray:
@@ -105,48 +91,41 @@ def surrogate_gradient(sigma, s: RankSurrogate) -> np.ndarray:
     return grad
 
 
-def prox_vector_with_iters(
-    sigma_a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None
-) -> tuple[np.ndarray, int]:
-    """Proximal map on a singular-value vector, plus the inner-iteration count.
+def prox_vector(sigma_a, mu: float, s: RankSurrogate) -> np.ndarray:
+    """Proximal map on a singular-value vector.
 
     Minimizes ``f(sigma) + (mu/2)*||sigma - sigma_a||^2`` over ``sigma >= 0``,
-    componentwise. Nuclear shrinks in closed form, ``max(sigma_a - 1/mu, 0)``,
-    with 0 iterations. The gamma penalty iterates the linearized shrink from
-    ``sigma = sigma_a``; that sequence decreases monotonically onto the
-    largest stationary point. Collapsing a component to 0 can still be
-    cheaper than that stationary point (the penalty saturates near 1 while
-    the quadratic term vanishes at 0), so each component is compared against
-    the origin and the better of the two is returned. Without that check the
-    iteration alone can return a non-global point.
+    componentwise. Nuclear shrinks in closed form, ``max(sigma_a - 1/mu, 0)``.
+    For the gamma penalty, with ``t = gamma + sigma``, a stationary point
+    solves the cubic ``t^3 - (a+gamma)*t^2 + c = 0``, ``c = (1+gamma)*gamma/mu``,
+    and the only local minimum over ``sigma > 0`` is its largest root. With
+    ``h = (a+gamma)/3`` and ``r = c/(4h^3)`` the cubic has three real roots
+    iff ``r < 1``; that root is then ``sigma = a - 4h*sin^2(theta/2)``,
+    ``theta = (2/3)*arcsin(sqrt(r))`` (the trigonometric form used for this
+    penalty by GIST, Gong et al., arXiv:1303.4434, and for half-thresholding
+    by Xu et al., IEEE TNNLS 2012). Otherwise the objective increases on
+    ``sigma >= 0`` and the minimum is 0. Collapsing a component to 0 can
+    still be cheaper than the stationary point (the penalty saturates near 1
+    while the quadratic term vanishes at 0), so each component is compared
+    against the origin and the better of the two is returned.
     """
     if not mu > 0.0:
         raise ValueError("mu must be positive")
     sig_a = _checked_sigma(sigma_a)
     if s.kind == NUCLEAR:
-        return np.maximum(sig_a - 1.0 / mu, 0.0), 0
-    if cfg is None:
-        cfg = DcConfig()
-    sig = sig_a.copy()
-    iters = 0
-    for _ in range(cfg.max_inner):
-        new = np.maximum(sig_a - surrogate_gradient(sig, s) / mu, 0.0)
-        iters += 1
-        change = float(np.max(np.abs(new - sig))) if new.size else 0.0
-        sig = new
-        if change <= cfg.tol:
-            break
+        return np.maximum(sig_a - 1.0 / mu, 0.0)
+    g = s.gamma
+    h = (sig_a + g) / 3.0
+    r = (1.0 + g) * g / mu / (4.0 * h) / h / h  # h**3 itself can overflow
+    theta = (2.0 / 3.0) * np.arcsin(np.sqrt(np.minimum(r, 1.0)))
+    root = np.maximum(sig_a - 4.0 * h * np.sin(0.5 * theta) ** 2, 0.0)
+    sig = np.where(r < 1.0, root, 0.0)
     keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
     drop = 0.5 * mu * sig_a**2
-    return np.where(drop < keep, 0.0, sig), iters
+    return np.where(drop < keep, 0.0, sig)
 
 
-def prox_vector(sigma_a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None) -> np.ndarray:
-    """Proximal map on a singular-value vector (see ``prox_vector_with_iters``)."""
-    return prox_vector_with_iters(sigma_a, mu, s, cfg)[0]
-
-
-def prox_matrix(a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None) -> np.ndarray:
+def prox_matrix(a, mu: float, s: RankSurrogate) -> np.ndarray:
     """Minimizer of ``F(Z) + (mu/2)*||Z - A||_F^2`` for a spectral penalty F.
 
     Because both penalties depend on the matrix only through its singular
@@ -154,7 +133,7 @@ def prox_matrix(a, mu: float, s: RankSurrogate, cfg: DcConfig | None = None) -> 
     singular values of ``A``, keeping A's singular vectors.
     """
     f = svd(as_matrix(a))
-    return (f.u * prox_vector(f.singulars, mu, s, cfg)) @ f.vt
+    return (f.u * prox_vector(f.singulars, mu, s)) @ f.vt
 
 
 def rank_curve(s: RankSurrogate, grid) -> np.ndarray:

@@ -1,18 +1,20 @@
 """Independent numeric oracles shared by the test modules.
 
 Nothing here calls the shrinkage/prox code paths it is used to check: the
-prox oracle evaluates the objective on an explicit lattice, the shrink
-oracles minimize the scalar objectives by interval shrinking, and the
-reference ALM loop takes its L-step from ``np.linalg.svd`` rather than from
-the solver's spectral step. The reference CSV writer formats one entry at a
-time with ``format`` rather than a row at a time with ``%``.
+prox oracles evaluate the objective on an explicit lattice or run the
+difference-of-convex iteration to its fixed point instead of solving the
+cubic, the shrink oracles minimize the scalar objectives by interval
+shrinking, and the reference ALM loop takes its L-step from
+``np.linalg.svd`` rather than from the solver's spectral step. The reference
+CSV writer formats one entry at a time with ``format`` rather than a row at
+a time with ``%``.
 """
 
 from pathlib import Path
 
 import numpy as np
 
-from rpca.surrogates import RankSurrogate, scalar_penalty
+from rpca.surrogates import RankSurrogate, scalar_penalty, surrogate_gradient, surrogate_value
 
 
 def prox_objective(sigma, sigma_a: float, mu: float, s: RankSurrogate):
@@ -48,6 +50,27 @@ def grid_prox_min(sigma_a: float, mu: float, s: RankSurrogate, step: float = 1e-
         window = np.arange(coarse[max(0, i - 1)], coarse[min(n - 1, i + 1)] + 1, dtype=np.int64)
         best = min(best, float(prox_objective(window * step, sigma_a, mu, s).min()))
     return best
+
+
+def dc_prox_reference(sigma_a, mu: float, s: RankSurrogate, max_iters: int = 100_000):
+    """The gamma prox by the difference-of-convex iteration, run to its fixed point.
+
+    The penalty is concave on ``sigma >= 0``, so linearizing it at the
+    current point gives the update ``sigma <- max(sigma_a - f'(sigma)/mu, 0)``,
+    which decreases from ``sigma_a`` onto the largest stationary point. The
+    loop stops once no component changes. That point is then compared
+    against the origin, as the prox does.
+    """
+    sig_a = np.asarray(sigma_a, dtype=np.float64)
+    sig = sig_a.copy()
+    for _ in range(max_iters):
+        new = np.maximum(sig_a - surrogate_gradient(sig, s) / mu, 0.0)
+        if np.array_equal(new, sig):
+            break
+        sig = new
+    keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
+    drop = 0.5 * mu * sig_a**2
+    return np.where(drop < keep, 0.0, sig)
 
 
 def bisect_root(h, lo, hi, iters: int = 100):
@@ -113,11 +136,11 @@ def reference_solve(x, cfg):
 
     Same updates and stopping rule as ``rpca.solve``, independent of
     ``rpca.linalg``. Returns ``(L, S, history)`` where history lists each
-    iteration's ``(rank_estimate, dc_iters)``.
+    iteration's rank estimate.
     """
     from rpca.linalg import RANK_REL_THRESHOLD
     from rpca.sparse import shrink
-    from rpca.surrogates import prox_vector_with_iters
+    from rpca.surrogates import prox_vector
 
     l = np.zeros_like(x)
     s = np.zeros_like(x)
@@ -127,18 +150,32 @@ def reference_solve(x, cfg):
     history = []
     for _ in range(cfg.max_outer):
         u, sv, vt = np.linalg.svd(x - s - y / mu, full_matrices=False)
-        sig, dc_iters = prox_vector_with_iters(sv, mu, cfg.surrogate, cfg.dc)
+        sig = prox_vector(sv, mu, cfg.surrogate)
         l = (u * sig) @ vt
         s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
         resid = l + s - x
         y = y + mu * resid
         mu = min(cfg.rho * mu, cfg.mu_max)
         top = float(sig.max()) if sig.size else 0.0
-        history.append((int(np.count_nonzero(sig > RANK_REL_THRESHOLD * top)), dc_iters))
+        history.append(int(np.count_nonzero(sig > RANK_REL_THRESHOLD * top)))
         resid_norm = float(np.linalg.norm(resid))
         if (resid_norm / norm_x if norm_x > 0.0 else resid_norm) <= cfg.tol:
             break
     return l, s, history
+
+
+def reference_lagrangian(x, l, s, y, mu: float, cfg) -> float:
+    """``F(L) + lam*penalty(S) + <Y, L+S-X> + (mu/2)*||L+S-X||_F^2``, with
+    F on the singular values from ``np.linalg.svd``."""
+    from rpca.sparse import penalty_value
+
+    resid = l + s - x
+    return (
+        surrogate_value(np.linalg.svd(l, compute_uv=False), cfg.surrogate)
+        + cfg.lam * penalty_value(s, cfg.penalty)
+        + float(np.sum(y * resid))
+        + 0.5 * mu * float(np.sum(resid * resid))
+    )
 
 
 class IterationAuditor:
@@ -150,7 +187,6 @@ class IterationAuditor:
     def __init__(self, x, cfg):
         from rpca.solver import SolverState
 
-        self._state_cls = SolverState
         self.x = x
         self.cfg = cfg
         self.prev = SolverState(
@@ -164,12 +200,10 @@ class IterationAuditor:
         self.max_iterate_norm = 0.0
 
     def __call__(self, state, rec):
-        from rpca.solver import lagrangian
-
         p = self.prev
-        lag_prev = lagrangian(self.x, self._state_cls(l=p.l, s=p.s, y=p.y, mu=p.mu), self.cfg)
-        lag_l = lagrangian(self.x, self._state_cls(l=state.l, s=p.s, y=p.y, mu=p.mu), self.cfg)
-        lag_s = lagrangian(self.x, self._state_cls(l=state.l, s=state.s, y=p.y, mu=p.mu), self.cfg)
+        lag_prev = reference_lagrangian(self.x, p.l, p.s, p.y, p.mu, self.cfg)
+        lag_l = reference_lagrangian(self.x, state.l, p.s, p.y, p.mu, self.cfg)
+        lag_s = reference_lagrangian(self.x, state.l, state.s, p.y, p.mu, self.cfg)
         self.worst_l_step = max(self.worst_l_step, lag_l - lag_prev)
         self.worst_s_step = max(self.worst_s_step, lag_s - lag_l)
         ident = np.abs((state.l + state.s - self.x) - (state.y - p.y) / p.mu).max()

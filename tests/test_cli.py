@@ -172,6 +172,23 @@ def test_decompose_reads_a_byte_order_mark(tmp_path):
     assert (tmp_path / "run" / "L.csv").exists()
 
 
+def test_decompose_non_utf8_is_input_error(tmp_path, capsys):
+    (tmp_path / "X.csv").write_bytes(b"1,\xff\n")
+    out = tmp_path / "run"
+    assert run("decompose", tmp_path / "X.csv", "--outdir", out) == 3
+    assert capsys.readouterr().err == f"error: {tmp_path / 'X.csv'}: not UTF-8 text (invalid start byte)\n"
+    assert not out.exists()
+
+
+def test_infinite_gamma_is_usage_error(tmp_path, capsys):
+    spec = SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1)
+    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(spec, 0)[0])
+    out = tmp_path / "run"
+    assert run("decompose", tmp_path / "X.csv", "--gamma", "inf", "--mu0", "1e-2", "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: gamma surrogate requires a finite gamma > 0\n"
+    assert not out.exists()
+
+
 def test_nan_mu_max_is_usage_error(tmp_path, capsys):
     spec = SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1)
     write_matrix_csv(tmp_path / "X.csv", generate_synthetic(spec, 0)[0])

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 import rpca.linalg
-from helpers import random_orthonormal, reference_solve
+from helpers import random_orthonormal, reference_lagrangian, reference_solve
 from rpca.solver import (
     IterationRecord,
     SolverConfig,
     SolverState,
     kkt_residuals,
     l_step,
-    lagrangian,
     scaled_lambda,
     solve,
     step,
@@ -201,39 +200,50 @@ def test_update_duals_cases():
 
 
 def test_lagrangian_cases():
+    # the record's Lagrangian is taken at the new pair, the old multiplier
+    # and the old mu
     cfg = SolverConfig()
     rng = np.random.default_rng(9)
     x = rng.standard_normal((4, 4))
     zero = np.zeros((4, 4))
-    state0 = SolverState(l=zero, s=zero, y=zero, mu=3.0)
-    assert lagrangian(x, state0, cfg) == pytest.approx(1.5 * np.linalg.norm(x) ** 2)
-    l = 0.5 * x
-    s = 0.5 * x
-    y = rng.standard_normal((4, 4))
-    feas = SolverState(l=l, s=s, y=y, mu=3.0)
-    sig = np.linalg.svd(l, compute_uv=False)
-    expect = surrogate_value(sig, cfg.surrogate) + cfg.lam * penalty_value(s, cfg.penalty)
-    assert lagrangian(x, feas, cfg) == pytest.approx(expect, abs=1e-10)
+    # at mu = 1e-4 the step returns L = S = 0, so only the quadratic term is left
+    new0, rec0 = one_step(x, SolverState(l=zero, s=zero, y=zero, mu=1e-4), cfg)
+    assert not new0.l.any() and not new0.s.any()
+    assert rec0.lagrangian == pytest.approx(0.5e-4 * np.linalg.norm(x) ** 2, rel=1e-14)
+    # at mu = 1 the L-step keeps part of X's spectrum
+    new1, rec1 = one_step(x, SolverState(l=zero, s=zero, y=zero, mu=1.0), cfg)
+    assert new1.l.any()
+    sig = np.linalg.svd(new1.l, compute_uv=False)
+    resid = new1.l + new1.s - x
+    expect = (
+        surrogate_value(sig, cfg.surrogate)
+        + cfg.lam * penalty_value(new1.s, cfg.penalty)
+        + 0.5 * np.linalg.norm(resid) ** 2
+    )
+    assert rec1.lagrangian == pytest.approx(expect, abs=1e-10)
 
 
 def test_lagrangian_term_by_term():
     cfg = SolverConfig(lam=0.3)
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((5, 4))
+    x = rng.standard_normal((5, 4)) * 10.0
     state = SolverState(
         l=rng.standard_normal((5, 4)),
         s=rng.standard_normal((5, 4)),
         y=rng.standard_normal((5, 4)),
         mu=2.5,
     )
-    resid = state.l + state.s - x
+    new, rec = one_step(x, state, cfg)
+    assert new.l.any() and new.s.any()
+    resid = new.l + new.s - x
     manual = (
-        surrogate_value(np.linalg.svd(state.l, compute_uv=False), cfg.surrogate)
-        + 0.3 * np.abs(state.s).sum()
+        surrogate_value(np.linalg.svd(new.l, compute_uv=False), cfg.surrogate)
+        + 0.3 * np.abs(new.s).sum()
         + np.trace(state.y.T @ resid)
         + 1.25 * np.linalg.norm(resid) ** 2
     )
-    assert lagrangian(x, state, cfg) == pytest.approx(manual, abs=1e-10)
+    assert rec.lagrangian == pytest.approx(manual, abs=1e-10)
+    assert reference_lagrangian(x, new.l, new.s, state.y, 2.5, cfg) == pytest.approx(manual, abs=1e-10)
 
 
 def test_kkt_residuals_stationary_pair():
@@ -265,7 +275,7 @@ def test_kkt_residuals_initial_state():
     # the zero start has no previous S, so nothing has changed yet
     record = IterationRecord(
         iter=0, residual=1.0, lagrangian=0.0, rank_estimate=0, y_inf_norm=0.0,
-        dc_iters=0, mu=cfg.mu0, mu_s_change=0.0, l_route="gram",
+        mu=cfg.mu0, mu_s_change=0.0, l_route="gram",
     )
     nx = float(np.linalg.norm(x))
     primal, dual = kkt_residuals(state, record, nx)
@@ -328,7 +338,6 @@ def test_history_records_diagnostics():
     r = solve(x, SolverConfig(mu0=4e-3))
     for rec in r.history:
         assert rec.residual >= 0.0
-        assert rec.dc_iters >= 1
         assert rec.mu_s_change >= 0.0
         assert rec.y_inf_norm <= 1e-3 + 1e-12
     assert r.history[-1].rank_estimate == 2
@@ -388,7 +397,7 @@ def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
         "deficient-wide": planted_spectrum(rng, 12, 40, deficient),
     }
     for name, a in cases.items():
-        l, sig, _, _ = l_step(a, mu, cfg)
+        l, sig, _ = l_step(a, mu, cfg)
         ref = prox_matrix(a, mu, surrogate)
         assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), name
         assert np.count_nonzero(sig) == np.linalg.matrix_rank(ref), name
@@ -400,7 +409,7 @@ def test_l_step_falls_back_when_kept_values_are_uncertified(surrogate, svd_calls
     # at mu = 1e11 both keep-thresholds fall below sqrt(delta) of this
     # twelve-decade spectrum, so the Gram spectrum cannot certify the step
     a = planted_spectrum(np.random.default_rng(32), 30, 20, np.logspace(0, -12, 20))
-    l, _, _, _ = l_step(a, 1e11, SolverConfig(surrogate=surrogate))
+    l, _, _ = l_step(a, 1e11, SolverConfig(surrogate=surrogate))
     assert np.array_equal(l, prox_matrix(a, 1e11, surrogate))
     assert svd_calls == [a.shape]
 
@@ -423,7 +432,7 @@ def test_low_rank_route_falls_back_when_the_eigensolver_fails(monkeypatch, svd_c
     cfg = SolverConfig()
     a = planted_spectrum(np.random.default_rng(33), 40, 30, np.linspace(20.0, 1.0, 30))
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    l, _, _, route = l_step(a, 0.02, cfg)
+    l, _, route = l_step(a, 0.02, cfg)
     assert route == "svd"
     assert np.array_equal(l, prox_matrix(a, 0.02, cfg.surrogate))
     assert svd_calls == [a.shape]
@@ -470,7 +479,7 @@ def test_solve_matches_full_svd_reference_loop(make_x, cfg, svd_calls):
         r = solve(x, cfg)
         assert svd_calls == [], seed
         l_ref, s_ref, history_ref = reference_solve(x, cfg)
-        assert [(rec.rank_estimate, rec.dc_iters) for rec in r.history] == history_ref, seed
+        assert [rec.rank_estimate for rec in r.history] == history_ref, seed
         assert r.history[-1].rank_estimate == rank_estimate(r.l), seed
         assert np.linalg.norm(r.l - l_ref) <= 1e-10 * np.linalg.norm(l_ref), seed
         assert np.linalg.norm(r.s - s_ref) <= 1e-10 * np.linalg.norm(s_ref), seed
@@ -539,7 +548,7 @@ def test_low_rank_route_matches_full_svd_prox(surrogate, tall, svd_calls):
     for seed in range(3):
         a = wide_injected_columns(seed)
         a = a.T if tall else a
-        l, sig, _, route = l_step(a, mu, cfg)
+        l, sig, route = l_step(a, mu, cfg)
         ref = prox_matrix(a, mu, surrogate)
         assert route == "low_rank", seed
         assert np.count_nonzero(sig) == 3, seed
@@ -553,7 +562,7 @@ def test_low_rank_route_falls_through_on_an_entrywise_bulk(ritz_calls):
     # residual is taken and the Gram path gives its own result unchanged
     cfg = SolverConfig()
     a = planted_200(0)
-    l, _, _, route = l_step(a, cfg.mu0, cfg)
+    l, _, route = l_step(a, cfg.mu0, cfg)
     assert route == "gram"
     assert ritz_calls == {"spectrum": 1, "residual": 0}
     assert np.array_equal(l, l_step(a, cfg.mu0, cfg, low_rank=False).l)
@@ -590,7 +599,7 @@ def test_low_rank_certificate_boundary_on_the_tail(side):
     tail = max(r.theta[3], r.rest) + rpca.linalg.ritz_residual(a, r) + r.slack
     assert tail > 20.0
     mu = 1.0 / (np.sqrt(tail) * (1.0 - side * 1e-3))
-    l, sig, _, route = l_step(a, mu, cfg)
+    l, sig, route = l_step(a, mu, cfg)
     ref = prox_matrix(a, mu, cfg.surrogate)
     assert route == ("low_rank" if side < 0 else "gram")
     assert np.count_nonzero(sig) == 3
@@ -609,7 +618,7 @@ def test_low_rank_route_needs_accurate_kept_values():
     tail = max(r.theta[3], r.rest) + rho + r.slack
     assert rho > 1e-6 * r.theta[2]
     mu = 1.0 / (2.0 * np.sqrt(tail))
-    l, sig, _, route = l_step(a, mu, cfg)
+    l, sig, route = l_step(a, mu, cfg)
     assert route == "gram"
     assert np.count_nonzero(sig) == 3
     ref = prox_matrix(a, mu, cfg.surrogate)

@@ -1,15 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import central_diff, grid_prox_min, prox_objective, random_orthonormal
+from helpers import (
+    central_diff,
+    dc_prox_reference,
+    grid_prox_min,
+    prox_objective,
+    random_orthonormal,
+)
 from rpca.surrogates import (
-    DcConfig,
     RankSurrogate,
     gamma_surrogate,
     nuclear_surrogate,
     prox_matrix,
     prox_vector,
-    prox_vector_with_iters,
     rank_curve,
     scalar_penalty,
     surrogate_gradient,
@@ -29,8 +35,9 @@ def test_surrogate_validation():
         RankSurrogate("nuclear", 0.5)
     with pytest.raises(ValueError):
         RankSurrogate("logdet")
-    with pytest.raises(ValueError):
-        DcConfig(max_inner=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma surrogate requires a finite gamma > 0"):
+            RankSurrogate("gamma", bad)
 
 
 def test_surrogate_value_examples():
@@ -127,11 +134,74 @@ def test_dc_iteration_descends():
             prev = cur
 
 
-def test_dc_iteration_count_is_surfaced():
-    _, iters = prox_vector_with_iters([1.0], 10.0, G001)
-    assert 1 <= iters <= 30
-    _, iters_nuc = prox_vector_with_iters([1.0], 10.0, NUC)
-    assert iters_nuc == 0
+def boundary_sigma_a(gam: float, mu: float) -> float:
+    """The sigma_a at which the gamma prox's cubic has a double root (r = 1)."""
+    c = (1.0 + gam) * gam / mu
+    return 3.0 * np.cbrt(c / 4.0) - gam
+
+
+@pytest.mark.parametrize("gam", [1e-8, 0.01, 1.0, 1e4])
+def test_gamma_prox_kept_values_are_stationary(gam):
+    # a kept value solves mu*(sigma - sigma_a) + f'(sigma) = 0; both terms
+    # are at most mu*sigma_a, so the residual is measured against that
+    s = gamma_surrogate(gam)
+    rng = np.random.default_rng(8)
+    for mu in np.logspace(-4, 4, 9):
+        sig_a = 10.0 ** rng.uniform(-3.0, 4.0, 500)
+        out = prox_vector(sig_a, mu, s)
+        k = out > 0.0
+        assert k.any()
+        resid = mu * (out[k] - sig_a[k]) + surrogate_gradient(out[k], s)
+        assert np.all(np.abs(resid) <= 1e-12 * mu * sig_a[k]), mu
+
+
+@pytest.mark.parametrize("gam, mu", [(1e-8, 1e-4), (0.01, 1.0), (0.01, 1e4), (1.0, 1e-2), (1e4, 1e-5)])
+def test_gamma_prox_across_the_discriminant_boundary(gam, mu):
+    # r < 1 (sigma_a above the boundary) has a stationary point near the
+    # double root, r > 1 has none. Near the double root the objective still
+    # rises from 0, so both sides drop the component; neither may produce a
+    # NaN or a warning on the way
+    s = gamma_surrogate(gam)
+    a0 = boundary_sigma_a(gam, mu)
+    assert a0 > 0.0
+    sig_a = a0 * (1.0 + np.array([-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_vector(sig_a, mu, s)
+    assert np.array_equal(out, np.zeros_like(sig_a))
+    far = [0, 1, 5, 6]  # the reference loop crawls through the double root
+    assert np.array_equal(out[far], dc_prox_reference(sig_a[far], mu, s))
+    # well above the boundary the stationary point is kept
+    assert prox_vector([10.0 * a0 + 10.0 / np.sqrt(mu)], mu, s)[0] > 0.0
+
+
+@pytest.mark.parametrize("gam", [1e-8, 0.01, 1e4])
+def test_gamma_prox_is_finite_over_the_float_range(gam):
+    s = gamma_surrogate(gam)
+    sig_a = np.logspace(-300, 150, 4501)
+    for mu in (1e-4, 1.0, 1e4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_vector(sig_a, mu, s)
+        assert np.isfinite(out).all(), mu
+        assert np.all(out >= 0.0) and np.all(out <= sig_a), mu
+        # the largest inputs are kept nearly intact, the smallest dropped
+        assert out[-1] == sig_a[-1] and out[0] == 0.0, mu
+        assert np.all(np.diff(out) >= 0.0), mu
+
+
+@pytest.mark.parametrize("gam", [1e-8, 0.01, 1.0, 1e4])
+def test_gamma_prox_matches_the_dc_iteration(gam):
+    # both compute in the cubic's variable t = gamma + sigma, so kept values
+    # are compared in units in the last place of gamma + sigma_a
+    s = gamma_surrogate(gam)
+    rng = np.random.default_rng(9)
+    for mu in np.logspace(-4, 4, 9):
+        sig_a = 10.0 ** rng.uniform(-3.0, 4.0, 2000)
+        out = prox_vector(sig_a, mu, s)
+        ref = dc_prox_reference(sig_a, mu, s)
+        assert np.array_equal(out > 0.0, ref > 0.0), mu
+        assert np.all(np.abs(out - ref) <= 4.0 * np.spacing(gam + sig_a)), mu
 
 
 def test_prox_matrix_zero():
