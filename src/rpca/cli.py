@@ -32,6 +32,7 @@ from .surrogates import GAMMA, NUCLEAR, RankSurrogate, rank_curve
 from .synthetic import (
     SyntheticSpec,
     anomaly_scores,
+    check_threshold,
     detect_anomalies,
     generate_synthetic,
     stack_frames,
@@ -142,6 +143,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_anomaly(args) -> int:
+    check_threshold(args.threshold)
     x = read_matrix_csv(args.input)
     cfg = _build_config(args, x.shape)
     outdir = Path(args.outdir)
@@ -155,6 +157,8 @@ def cmd_anomaly(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError("--grid-points must be >= 1")
     if args.grid is not None:
         grid = np.array([float(tok) for tok in args.grid.split(",")])
     else:

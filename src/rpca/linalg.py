@@ -25,13 +25,18 @@ def numerical_rank(singulars) -> int:
     return int(np.count_nonzero(singulars > RANK_REL_THRESHOLD * top)) if top > 0.0 else 0
 
 
+def require_finite(a: np.ndarray) -> None:
+    """Raise ``ValueError`` when ``a`` holds a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce ``m`` to a 2-D float64 array and reject non-finite entries."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    require_finite(a)
     return a
 
 
@@ -72,7 +77,7 @@ class GramSpectrum(NamedTuple):
 GRAM_ERROR_FACTOR = 4.0
 
 
-def gram_spectrum(m) -> GramSpectrum:
+def gram_spectrum(a: np.ndarray) -> GramSpectrum:
     """Spectrum of ``A`` from an eigendecomposition of its smaller Gram matrix.
 
     Forms ``A^T A`` when ``A`` has at least as many rows as columns and
@@ -80,11 +85,10 @@ def gram_spectrum(m) -> GramSpectrum:
     ``sqrt(max(lambda, 0))`` in nonincreasing order with the matching
     eigenvectors, and the error bound ``delta`` on each eigenvalue. Values
     with ``lambda`` of the order of ``delta`` are known only to
-    ``sqrt(delta)``; callers that need them exactly use :func:`svd`.
-    Raises ``LinAlgError`` when the eigensolver fails or the Gram matrix
-    overflows.
+    ``sqrt(delta)``; callers that need them exactly use :func:`svd`. ``a``
+    must be a finite 2-D float array, as :func:`as_matrix` returns. Raises
+    ``LinAlgError`` when the eigensolver fails or the Gram matrix overflows.
     """
-    a = as_matrix(m)
     rows, cols = a.shape
     right = rows >= cols
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below

@@ -17,14 +17,28 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
-from .sparse import ENTRYWISE_L1, SparsePenalty, penalty_value, shrink
+from .linalg import as_matrix, require_finite
+from .sparse import (
+    ENTRYWISE_L1,
+    L21,
+    SparsePenalty,
+    check_tau,
+    column_norm_total,
+    column_scale,
+    soft_threshold,
+)
 from .surrogates import RankSurrogate, gamma_surrogate, prox_vector, surrogate_value
 from . import linalg
 
 # Relative accuracy to which every kept squared singular value must be known
 # before the L-step uses the Gram spectrum instead of the thin SVD.
 KEPT_REL_ERROR = 1e-8
+
+# Bytes of one row block in the step's elementwise passes. The passes are
+# memory-bound; a block this size keeps the operands of the whole chain of
+# operations on it in a 2 MB L2 cache, so each full-size array crosses the
+# memory bus once per pass instead of once per operation.
+BLOCK_BYTES = 256 * 1024
 
 
 def scaled_lambda(m: int, n: int) -> float:
@@ -195,7 +209,11 @@ def l_step(target, mu: float, cfg: SolverConfig, low_rank: bool = True) -> LStep
     known to ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver fails,
     the step takes the thin SVD of ``target``.
     """
-    a = as_matrix(target)
+    return _spectral_prox(as_matrix(target), mu, cfg, low_rank)
+
+
+def _spectral_prox(a: np.ndarray, mu: float, cfg: SolverConfig, low_rank: bool) -> LStep:
+    """:func:`l_step` on a finite 2-D float array, which it does not check again."""
     if low_rank:
         low = _low_rank_step(a, mu, cfg)
         if low is not None:
@@ -221,18 +239,36 @@ def l_step(target, mu: float, cfg: SolverConfig, low_rank: bool = True) -> LStep
     return LStep((f.u * sig) @ f.vt, sig, "svd")
 
 
-def _lagrangian(sig, s, y, mu: float, resid, cfg: SolverConfig) -> float:
-    """The augmented Lagrangian from L's singular values ``sig`` and ``resid = L + S - X``.
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """Row slices of about ``BLOCK_BYTES`` each of an ``m x n`` float array.
 
-    ``F(L) + lam*penalty(S) + <Y, L+S-X> + (mu/2)*||L+S-X||_F^2`` with the
-    trace inner product.
+    A one-column array is one block: numpy sums a single column pairwise,
+    not row by row, so ``_add_column_squares`` could not continue its sum.
     """
-    return (
-        surrogate_value(sig, cfg.surrogate)
-        + cfg.lam * penalty_value(s, cfg.penalty)
-        + float(np.sum(y * resid))
-        + 0.5 * mu * float(np.sum(resid * resid))
-    )
+    rows = max(1, BLOCK_BYTES // (8 * n)) if n > 1 else max(1, m)
+    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
+
+
+def _add_column_squares(sums: np.ndarray, a: np.ndarray, buf: np.ndarray, first: bool) -> None:
+    """Add the column sums of ``a * a`` to ``sums`` in ``np.linalg.norm(axis=0)``'s order.
+
+    numpy reduces a C-ordered array over axis 0 one row after another, so
+    reducing ``[sums; a * a]`` continues the sum over the rows before ``a``
+    as one reduction over the whole array would. ``buf`` holds at least one
+    more row than ``a``; ``first`` marks the block of row 0.
+    """
+    lead = 0 if first else 1
+    k = a.shape[0]
+    buf[0] = sums
+    np.multiply(a, a, out=buf[lead : lead + k])
+    np.add.reduce(buf[: lead + k], axis=0, out=sums)
+
+
+def _target(x, a, y, mu: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``out = (x - a) - y/mu``, each entry rounded as the whole-array expression rounds it."""
+    np.subtract(x, a, out=out)
+    np.divide(y, mu, out=scratch)
+    return np.subtract(out, scratch, out=out)
 
 
 def step(
@@ -249,21 +285,87 @@ def step(
     so a solve makes at most one failed attempt. Returns the next state and
     the iteration's record, whose Lagrangian is evaluated at the new pair
     and the old multiplier and mu.
+
+    The elementwise work runs in row blocks of ``BLOCK_BYTES``: one pass
+    forms the L-step's target, and one pass after it forms the shrink's
+    target, S, the residual ``R = L + S - X``, the new multiplier and the
+    products behind the record's sums. The l2,1 shrink scales whole
+    columns, so a pass between the two sums the squares of each column of
+    its target, which the last pass forms again. Each entry comes from the
+    same floating-point operations as the whole-array expressions above,
+    and every scalar sum and norm is still taken over one full-size array,
+    so the results are those of the unblocked step to the bit. Each target
+    is checked for finite entries once. The L-step target's buffer is
+    reused for the shrink's target and then R, and one scratch array holds
+    each product in turn. L, S and the multiplier are new arrays;
+    ``state``'s arrays are only read.
     """
-    y, mu = state.y, state.mu
-    l, sig, route = l_step(x - state.s - y / mu, mu, cfg, state.low_rank)
-    s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
-    resid = l + s - x
-    resid_norm = float(np.linalg.norm(resid))
-    y_next = y + mu * resid
+    y, s_prev, mu = state.y, state.s, state.mu
+    m, n = x.shape
+    blocks = _row_blocks(m, n)
+    rows = blocks[0].stop if blocks else 0
+    buf = np.empty((rows + 1, n))
+    w = buf[1:]
+
+    t = np.empty((m, n))
+    for b in blocks:
+        require_finite(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
+    l, sig, route = _spectral_prox(t, mu, cfg, state.low_rank)
+
+    tau = cfg.lam / mu
+    check_tau(tau)
+    l21 = cfg.penalty.kind == L21
+    if l21:
+        q = np.empty((rows, n))
+        q_sums = np.zeros(n)
+        for b in blocks:
+            k = b.stop - b.start
+            require_finite(_target(x[b], l[b], y[b], mu, q[:k], w[:k]))
+            _add_column_squares(q_sums, q[:k], buf, b.start == 0)
+        scale = column_scale(np.sqrt(q_sums), tau)
+        s_sums = np.zeros(n)
+    s = np.empty((m, n))
+    y_next = np.empty((m, n))
+    work = np.empty((m, n))
+    y_max = []
+    for b in blocks:
+        r, sb, wb = t[b], s[b], w[: b.stop - b.start]
+        _target(x[b], l[b], y[b], mu, r, wb)
+        if l21:
+            np.multiply(r, scale, out=sb)
+            _add_column_squares(s_sums, sb, buf, b.start == 0)
+        else:
+            require_finite(r)
+            soft_threshold(r, tau, sb, wb)
+        np.add(l[b], sb, out=r)
+        np.subtract(r, x[b], out=r)
+        np.multiply(y[b], r, out=work[b])
+        np.multiply(mu, r, out=wb)
+        np.add(y[b], wb, out=y_next[b])
+        if n:
+            y_max.append(np.abs(y_next[b], out=wb).max())
+
+    # t now holds R and work holds Y∘R. The record's sums, each over one
+    # full-size array (R∘R is formed in t once ||R|| is taken); the
+    # Lagrangian is F(L) + lam*penalty(S) + <Y, R> + (mu/2)*||R||_F^2
+    resid_norm = float(np.linalg.norm(t))
+    y_dot_r = float(np.sum(work))
+    r_dot_r = float(np.sum(np.multiply(t, t, out=t)))
+    if l21:
+        penalty = column_norm_total(s_sums)
+    else:
+        penalty = float(np.abs(s, out=work).sum())
+    s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=work)))
     record = IterationRecord(
         iter=state.iter + 1,
         residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
-        lagrangian=_lagrangian(sig, s, y, mu, resid, cfg),
+        lagrangian=(
+            surrogate_value(sig, cfg.surrogate) + cfg.lam * penalty + y_dot_r + 0.5 * mu * r_dot_r
+        ),
         rank_estimate=linalg.numerical_rank(sig),
-        y_inf_norm=float(np.max(np.abs(y_next))) if y_next.size else 0.0,
+        y_inf_norm=float(np.max(y_max)) if y_max else 0.0,
         mu=mu,
-        mu_s_change=mu * float(np.linalg.norm(s - state.s)),
+        mu_s_change=mu * s_change,
         l_route=route,
     )
     next_state = SolverState(

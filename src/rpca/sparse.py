@@ -31,7 +31,41 @@ def penalty_value(s, p: SparsePenalty) -> float:
     a = as_matrix(s)
     if p.kind == L1:
         return float(np.abs(a).sum())
-    return float(np.linalg.norm(a, axis=0).sum())
+    return column_norm_total(np.add.reduce(a * a, axis=0))
+
+
+def column_norm_total(sums) -> float:
+    """The l2,1 norm from the column sums of squares ``sums``.
+
+    ``np.linalg.norm(a, axis=0)`` is ``sqrt(add.reduce(a * a, axis=0))``, so
+    this gives its sum to the bit.
+    """
+    return float(np.sqrt(sums).sum())
+
+
+def check_tau(tau: float) -> None:
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
+
+
+def soft_threshold(q: np.ndarray, tau: float, out: np.ndarray, scratch: np.ndarray) -> None:
+    """The l1 shrink of ``q`` into ``out``: ``sign(q) * max(|q| - tau, 0)``.
+
+    ``scratch`` is an array of ``q``'s shape that the sign is written to.
+    The sign is multiplied in, not copied with ``copysign``, so a ``-0.0``
+    entry of ``q`` gives ``+0.0``.
+    """
+    np.abs(q, out=out)
+    np.subtract(out, tau, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.sign(q, out=scratch)
+    np.multiply(scratch, out, out=out)
+
+
+def column_scale(norms: np.ndarray, tau: float) -> np.ndarray:
+    """The l2,1 shrink's factor for each column of 2-norm ``norms``."""
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return np.where(norms > tau, (norms - tau) / safe, 0.0)
 
 
 def shrink(q, tau: float, p: SparsePenalty) -> np.ndarray:
@@ -42,12 +76,10 @@ def shrink(q, tau: float, p: SparsePenalty) -> np.ndarray:
     its 2-norm, or zero it when ``n <= tau``; the boundary case ``n == tau``
     maps to zero, which keeps the result sparsest.
     """
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    check_tau(tau)
     a = as_matrix(q)
     if p.kind == L1:
-        return np.sign(a) * np.maximum(np.abs(a) - tau, 0.0)
-    norms = np.linalg.norm(a, axis=0)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    scale = np.where(norms > tau, (norms - tau) / safe, 0.0)
-    return a * scale
+        out = np.empty(a.shape)
+        soft_threshold(a, tau, out, np.empty(a.shape))
+        return out
+    return a * column_scale(np.linalg.norm(a, axis=0), tau)

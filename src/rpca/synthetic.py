@@ -115,10 +115,15 @@ def anomaly_scores(s) -> np.ndarray:
     return np.linalg.norm(as_matrix(s), axis=0)
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a negative or NaN anomaly threshold."""
+    if not threshold >= 0.0:
+        raise ValueError("threshold must be nonnegative")
+
+
 def detect_anomalies(scores, threshold: float) -> np.ndarray:
     """Ascending indices whose score strictly exceeds ``threshold``."""
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
+    check_threshold(threshold)
     scores = np.asarray(scores, dtype=np.float64)
     return np.nonzero(scores > threshold)[0]
 

@@ -4,16 +4,19 @@ Nothing here calls the shrinkage/prox code paths it is used to check: the
 prox oracles evaluate the objective on an explicit lattice or run the
 difference-of-convex iteration to its fixed point instead of solving the
 cubic, the shrink oracles minimize the scalar objectives by interval
-shrinking, and the reference ALM loop takes its L-step from
-``np.linalg.svd`` rather than from the solver's spectral step. The reference
-CSV writer formats one entry at a time with ``format`` rather than a row at
-a time with ``%``.
+shrinking, the reference ALM loop takes its L-step from ``np.linalg.svd``
+rather than from the solver's spectral step, and the reference step writes
+the S-step, the dual step and the record's sums as whole-array expressions
+rather than the solver's row-block passes and shared shrink kernels. The
+reference CSV writer formats one entry at a time with ``format`` rather
+than a row at a time with ``%``.
 """
 
 from pathlib import Path
 
 import numpy as np
 
+from rpca.linalg import as_matrix
 from rpca.surrogates import RankSurrogate, scalar_penalty, surrogate_gradient, surrogate_value
 
 
@@ -176,6 +179,70 @@ def reference_lagrangian(x, l, s, y, mu: float, cfg) -> float:
         + float(np.sum(y * resid))
         + 0.5 * mu * float(np.sum(resid * resid))
     )
+
+
+def reference_step(x, state, cfg, norm_x):
+    """The ALM step as whole-array expressions, the oracle for ``rpca.solver.step``.
+
+    The step body, shrink and penalty as they were before the step ran in
+    row blocks: the same updates and record, each written as one numpy
+    expression over full arrays. The L-step is the solver's own ``l_step``,
+    so the two differ only in how the elementwise work and the sums are
+    scheduled, which must not change a bit.
+    """
+    from rpca import linalg
+    from rpca.solver import IterationRecord, SolverState, l_step
+
+    def penalty_value(s, p):
+        a = as_matrix(s)
+        if p.kind == "l1":
+            return float(np.abs(a).sum())
+        return float(np.linalg.norm(a, axis=0).sum())
+
+    def shrink(q, tau, p):
+        if not tau > 0.0:
+            raise ValueError("tau must be positive")
+        a = as_matrix(q)
+        if p.kind == "l1":
+            return np.sign(a) * np.maximum(np.abs(a) - tau, 0.0)
+        norms = np.linalg.norm(a, axis=0)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        scale = np.where(norms > tau, (norms - tau) / safe, 0.0)
+        return a * scale
+
+    def _lagrangian(sig, s, y, mu, resid, cfg):
+        return (
+            surrogate_value(sig, cfg.surrogate)
+            + cfg.lam * penalty_value(s, cfg.penalty)
+            + float(np.sum(y * resid))
+            + 0.5 * mu * float(np.sum(resid * resid))
+        )
+
+    y, mu = state.y, state.mu
+    l, sig, route = l_step(x - state.s - y / mu, mu, cfg, state.low_rank)
+    s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
+    resid = l + s - x
+    resid_norm = float(np.linalg.norm(resid))
+    y_next = y + mu * resid
+    record = IterationRecord(
+        iter=state.iter + 1,
+        residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
+        lagrangian=_lagrangian(sig, s, y, mu, resid, cfg),
+        rank_estimate=linalg.numerical_rank(sig),
+        y_inf_norm=float(np.max(np.abs(y_next))) if y_next.size else 0.0,
+        mu=mu,
+        mu_s_change=mu * float(np.linalg.norm(s - state.s)),
+        l_route=route,
+    )
+    next_state = SolverState(
+        l=l,
+        s=s,
+        y=y_next,
+        mu=min(cfg.rho * mu, cfg.mu_max),
+        iter=state.iter + 1,
+        low_rank=route == "low_rank",
+    )
+    return next_state, record
 
 
 class IterationAuditor:

@@ -196,3 +196,22 @@ def test_nan_mu_max_is_usage_error(tmp_path, capsys):
     assert run("decompose", tmp_path / "X.csv", "--mu-max", "nan", "--outdir", out) == 2
     assert capsys.readouterr().err == "error: mu_max must be >= mu0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["-1", "nan"])
+def test_bad_anomaly_threshold_is_usage_error(tmp_path, capsys, threshold):
+    # checked before the input is read: no solve runs and nothing is written
+    spec = SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1)
+    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(spec, 0)[0])
+    out = tmp_path / "run"
+    assert run("anomaly", tmp_path / "X.csv", "--threshold", threshold, "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: threshold must be nonnegative\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_curve_grid_points_below_one_is_usage_error(tmp_path, capsys, count):
+    out = tmp_path / "run"
+    assert run("curve", "--grid-points", count, "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: --grid-points must be >= 1\n"
+    assert not out.exists()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import rpca.linalg
-from helpers import random_orthonormal, reference_lagrangian, reference_solve
+from helpers import random_orthonormal, reference_lagrangian, reference_solve, reference_step
 from rpca.solver import (
+    BLOCK_BYTES,
     IterationRecord,
     SolverConfig,
     SolverState,
@@ -15,7 +16,7 @@ from rpca.solver import (
     solve,
     step,
 )
-from rpca.sparse import COLUMNWISE_L21, penalty_value
+from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value
 from rpca.surrogates import (
     gamma_surrogate,
     nuclear_surrogate,
@@ -623,3 +624,107 @@ def test_low_rank_route_needs_accurate_kept_values():
     assert np.count_nonzero(sig) == 3
     ref = prox_matrix(a, mu, cfg.surrogate)
     assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def bits(a):
+    return a.shape, a.tobytes()
+
+
+def assert_step_matches_reference(x, state, cfg):
+    """Take one step and the whole-array reference step from ``state``; they
+    must agree to the bit in L, S, Y and every record field."""
+    norm_x = float(np.linalg.norm(x))
+    got, rec = step(x, state, cfg, norm_x)
+    want, ref = reference_step(x, state, cfg, norm_x)
+    for name in ("l", "s", "y"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert (got.mu, got.iter, got.low_rank) == (want.mu, want.iter, want.low_rank)
+    assert repr(rec) == repr(ref)
+    return got
+
+
+# Shapes around the step's row blocks of BLOCK_BYTES: a partial last block,
+# rows wider than a block (one row per block), a one-column matrix taller
+# than a block (one block), single rows and columns, and empty matrices.
+BLOCK_COLUMNS = BLOCK_BYTES // 8
+STEP_SHAPES = {
+    "partial-last-block": (100, 1000),
+    "row-wider-than-a-block": (3, BLOCK_COLUMNS + 7),
+    "column-taller-than-a-block": (BLOCK_COLUMNS + 7, 1),
+    "one-row": (1, 50),
+    "one-column": (50, 1),
+    "no-rows": (0, 5),
+    "no-columns": (5, 0),
+    "empty": (0, 0),
+}
+
+
+@pytest.mark.parametrize("shape", list(STEP_SHAPES.values()), ids=list(STEP_SHAPES))
+@pytest.mark.parametrize("penalty", ["l1", "l21"])
+@pytest.mark.parametrize("surrogate", SURROGATES)
+def test_step_is_bit_identical_to_the_whole_array_step(shape, penalty, surrogate):
+    # every seventh entry of X is -0.0, which the l1 shrink must map to +0.0
+    # by multiplying in the sign; mu0 = 0.5 puts S's threshold inside the
+    # entries' range, so some are kept and some zeroed
+    cfg = SolverConfig(lam=1.0, mu0=0.5, surrogate=surrogate, penalty=SparsePenalty(penalty))
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape)
+    x.flat[::7] = -0.0
+    zero = np.zeros_like(x)
+    state = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
+    for _ in range(4):
+        state = assert_step_matches_reference(x, state, cfg)
+
+
+@pytest.mark.parametrize("make_x, cfg", EQUIVALENCE_CASES)
+def test_step_is_bit_identical_along_the_acceptance_solves(make_x, cfg):
+    for seed in range(5):
+        x = make_x(seed)
+        zero = np.zeros_like(x)
+        states = [SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)]
+        solve(x, cfg, callback=lambda st, rec: states.append(st))
+        for state, after in zip(states, states[1:]):
+            got = assert_step_matches_reference(x, state, cfg)
+            assert bits(got.l) == bits(after.l) and bits(got.s) == bits(after.s), seed
+
+
+@pytest.mark.parametrize("penalty", [ENTRYWISE_L1, COLUMNWISE_L21], ids=["l1", "l21"])
+def test_solve_does_not_overwrite_the_states_it_hands_over(penalty):
+    x = planted_200(0)
+    copies = []
+    handed = []
+
+    def keep(state, rec):
+        handed.append(state)
+        copies.append([bits(a) for a in (state.l, state.s, state.y)])
+
+    r = solve(x, SolverConfig(penalty=penalty), callback=keep)
+    assert r.iterations > 3
+    for state, copy in zip(handed, copies):
+        assert [bits(a) for a in (state.l, state.s, state.y)] == copy, state.iter
+
+
+def test_step_rejects_a_nonfinite_target_in_a_late_block(ritz_calls, svd_calls):
+    # an infinite entry of S in the last row block makes the L-step's target
+    # infinite there; the step must raise before the L-step starts, as before
+    x = planted_200(0)
+    s = np.zeros_like(x)
+    s[-1, -1] = np.inf
+    state = SolverState(l=np.zeros_like(x), s=s, y=np.zeros_like(x), mu=1e-4)
+    for take in (step, reference_step):
+        with pytest.raises(ValueError, match="finite"):
+            take(x, state, SolverConfig(), float(np.linalg.norm(x)))
+    assert ritz_calls["spectrum"] == 0 and svd_calls == []
+
+
+@pytest.mark.parametrize("penalty", [ENTRYWISE_L1, COLUMNWISE_L21], ids=["l1", "l21"])
+def test_step_rejects_a_nonfinite_shrink_target(penalty):
+    # T = (1e308 - 1.5e308) + 1e308 is finite, the nuclear prox at
+    # mu = 1e-308 drops it, so the shrink's target (1e308 - 0) + 1e308
+    # overflows: the same iteration raises in the S-step
+    x = np.array([[1e308]])
+    state = SolverState(l=np.zeros((1, 1)), s=np.array([[1.5e308]]), y=np.array([[-1.0]]), mu=1e-308)
+    cfg = SolverConfig(surrogate=nuclear_surrogate(), penalty=penalty)
+    for take in (step, reference_step):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            take(x, state, cfg, 1e308)

@@ -113,6 +113,8 @@ def test_detect_anomalies_cases():
     assert detect_anomalies(scores, 10.0).size == 0
     with pytest.raises(ValueError):
         detect_anomalies(scores, -1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        detect_anomalies(scores, float("nan"))  # would flag nothing
 
 
 def test_injected_subspace_columns_score_highest():
