@@ -156,13 +156,22 @@ def cmd_anomaly(args) -> int:
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def cmd_curve(args) -> int:
+def _curve_grid(args) -> np.ndarray:
+    """The singular values ``curve`` tabulates, checked before anything is computed or written."""
     if args.grid_points < 1:
         raise ValueError("--grid-points must be >= 1")
     if args.grid is not None:
         grid = np.array([float(tok) for tok in args.grid.split(",")])
-    else:
-        grid = np.linspace(0.0, args.grid_max, args.grid_points)
+        if not (np.isfinite(grid).all() and (grid >= 0.0).all()):
+            raise ValueError(f"--grid values must be finite and nonnegative, got {args.grid}")
+        return grid
+    if not 0.0 <= args.grid_max < np.inf:
+        raise ValueError(f"--grid-max must be finite and nonnegative, got {args.grid_max:g}")
+    return np.linspace(0.0, args.grid_max, args.grid_points)
+
+
+def cmd_curve(args) -> int:
+    grid = _curve_grid(args)
     kinds = ["gamma", "nuclear"] if args.surrogate == "both" else [args.surrogate]
     columns = [grid]
     for kind in kinds:

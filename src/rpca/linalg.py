@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,55 +112,56 @@ class RitzSpectrum(NamedTuple):
     ``theta`` holds the Ritz values, nonincreasing, and ``vectors`` the
     orthonormal Ritz vectors ``W`` (right singular side when ``right``, as in
     :class:`GramSpectrum`); ``images`` is ``A W`` when ``right`` and
-    ``A^T W`` otherwise. ``rest = ||A||_F^2 - sum(theta)`` is the trace of
-    ``G`` outside the span of ``W``, so it bounds every eigenvalue of ``G``
-    compressed to that complement. ``slack`` bounds the rounding in ``rest``
-    and in :func:`ritz_residual`.
+    ``A^T W`` otherwise. ``residuals`` holds the column norms of
+    ``G W - W diag(theta)``. ``frob2 = ||A||_F^2`` is the trace of ``G``, so
+    ``frob2 - sum(theta)`` bounds every eigenvalue of ``G`` compressed to
+    the complement of ``W``. ``slack`` bounds the rounding in those figures.
     """
 
     theta: np.ndarray
     vectors: np.ndarray
     images: np.ndarray
+    residuals: np.ndarray
     right: bool
-    rest: float
+    frob2: float
     slack: float
 
 
-# Width of the Gaussian block behind ritz_spectrum.
+# Width of the Gaussian block behind ritz_iterations.
 RITZ_BLOCK = 16
 
+# A basis with no columns: ritz_iterations then starts from the Gaussian
+# block alone.
+COLD = np.empty((0, 0))
+COLD.flags.writeable = False
 
-def ritz_spectrum(a: np.ndarray) -> RitzSpectrum | None:
-    """Ritz pairs of ``A``'s smaller Gram matrix on one power step of a Gaussian block.
+
+def ritz_iterations(a: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
+    """Ritz pairs of ``A``'s smaller Gram matrix on successive power steps of a block.
 
     With ``G = A^T A`` (``A`` at least as tall as wide) or ``A A^T``, of size
-    ``p = min(m, n)``, and a ``p x RITZ_BLOCK`` block ``Omega`` drawn from
-    ``default_rng(0)``: ``Q = qr(G Omega)``, then the eigenpairs of
-    ``Q^T G Q``. ``G`` itself is never formed; the result costs three
-    products with ``A`` and one pass for ``||A||_F``. Returns ``None`` when
-    ``p <= RITZ_BLOCK``, where the block spans everything. ``a`` must be a
-    finite 2-D float array. Raises ``LinAlgError`` when the eigensolver fails
-    or a product overflows.
+    ``p = min(m, n)``, the start block is ``basis`` (``p`` rows, such as the
+    kept vectors of a previous target) followed by a ``p x RITZ_BLOCK``
+    Gaussian block drawn from ``default_rng(0)``. Each step orthonormalizes
+    ``Q = qr(G Y)``, ``Y`` the start block and then the last step's Ritz
+    vectors, and yields the eigenpairs of ``Q^T G Q`` with their residuals.
+    ``G`` itself is never formed: the start costs two products with ``A``,
+    every step two more (the last of which, ``G W``, is the next step's
+    ``G Y``), and ``||A||_F`` one pass. The caller stops the iteration. Yields
+    nothing when the block has ``p`` or more columns, where it spans
+    everything. ``a`` must be a finite 2-D float array. Raises
+    ``LinAlgError`` when the eigensolver fails or a product overflows.
     """
     rows, cols = a.shape
     right = rows >= cols
     p = min(rows, cols)
-    if p <= RITZ_BLOCK:
-        return None
+    if basis.shape[1] + RITZ_BLOCK >= p:
+        return
     omega = np.random.default_rng(0).standard_normal((p, RITZ_BLOCK))
+    block = np.hstack([basis, omega]) if basis.shape[1] else omega
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        q = np.linalg.qr(_times(a, right, _times(a, not right, omega)))[0]
-        z = _times(a, not right, q)
+        gy = _times(a, right, _times(a, not right, block))
         frob2 = float(np.vdot(a, a))
-        try:
-            theta, e = np.linalg.eigh(z.T @ z)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"Ritz eigendecomposition did not converge for a {rows}x{cols} matrix"
-            ) from exc
-    if not (np.isfinite(theta).all() and np.isfinite(frob2)):
-        raise np.linalg.LinAlgError(f"Gram products of a {rows}x{cols} matrix are not finite")
-    theta, e = theta[::-1], e[:, ::-1]
     # Every computed figure here (||A||_F^2, the entries of Z and of the
     # residual's Gram product) is a sum of at most max(m, n) products, whose
     # rounding is at most length * eps times the sum of the magnitudes, and
@@ -168,7 +169,24 @@ def ritz_spectrum(a: np.ndarray) -> RitzSpectrum | None:
     # path's factor bounds the same rounding with lambda_max; ||A||_F^2 also
     # covers the loss of orthogonality of the Householder Q, O(p * eps).
     slack = GRAM_ERROR_FACTOR * max(rows, cols) * np.finfo(np.float64).eps * frob2
-    return RitzSpectrum(theta, q @ e, z @ e, right, frob2 - float(theta.sum()), slack)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = np.linalg.qr(gy)[0]
+            z = _times(a, not right, q)
+            try:
+                theta, e = np.linalg.eigh(z.T @ z)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"Ritz eigendecomposition did not converge for a {rows}x{cols} matrix"
+                ) from exc
+        if not (np.isfinite(theta).all() and np.isfinite(frob2)):
+            raise np.linalg.LinAlgError(f"Gram products of a {rows}x{cols} matrix are not finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta, e = theta[::-1], e[:, ::-1]
+            w, aw = q @ e, z @ e
+            gy = _times(a, right, aw)
+            residuals = np.linalg.norm(gy - w * theta, axis=0)
+        yield RitzSpectrum(theta, w, aw, residuals, right, frob2, slack)
 
 
 def _times(a: np.ndarray, transpose: bool, y: np.ndarray) -> np.ndarray:
@@ -180,13 +198,36 @@ def _times(a: np.ndarray, transpose: bool, y: np.ndarray) -> np.ndarray:
     return (y.T @ a).T if transpose else a @ y
 
 
-def ritz_residual(a: np.ndarray, r: RitzSpectrum) -> float:
-    """``||G W - W diag(theta)||_F`` for the Ritz pairs ``r`` of ``a``'s Gram matrix.
+def gram_tail_below(a: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
+    """Whether ``lambda_(k+1)(G) < c`` is certified by one Cholesky factorization.
 
-    One more product with ``A``. By Weyl's inequality every eigenvalue of
-    ``G`` lies within this figure of the eigenvalues of the block-diagonal
-    ``diag(diag(theta), C)``, ``C`` the compression of ``G`` to the
-    complement of ``W``.
+    ``r`` holds Ritz pairs of ``a``'s Gram matrix ``G`` (see
+    :func:`ritz_iterations`) and ``W_k``, ``Theta_k`` its first ``k``.
+    ``P = W_k Theta_k W_k^T`` is positive semidefinite of rank ``k``, so
+    ``lambda_(k+1)(G) <= lambda_max(G - P)`` by Weyl's inequality, whatever
+    ``W_k``. Forms ``G`` and factors ``c' I - G + P``. If that succeeds,
+    the matrix plus the factorization's backward error is positive definite
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3: the
+    error is at most ``(p+1) eps`` times ``||R||_F^2``, the trace of the
+    factored matrix, which is at most ``p (c + ||A||_F^2)``). So
+    ``c' = c - slack - p(p+1) eps (c + ||A||_F^2)`` leaves
+    ``lambda_max(G - P) < c``; ``slack`` covers the rounding in ``G``, in
+    ``P`` (at most ``k eps sum(theta)``) and in their difference. ``p`` is
+    ``min(m, n)``; ``k < p``.
     """
-    gw = _times(a, r.right, r.images)
-    return float(np.linalg.norm(gw - r.vectors * r.theta))
+    rows, cols = a.shape
+    p = min(rows, cols)
+    eps = np.finfo(np.float64).eps
+    shift = c - r.slack - p * (p + 1) * eps * (c + r.frob2)
+    if not shift > 0.0:
+        return False  # G - P keeps p - k >= 1 eigenvalues >= lambda_min(G) >= 0
+    w = r.vectors[:, :k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (w * r.theta[:k]) @ w.T
+        m -= a.T @ a if r.right else a @ a.T
+    m[np.diag_indices(p)] += shift
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True

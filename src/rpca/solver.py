@@ -34,6 +34,20 @@ from . import linalg
 # before the L-step uses the Gram spectrum instead of the thin SVD.
 KEPT_REL_ERROR = 1e-8
 
+# Bounds on the Gram-free L-step (see ``_low_rank_step``): at most this many
+# power steps per attempt, continued while the kept block's residual falls
+# at least RITZ_FALL times per step.
+RITZ_STEPS = 10
+RITZ_FALL = 10.0
+
+# Halvings that place the prox's keep-threshold; the bisection stops sooner
+# once its interval stops shrinking.
+BISECT_STEPS = 100
+
+# The next L-step tries the Gram-free route after a step that kept at most
+# p / WARM_RANK_DIVISOR values, p = min(m, n), or that took the route.
+WARM_RANK_DIVISOR = 20
+
 # Bytes of one row block in the step's elementwise passes. The passes are
 # memory-bound; a block this size keeps the operands of the whole chain of
 # operations on it in a 2 MB L2 cache, so each full-size array crosses the
@@ -89,9 +103,10 @@ class SolverState:
     y: np.ndarray
     mu: float
     iter: int = 0
-    # the next L-step tries the Gram-free route (see ``l_step``): true at the
-    # start and then while the L-step keeps taking it
-    low_rank: bool = True
+    # the start of the next L-step's Gram-free attempt (see ``l_step``): no
+    # columns at the start, then the last step's kept vectors on the smaller
+    # side, or None to skip the attempt
+    warm_basis: np.ndarray | None = field(default_factory=lambda: linalg.COLD)
 
 
 @dataclass(frozen=True)
@@ -133,11 +148,13 @@ class SolverResult:
 
 
 class LStep(NamedTuple):
-    """An L-step's result: L, the proxed singular values and the route that produced them."""
+    """An L-step's result: L, the proxed singular values, the route that produced them
+    and the next attempt's start (see :func:`l_step`)."""
 
     l: np.ndarray
     singulars: np.ndarray
     route: str
+    basis: np.ndarray | None
 
 
 def _keeps_exactly(kept_low, drop_high: float, mu: float, cfg: SolverConfig) -> bool:
@@ -151,71 +168,129 @@ def _keeps_exactly(kept_low, drop_high: float, mu: float, cfg: SolverConfig) -> 
     return bool(keep[:-1].all() and not keep[-1])
 
 
-def _low_rank_step(a: np.ndarray, mu: float, cfg: SolverConfig) -> LStep | None:
-    """The Gram-free L-step, or ``None`` when it cannot be certified.
+def _largest_dropped(lo: float, hi: float, mu: float, cfg: SolverConfig) -> float:
+    """A value the prox drops, by bisection from ``lo`` (dropped) towards ``hi`` (kept).
 
-    Proxes the square roots of the Ritz values from ``linalg.ritz_spectrum``.
-    With ``rho = ||G W - W Theta||_F`` and ``G = [[Theta, E^T], [E, C]]`` in
-    the basis ``[W, W_perp]``, ``||E||_2 <= rho`` and ``lambda_max(C) <=
-    rest``, so by Weyl's inequality ``lambda_(k+1)(G) <= max(theta_(k+1),
-    rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho`` for the ``k`` kept
-    values. The step is certified when the prox keeps each ``theta_i - rho``
-    and drops that tail bound (both widened by the rounding ``slack``), and
-    ``rho`` is within ``KEPT_REL_ERROR`` of every kept value: then exactly
-    ``k`` values are kept, each known as well as on the Gram path. The tail
-    is checked with ``rho = 0`` first, so an attempt that fails there skips
-    the residual's product.
+    The prox is monotone, so the result is the largest dropped value to
+    the last bit once the interval stops shrinking.
+    """
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if prox_vector(mid, mu, cfg.surrogate)[0] > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _warm(basis: np.ndarray) -> np.ndarray | None:
+    """A copy of ``basis`` when it has at most ``p / WARM_RANK_DIVISOR`` columns, else ``None``."""
+    return basis.copy() if basis.shape[1] * WARM_RANK_DIVISOR <= basis.shape[0] else None
+
+
+def _low_rank_step(a: np.ndarray, mu: float, cfg: SolverConfig, basis: np.ndarray) -> LStep | None:
+    """The Gram-free L-step from the start block ``basis``, or ``None`` when it cannot be certified.
+
+    Takes at most ``RITZ_STEPS`` power steps of ``linalg.ritz_iterations``
+    and proxes the square roots of their Ritz values; ``k`` of them are
+    kept. With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``,
+    ``||E||_2 <= rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest =
+    ||A||_F^2 - sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
+    max(theta_(k+1), rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho``
+    for the kept values. Each step is certified at once when the prox keeps
+    each ``theta_i - rho`` and drops that tail bound (both widened by the
+    rounding ``slack``) and ``rho`` is within ``KEPT_REL_ERROR`` of every
+    kept value: this bound needs no ``G``.
+
+    Otherwise the steps go on while the kept block's residual ``rho_k =
+    ||G W_k - W_k Theta_k||_F`` falls at least ``RITZ_FALL`` times per step,
+    which also makes the kept vectors accurate well past the figure the
+    certificate needs. The last step is then certified when ``rho_k`` is
+    within ``KEPT_REL_ERROR`` of every kept value, the prox keeps each
+    ``theta_i - rho_k - slack`` (by Kahan's residual bound ``k`` eigenvalues of
+    ``G`` lie within ``rho_k`` of the kept Ritz values) and
+    ``linalg.gram_tail_below`` shows ``lambda_(k+1)(G) < c``, ``c`` the
+    square of the largest value the prox drops. Then exactly ``k`` values
+    are kept, each known as well as on the Gram path. A step whose
+    residual did not converge forms no ``G``. An attempt fails when the
+    block keeps every Ritz value, which leaves the rest unbounded.
     """
     try:
-        r = linalg.ritz_spectrum(a)
+        prev = np.inf
+        for steps, r in enumerate(linalg.ritz_iterations(a, basis), start=1):
+            singulars = np.sqrt(np.maximum(r.theta, 0.0))
+            sig = prox_vector(singulars, mu, cfg.surrogate)
+            k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
+            if k == r.theta.size:
+                return None  # no dropped Ritz value, so no bound on the rest
+            kept = r.theta[:k] - r.slack
+            rho = float(np.linalg.norm(r.residuals))
+            tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
+            accurate = k == 0 or rho + r.slack <= KEPT_REL_ERROR * r.theta[k - 1]
+            if accurate and _keeps_exactly(kept - rho, tail, mu, cfg):
+                return _ritz_prox(r, k, sig, singulars)
+            rho_k = float(np.linalg.norm(r.residuals[:k]))
+            if steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev:
+                break
+            prev = rho_k
+        else:
+            return None  # no step at all: the block spans everything
+        if not k or not rho_k + r.slack <= KEPT_REL_ERROR * r.theta[k - 1]:
+            return None
+        # the prox is monotone, so keeping the smallest kept end keeps them all
+        low = float(np.sqrt(max(kept[-1] - rho_k, 0.0)))
+        if not prox_vector(low, mu, cfg.surrogate)[0] > 0.0:
+            return None
+        c = _largest_dropped(singulars[k], low, mu, cfg) ** 2
+        if not linalg.gram_tail_below(a, r, k, c):
+            return None
     except np.linalg.LinAlgError:
         return None
-    if r is None:
-        return None
-    singulars = np.sqrt(np.maximum(r.theta, 0.0))
-    sig = prox_vector(singulars, mu, cfg.surrogate)
-    k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
-    if k == r.theta.size:
-        return None  # no dropped Ritz value, so no bound on the rest
-    kept, tail = r.theta[:k] - r.slack, max(float(r.theta[k]), r.rest) + r.slack
-    if not _keeps_exactly(kept, tail, mu, cfg):
-        return None
-    rho = linalg.ritz_residual(a, r)
-    if k and not rho + r.slack <= KEPT_REL_ERROR * r.theta[k - 1]:
-        return None
-    if not _keeps_exactly(kept - rho, tail + rho, mu, cfg):
-        return None
+    return _ritz_prox(r, k, sig, singulars)
+
+
+def _ritz_prox(r: linalg.RitzSpectrum, k: int, sig: np.ndarray, singulars: np.ndarray) -> LStep:
+    """The certified step from the first ``k`` Ritz pairs of ``r`` and their prox ``sig``."""
     w, aw = r.vectors[:, :k], r.images[:, :k]
     scale = sig[:k] / singulars[:k]
     l = (aw * scale) @ w.T if r.right else (w * scale) @ aw.T
-    return LStep(l, sig, "low_rank")
+    return LStep(l, sig, "low_rank", w.copy())
 
 
-def l_step(target, mu: float, cfg: SolverConfig, low_rank: bool = True) -> LStep:
+def l_step(target, mu: float, cfg: SolverConfig, basis: np.ndarray | None = linalg.COLD) -> LStep:
     """Spectral prox of ``target`` at weight mu.
 
     Three routes, each used only when its result is the exact prox with a
-    certified keep/drop decision. With ``low_rank``, the step first tries
-    the Gram-free route (``_low_rank_step``): one power step on a Gaussian
-    block and Rayleigh–Ritz, a few products with the target and no
-    eigensolve of size ``min(m, n)``. It certifies when the kept rank is
-    small and little spectral mass lies below the keep-threshold.
-    Otherwise the singular values come from the eigendecomposition of the
-    smaller Gram matrix (``linalg.gram_spectrum``), a fraction of the cost
-    of a thin SVD, and only the kept components are rebuilt. That result is
-    used only when both ends of each eigenvalue's error interval get the same
-    keep/drop decision from the prox as the computed value (the prox is
-    monotone, so the whole interval then agrees), and every kept value is
-    known to ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver fails,
-    the step takes the thin SVD of ``target``.
+    certified keep/drop decision. Unless ``basis`` is ``None``, the step
+    first tries the Gram-free route (``_low_rank_step``): power steps with
+    Rayleigh–Ritz on a block that starts from ``basis`` (the kept vectors of
+    a previous step; no columns for a cold start) and a Gaussian block,
+    through products with the target. It certifies when the kept rank is
+    small and the tail below the keep-threshold is bounded, by the trace
+    left outside the block or by a Cholesky factorization. Otherwise the
+    singular values come from the eigendecomposition of the smaller Gram
+    matrix (``linalg.gram_spectrum``), a fraction of the cost of a thin SVD,
+    and only the kept components are rebuilt. That result is used only when
+    both ends of each eigenvalue's error interval get the same keep/drop
+    decision from the prox as the computed value (the prox is monotone, so
+    the whole interval then agrees), and every kept value is known to
+    ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver fails, the step
+    takes the thin SVD of ``target``.
+
+    The result's ``basis`` is the next step's start: the kept singular
+    vectors on the smaller side, a new array, after a step that took the
+    Gram-free route or kept at most ``p / WARM_RANK_DIVISOR`` values, and
+    ``None`` otherwise.
     """
-    return _spectral_prox(as_matrix(target), mu, cfg, low_rank)
+    return _spectral_prox(as_matrix(target), mu, cfg, basis)
 
 
-def _spectral_prox(a: np.ndarray, mu: float, cfg: SolverConfig, low_rank: bool) -> LStep:
+def _spectral_prox(a: np.ndarray, mu: float, cfg: SolverConfig, basis: np.ndarray | None) -> LStep:
     """:func:`l_step` on a finite 2-D float array, which it does not check again."""
-    if low_rank:
-        low = _low_rank_step(a, mu, cfg)
+    if basis is not None:
+        low = _low_rank_step(a, mu, cfg, basis)
         if low is not None:
             return low
     try:
@@ -232,11 +307,13 @@ def _spectral_prox(a: np.ndarray, mu: float, cfg: SolverConfig, low_rank: bool) 
             v = g.vectors[:, keep]
             scale = sig[keep] / g.singulars[keep]
             if g.right:
-                return LStep(((a @ v) * scale) @ v.T, sig, "gram")
-            return LStep((v * scale) @ (v.T @ a), sig, "gram")
+                return LStep(((a @ v) * scale) @ v.T, sig, "gram", _warm(v))
+            return LStep((v * scale) @ (v.T @ a), sig, "gram", _warm(v))
     f = linalg.svd(a)
     sig = prox_vector(f.singulars, mu, cfg.surrogate)
-    return LStep((f.u * sig) @ f.vt, sig, "svd")
+    k = int(np.count_nonzero(sig))
+    kept = f.vt[:k].T if a.shape[0] >= a.shape[1] else f.u[:, :k]
+    return LStep((f.u * sig) @ f.vt, sig, "svd", _warm(kept))
 
 
 def _row_blocks(m: int, n: int) -> list[slice]:
@@ -280,9 +357,9 @@ def step(
     S the shrink of ``X - L - Y/mu`` at threshold lambda/mu, then
     ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
-    Frobenius norm. The L-step tries the Gram-free route only when
-    ``state.low_rank``, and the next state's flag says whether it took it,
-    so a solve makes at most one failed attempt. Returns the next state and
+    Frobenius norm. The L-step tries the Gram-free route from
+    ``state.warm_basis`` unless it is ``None``, and the next state carries
+    the basis the L-step returns. Returns the next state and
     the iteration's record, whose Lagrangian is evaluated at the new pair
     and the old multiplier and mu.
 
@@ -310,7 +387,7 @@ def step(
     t = np.empty((m, n))
     for b in blocks:
         require_finite(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
-    l, sig, route = _spectral_prox(t, mu, cfg, state.low_rank)
+    l, sig, route, basis = _spectral_prox(t, mu, cfg, state.warm_basis)
 
     tau = cfg.lam / mu
     check_tau(tau)
@@ -374,7 +451,7 @@ def step(
         y=y_next,
         mu=min(cfg.rho * mu, cfg.mu_max),
         iter=state.iter + 1,
-        low_rank=route == "low_rank",
+        warm_basis=basis,
     )
     return next_state, record
 

@@ -8,8 +8,9 @@ shrinking, the reference ALM loop takes its L-step from ``np.linalg.svd``
 rather than from the solver's spectral step, and the reference step writes
 the S-step, the dual step and the record's sums as whole-array expressions
 rather than the solver's row-block passes and shared shrink kernels. The
-reference CSV writer formats one entry at a time with ``format`` rather
-than a row at a time with ``%``.
+tail oracle reads every eigenvalue of the Gram matrix instead of factoring
+one matrix by Cholesky. The reference CSV writer formats one entry at a
+time with ``format`` rather than a row at a time with ``%``.
 """
 
 from pathlib import Path
@@ -74,6 +75,18 @@ def dc_prox_reference(sigma_a, mu: float, s: RankSurrogate, max_iters: int = 100
     keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
     drop = 0.5 * mu * sig_a**2
     return np.where(drop < keep, 0.0, sig)
+
+
+def tail_reference(a, k: int, c: float) -> bool:
+    """Whether ``lambda_(k+1)(G) < c`` for ``a``'s smaller Gram matrix ``G``.
+
+    Reads every eigenvalue of ``G`` from ``np.linalg.eigvalsh``, where the
+    solver's certificate factors one matrix by Cholesky. ``G`` is
+    ``A^T A`` when ``a`` has at least as many rows as columns, else ``A A^T``.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    g = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
+    return bool(np.linalg.eigvalsh(g)[::-1][k] < c)
 
 
 def bisect_root(h, lo, hi, iters: int = 100):
@@ -219,7 +232,7 @@ def reference_step(x, state, cfg, norm_x):
         )
 
     y, mu = state.y, state.mu
-    l, sig, route = l_step(x - state.s - y / mu, mu, cfg, state.low_rank)
+    l, sig, route, basis = l_step(x - state.s - y / mu, mu, cfg, state.warm_basis)
     s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))
@@ -240,7 +253,7 @@ def reference_step(x, state, cfg, norm_x):
         y=y_next,
         mu=min(cfg.rho * mu, cfg.mu_max),
         iter=state.iter + 1,
-        low_rank=route == "low_rank",
+        warm_basis=basis,
     )
     return next_state, record
 

@@ -215,3 +215,24 @@ def test_curve_grid_points_below_one_is_usage_error(tmp_path, capsys, count):
     assert run("curve", "--grid-points", count, "--outdir", out) == 2
     assert capsys.readouterr().err == "error: --grid-points must be >= 1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid", "0,inf", "--grid values must be finite and nonnegative, got 0,inf"),
+        ("--grid", "1,nan,2", "--grid values must be finite and nonnegative, got 1,nan,2"),
+        ("--grid", "0,-1", "--grid values must be finite and nonnegative, got 0,-1"),
+        ("--grid-max", "nan", "--grid-max must be finite and nonnegative, got nan"),
+        ("--grid-max", "inf", "--grid-max must be finite and nonnegative, got inf"),
+        ("--grid-max", "-1", "--grid-max must be finite and nonnegative, got -1"),
+    ],
+)
+def test_curve_bad_grid_is_usage_error(tmp_path, capsys, recwarn, flag, value, message):
+    # checked before the curve is computed or the directory is made: no
+    # warning, one message that names the grid, nothing written
+    out = tmp_path / "run"
+    assert run("curve", flag, value, "--outdir", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert len(recwarn) == 0
+    assert not out.exists()
