@@ -21,7 +21,6 @@ from .surrogates import (
     RankSurrogate,
     gamma_surrogate,
     nuclear_surrogate,
-    prox_matrix,
     prox_vector,
     rank_curve,
     surrogate_gradient,
@@ -46,7 +45,6 @@ __all__ = [
     "surrogate_value",
     "surrogate_gradient",
     "prox_vector",
-    "prox_matrix",
     "rank_curve",
     "SparsePenalty",
     "ENTRYWISE_L1",

@@ -5,8 +5,8 @@ instance generator), ``anomaly`` (decompose + column scores + flagged
 indices), ``curve`` (penalty samples for plotting), ``bench`` (gamma vs
 nuclear on the same instance), ``stack`` (PGM frame directory to one CSV).
 
-Exit codes: 0 success, 2 usage error, 3 input error, 4 solver did not
-converge (outputs are still written).
+Exit codes: 0 success, 2 usage error, 3 on input or output errors, 4 solver
+did not converge (outputs are still written).
 """
 
 from __future__ import annotations
@@ -238,6 +238,9 @@ def cmd_stack(args) -> int:
     if not paths:
         raise MatrixIoError(f"no .pgm files in {frame_dir}")
     frames = [read_pgm(p) for p in paths]
+    for p, f in zip(paths, frames):
+        if f.shape != frames[0].shape:
+            raise MatrixIoError(f"{p}: frame has shape {f.shape}, expected {frames[0].shape}")
     stacked = stack_frames(frames)
     write_matrix_csv(args.output, stacked)
     print(f"stacked {len(frames)} frames of shape {frames[0].shape} into {args.output}")
@@ -312,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixIoError as exc:
+    except (MatrixIoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

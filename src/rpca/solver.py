@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -27,26 +27,8 @@ from .sparse import (
     column_scale,
     soft_threshold,
 )
-from .surrogates import RankSurrogate, gamma_surrogate, prox_vector, surrogate_value
-from . import linalg
-
-# Relative accuracy to which every kept squared singular value must be known
-# before the L-step uses the Gram spectrum instead of the thin SVD.
-KEPT_REL_ERROR = 1e-8
-
-# Bounds on the Gram-free L-step (see ``_low_rank_step``): at most this many
-# power steps per attempt, continued while the kept block's residual falls
-# at least RITZ_FALL times per step.
-RITZ_STEPS = 10
-RITZ_FALL = 10.0
-
-# Halvings that place the prox's keep-threshold; the bisection stops sooner
-# once its interval stops shrinking.
-BISECT_STEPS = 100
-
-# The next L-step tries the Gram-free route after a step that kept at most
-# p / WARM_RANK_DIVISOR values, p = min(m, n), or that took the route.
-WARM_RANK_DIVISOR = 20
+from .surrogates import RankSurrogate, gamma_surrogate, surrogate_value
+from . import linalg, spectral
 
 # Bytes of one row block in the step's elementwise passes. The passes are
 # memory-bound; a block this size keeps the operands of the whole chain of
@@ -103,10 +85,10 @@ class SolverState:
     y: np.ndarray
     mu: float
     iter: int = 0
-    # the start of the next L-step's Gram-free attempt (see ``l_step``): no
-    # columns at the start, then the last step's kept vectors on the smaller
-    # side, or None to skip the attempt
-    warm_basis: np.ndarray | None = field(default_factory=lambda: linalg.COLD)
+    # the start of the next L-step's Gram-free attempt (see
+    # ``spectral.l_step``): no columns at the start, then the last step's kept
+    # vectors on the smaller side, or None to skip the attempt
+    warm_basis: np.ndarray | None = field(default_factory=lambda: spectral.COLD)
 
 
 @dataclass(frozen=True)
@@ -114,7 +96,7 @@ class IterationRecord:
     """Per-iteration diagnostics appended to the solve history.
 
     ``l_route`` names the path the L-step took: ``"low_rank"``, ``"gram"`` or
-    ``"svd"`` (see ``l_step``).
+    ``"svd"`` (see ``spectral.l_step``).
     """
 
     iter: int
@@ -145,175 +127,6 @@ class SolverResult:
     elapsed_seconds: float
     kkt_primal: float
     kkt_dual: float
-
-
-class LStep(NamedTuple):
-    """An L-step's result: L, the proxed singular values, the route that produced them
-    and the next attempt's start (see :func:`l_step`)."""
-
-    l: np.ndarray
-    singulars: np.ndarray
-    route: str
-    basis: np.ndarray | None
-
-
-def _keeps_exactly(kept_low, drop_high: float, mu: float, cfg: SolverConfig) -> bool:
-    """Whether the prox keeps every square root of ``kept_low`` and drops that of ``drop_high``.
-
-    The prox is monotone in the singular value, so every value in between
-    these ends then gets the same decision as the end it is on.
-    """
-    ends = np.sqrt(np.maximum(np.append(kept_low, drop_high), 0.0))
-    keep = prox_vector(ends, mu, cfg.surrogate) > 0.0
-    return bool(keep[:-1].all() and not keep[-1])
-
-
-def _largest_dropped(lo: float, hi: float, mu: float, cfg: SolverConfig) -> float:
-    """A value the prox drops, by bisection from ``lo`` (dropped) towards ``hi`` (kept).
-
-    The prox is monotone, so the result is the largest dropped value to
-    the last bit once the interval stops shrinking.
-    """
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if prox_vector(mid, mu, cfg.surrogate)[0] > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
-def _warm(basis: np.ndarray) -> np.ndarray | None:
-    """A copy of ``basis`` when it has at most ``p / WARM_RANK_DIVISOR`` columns, else ``None``."""
-    return basis.copy() if basis.shape[1] * WARM_RANK_DIVISOR <= basis.shape[0] else None
-
-
-def _low_rank_step(a: np.ndarray, mu: float, cfg: SolverConfig, basis: np.ndarray) -> LStep | None:
-    """The Gram-free L-step from the start block ``basis``, or ``None`` when it cannot be certified.
-
-    Takes at most ``RITZ_STEPS`` power steps of ``linalg.ritz_iterations``
-    and proxes the square roots of their Ritz values; ``k`` of them are
-    kept. With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``,
-    ``||E||_2 <= rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest =
-    ||A||_F^2 - sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
-    max(theta_(k+1), rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho``
-    for the kept values. Each step is certified at once when the prox keeps
-    each ``theta_i - rho`` and drops that tail bound (both widened by the
-    rounding ``slack``) and ``rho`` is within ``KEPT_REL_ERROR`` of every
-    kept value: this bound needs no ``G``.
-
-    Otherwise the steps go on while the kept block's residual ``rho_k =
-    ||G W_k - W_k Theta_k||_F`` falls at least ``RITZ_FALL`` times per step,
-    which also makes the kept vectors accurate well past the figure the
-    certificate needs. The last step is then certified when ``rho_k`` is
-    within ``KEPT_REL_ERROR`` of every kept value, the prox keeps each
-    ``theta_i - rho_k - slack`` (by Kahan's residual bound ``k`` eigenvalues of
-    ``G`` lie within ``rho_k`` of the kept Ritz values) and
-    ``linalg.gram_tail_below`` shows ``lambda_(k+1)(G) < c``, ``c`` the
-    square of the largest value the prox drops. Then exactly ``k`` values
-    are kept, each known as well as on the Gram path. A step whose
-    residual did not converge forms no ``G``. An attempt fails when the
-    block keeps every Ritz value, which leaves the rest unbounded.
-    """
-    try:
-        prev = np.inf
-        for steps, r in enumerate(linalg.ritz_iterations(a, basis), start=1):
-            singulars = np.sqrt(np.maximum(r.theta, 0.0))
-            sig = prox_vector(singulars, mu, cfg.surrogate)
-            k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
-            if k == r.theta.size:
-                return None  # no dropped Ritz value, so no bound on the rest
-            kept = r.theta[:k] - r.slack
-            rho = float(np.linalg.norm(r.residuals))
-            tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
-            accurate = k == 0 or rho + r.slack <= KEPT_REL_ERROR * r.theta[k - 1]
-            if accurate and _keeps_exactly(kept - rho, tail, mu, cfg):
-                return _ritz_prox(r, k, sig, singulars)
-            rho_k = float(np.linalg.norm(r.residuals[:k]))
-            if steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev:
-                break
-            prev = rho_k
-        else:
-            return None  # no step at all: the block spans everything
-        if not k or not rho_k + r.slack <= KEPT_REL_ERROR * r.theta[k - 1]:
-            return None
-        # the prox is monotone, so keeping the smallest kept end keeps them all
-        low = float(np.sqrt(max(kept[-1] - rho_k, 0.0)))
-        if not prox_vector(low, mu, cfg.surrogate)[0] > 0.0:
-            return None
-        c = _largest_dropped(singulars[k], low, mu, cfg) ** 2
-        if not linalg.gram_tail_below(a, r, k, c):
-            return None
-    except np.linalg.LinAlgError:
-        return None
-    return _ritz_prox(r, k, sig, singulars)
-
-
-def _ritz_prox(r: linalg.RitzSpectrum, k: int, sig: np.ndarray, singulars: np.ndarray) -> LStep:
-    """The certified step from the first ``k`` Ritz pairs of ``r`` and their prox ``sig``."""
-    w, aw = r.vectors[:, :k], r.images[:, :k]
-    scale = sig[:k] / singulars[:k]
-    l = (aw * scale) @ w.T if r.right else (w * scale) @ aw.T
-    return LStep(l, sig, "low_rank", w.copy())
-
-
-def l_step(target, mu: float, cfg: SolverConfig, basis: np.ndarray | None = linalg.COLD) -> LStep:
-    """Spectral prox of ``target`` at weight mu.
-
-    Three routes, each used only when its result is the exact prox with a
-    certified keep/drop decision. Unless ``basis`` is ``None``, the step
-    first tries the Gram-free route (``_low_rank_step``): power steps with
-    Rayleigh–Ritz on a block that starts from ``basis`` (the kept vectors of
-    a previous step; no columns for a cold start) and a Gaussian block,
-    through products with the target. It certifies when the kept rank is
-    small and the tail below the keep-threshold is bounded, by the trace
-    left outside the block or by a Cholesky factorization. Otherwise the
-    singular values come from the eigendecomposition of the smaller Gram
-    matrix (``linalg.gram_spectrum``), a fraction of the cost of a thin SVD,
-    and only the kept components are rebuilt. That result is used only when
-    both ends of each eigenvalue's error interval get the same keep/drop
-    decision from the prox as the computed value (the prox is monotone, so
-    the whole interval then agrees), and every kept value is known to
-    ``KEPT_REL_ERROR``. Otherwise, and when the eigensolver fails, the step
-    takes the thin SVD of ``target``.
-
-    The result's ``basis`` is the next step's start: the kept singular
-    vectors on the smaller side, a new array, after a step that took the
-    Gram-free route or kept at most ``p / WARM_RANK_DIVISOR`` values, and
-    ``None`` otherwise.
-    """
-    return _spectral_prox(as_matrix(target), mu, cfg, basis)
-
-
-def _spectral_prox(a: np.ndarray, mu: float, cfg: SolverConfig, basis: np.ndarray | None) -> LStep:
-    """:func:`l_step` on a finite 2-D float array, which it does not check again."""
-    if basis is not None:
-        low = _low_rank_step(a, mu, cfg, basis)
-        if low is not None:
-            return low
-    try:
-        g = linalg.gram_spectrum(a)
-    except np.linalg.LinAlgError:
-        pass
-    else:
-        sig = prox_vector(g.singulars, mu, cfg.surrogate)
-        keep = sig > 0.0
-        sq = g.singulars**2
-        ends = np.sqrt(np.concatenate([np.maximum(sq - g.delta, 0.0), sq + g.delta]))
-        ends_keep = prox_vector(ends, mu, cfg.surrogate).reshape(2, -1) > 0.0
-        if (ends_keep == keep).all() and (g.delta <= KEPT_REL_ERROR * sq[keep]).all():
-            v = g.vectors[:, keep]
-            scale = sig[keep] / g.singulars[keep]
-            if g.right:
-                return LStep(((a @ v) * scale) @ v.T, sig, "gram", _warm(v))
-            return LStep((v * scale) @ (v.T @ a), sig, "gram", _warm(v))
-    f = linalg.svd(a)
-    sig = prox_vector(f.singulars, mu, cfg.surrogate)
-    k = int(np.count_nonzero(sig))
-    kept = f.vt[:k].T if a.shape[0] >= a.shape[1] else f.u[:, :k]
-    return LStep((f.u * sig) @ f.vt, sig, "svd", _warm(kept))
 
 
 def _row_blocks(m: int, n: int) -> list[slice]:
@@ -353,9 +166,9 @@ def step(
 ) -> tuple[SolverState, IterationRecord]:
     """One multiplier iteration from ``state``: L-step, S-step, dual step.
 
-    L is the spectral prox of ``X - S - Y/mu`` at weight mu (see ``l_step``),
-    S the shrink of ``X - L - Y/mu`` at threshold lambda/mu, then
-    ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
+    L is the spectral prox of ``X - S - Y/mu`` at weight mu (see
+    ``spectral.l_step``), S the shrink of ``X - L - Y/mu`` at threshold
+    lambda/mu, then ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
     Frobenius norm. The L-step tries the Gram-free route from
     ``state.warm_basis`` unless it is ``None``, and the next state carries
@@ -387,7 +200,7 @@ def step(
     t = np.empty((m, n))
     for b in blocks:
         require_finite(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
-    l, sig, route, basis = _spectral_prox(t, mu, cfg, state.warm_basis)
+    l, sig, route, basis = spectral.l_step(t, mu, cfg.surrogate, state.warm_basis)
 
     tau = cfg.lam / mu
     check_tau(tau)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, svd
-
 GAMMA = "gamma"
 NUCLEAR = "nuclear"
 
@@ -123,17 +121,6 @@ def prox_vector(sigma_a, mu: float, s: RankSurrogate) -> np.ndarray:
     keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
     drop = 0.5 * mu * sig_a**2
     return np.where(drop < keep, 0.0, sig)
-
-
-def prox_matrix(a, mu: float, s: RankSurrogate) -> np.ndarray:
-    """Minimizer of ``F(Z) + (mu/2)*||Z - A||_F^2`` for a spectral penalty F.
-
-    Because both penalties depend on the matrix only through its singular
-    values, the matrix problem reduces to the vector prox applied to the
-    singular values of ``A``, keeping A's singular vectors.
-    """
-    f = svd(as_matrix(a))
-    return (f.u * prox_vector(f.singulars, mu, s)) @ f.vt
 
 
 def rank_curve(s: RankSurrogate, grid) -> np.ndarray:

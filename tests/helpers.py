@@ -8,8 +8,10 @@ shrinking, the reference ALM loop takes its L-step from ``np.linalg.svd``
 rather than from the solver's spectral step, and the reference step writes
 the S-step, the dual step and the record's sums as whole-array expressions
 rather than the solver's row-block passes and shared shrink kernels. The
-tail oracle reads every eigenvalue of the Gram matrix instead of factoring
-one matrix by Cholesky. The reference CSV writer formats one entry at a
+L-step's oracle ``prox_matrix`` applies the scalar prox to the singular
+values of a full SVD instead of taking a certified route, and the tail
+oracle reads every eigenvalue of the Gram matrix instead of factoring one
+matrix by Cholesky. The reference CSV writer formats one entry at a
 time with ``format`` rather than a row at a time with ``%``.
 """
 
@@ -17,8 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from rpca.linalg import as_matrix
-from rpca.surrogates import RankSurrogate, scalar_penalty, surrogate_gradient, surrogate_value
+from rpca.linalg import as_matrix, svd
+from rpca.surrogates import (
+    RankSurrogate,
+    prox_vector,
+    scalar_penalty,
+    surrogate_gradient,
+    surrogate_value,
+)
 
 
 def prox_objective(sigma, sigma_a: float, mu: float, s: RankSurrogate):
@@ -75,6 +83,25 @@ def dc_prox_reference(sigma_a, mu: float, s: RankSurrogate, max_iters: int = 100
     keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
     drop = 0.5 * mu * sig_a**2
     return np.where(drop < keep, 0.0, sig)
+
+
+def prox_matrix(a, mu: float, s: RankSurrogate) -> np.ndarray:
+    """Minimizer of ``F(Z) + (mu/2)*||Z - A||_F^2`` for a spectral penalty F.
+
+    Both penalties depend on the matrix only through its singular values, so
+    the matrix problem reduces to the vector prox applied to the singular
+    values of ``A``, keeping A's singular vectors: the oracle for the L-step
+    (``rpca.spectral.l_step``), from one full SVD of ``A``.
+    """
+    f = svd(as_matrix(a))
+    return (f.u * prox_vector(f.singulars, mu, s)) @ f.vt
+
+
+def planted_spectrum(rng, m, n, singulars):
+    """An ``m x n`` matrix with the given singular values and random singular vectors."""
+    u = np.linalg.qr(rng.standard_normal((m, len(singulars))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(singulars))))[0]
+    return (u * singulars) @ v.T
 
 
 def tail_reference(a, k: int, c: float) -> bool:
@@ -156,7 +183,6 @@ def reference_solve(x, cfg):
     """
     from rpca.linalg import RANK_REL_THRESHOLD
     from rpca.sparse import shrink
-    from rpca.surrogates import prox_vector
 
     l = np.zeros_like(x)
     s = np.zeros_like(x)
@@ -199,12 +225,13 @@ def reference_step(x, state, cfg, norm_x):
 
     The step body, shrink and penalty as they were before the step ran in
     row blocks: the same updates and record, each written as one numpy
-    expression over full arrays. The L-step is the solver's own ``l_step``,
-    so the two differ only in how the elementwise work and the sums are
-    scheduled, which must not change a bit.
+    expression over full arrays. The L-step is the solver's own
+    ``spectral.l_step`` on a target checked for finite entries, as ``step``
+    checks it, so the two differ only in how the elementwise work and the
+    sums are scheduled, which must not change a bit.
     """
-    from rpca import linalg
-    from rpca.solver import IterationRecord, SolverState, l_step
+    from rpca import linalg, spectral
+    from rpca.solver import IterationRecord, SolverState
 
     def penalty_value(s, p):
         a = as_matrix(s)
@@ -232,7 +259,9 @@ def reference_step(x, state, cfg, norm_x):
         )
 
     y, mu = state.y, state.mu
-    l, sig, route, basis = l_step(x - state.s - y / mu, mu, cfg, state.warm_basis)
+    target = x - state.s - y / mu
+    linalg.require_finite(target)
+    l, sig, route, basis = spectral.l_step(target, mu, cfg.surrogate, state.warm_basis)
     s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))

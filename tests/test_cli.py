@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -142,6 +144,39 @@ def test_stack_empty_dir_is_input_error(tmp_path):
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     assert run("stack", frames_dir, "-o", tmp_path / "X.csv") == 3
+
+
+def test_stack_frames_of_different_sizes_is_input_error(tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    write_pgm(frames_dir / "f00.pgm", np.zeros((4, 3)))
+    write_pgm(frames_dir / "f01.pgm", np.zeros((3, 4)))
+    out_csv = tmp_path / "X.csv"
+    assert run("stack", frames_dir, "-o", out_csv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {frames_dir / 'f01.pgm'}: frame has shape (3, 4), expected (4, 3)\n"
+    assert captured.out == ""
+    assert not out_csv.exists()
+
+
+OUTDIR_COMMANDS = {
+    "decompose": ["decompose", "X.csv", "--mu0", "1e-2"],
+    "anomaly": ["anomaly", "X.csv", "--mu0", "5e-2"],
+    "bench": ["bench", "X.csv", "--mu0", "1e-2"],
+    "synth": ["synth", "--m", 10, "--n", 10, "--rank", 2, "--sparsity", 0.1],
+    "curve": ["curve", "--grid-points", 5],
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTDIR_COMMANDS.values()), ids=list(OUTDIR_COMMANDS))
+def test_outdir_that_is_a_regular_file_is_an_output_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_matrix_csv("X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
+    (tmp_path / "out").write_text("a file\n")
+    assert run(*argv, "--outdir", "out") == 3
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: 'out'\n"
+    assert (tmp_path / "out").read_text() == "a file\n"
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

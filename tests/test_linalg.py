@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpca.linalg import gram_spectrum, svd
+from rpca.linalg import svd
 
 
 def test_svd_identity():
@@ -41,25 +41,6 @@ def test_svd_is_deterministic():
     f2 = svd(m)
     assert np.array_equal(f1.u, f2.u) and np.array_equal(f1.vt, f2.vt)
     assert np.array_equal(f1.singulars, f2.singulars)
-
-
-def test_gram_spectrum_matches_svd():
-    rng = np.random.default_rng(9)
-    for shape in [(7, 4), (4, 7), (5, 5), (0, 3)]:
-        m = rng.standard_normal(shape)
-        g = gram_spectrum(m)
-        k = min(shape)
-        assert g.right == (shape[0] >= shape[1])
-        assert g.vectors.shape == (shape[1] if g.right else shape[0], k)
-        assert np.all(np.diff(g.singulars) <= 0) and np.all(g.singulars >= 0)
-        assert np.abs(g.singulars**2 - svd(m).singulars**2).max(initial=0.0) <= g.delta
-        assert np.abs(g.vectors.T @ g.vectors - np.eye(k)).max(initial=0.0) <= 1e-12
-    assert gram_spectrum(np.zeros((3, 2))).delta == 0.0
-
-
-def test_gram_spectrum_overflow_is_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError):
-        gram_spectrum(np.full((3, 2), 1e200))
 
 
 def test_svd_rejects_nonfinite():

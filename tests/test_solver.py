@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import rpca.linalg
+import rpca.spectral
 from helpers import (
+    planted_spectrum,
+    prox_matrix,
     random_orthonormal,
     reference_lagrangian,
     reference_solve,
@@ -14,23 +17,19 @@ from helpers import (
 )
 from rpca.solver import (
     BLOCK_BYTES,
-    KEPT_REL_ERROR,
-    RITZ_STEPS,
-    WARM_RANK_DIVISOR,
     IterationRecord,
     SolverConfig,
     SolverState,
     kkt_residuals,
-    l_step,
     scaled_lambda,
     solve,
     step,
 )
 from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value
+from rpca.spectral import KEPT_REL_ERROR, RITZ_STEPS, WARM_RANK_DIVISOR, l_step
 from rpca.surrogates import (
     gamma_surrogate,
     nuclear_surrogate,
-    prox_matrix,
     surrogate_gradient,
     surrogate_value,
 )
@@ -370,12 +369,6 @@ def test_gamma_run_beats_nuclear_shrink_bias():
 SURROGATES = [pytest.param(gamma_surrogate(), id="gamma"), pytest.param(nuclear_surrogate(), id="nuclear")]
 
 
-def planted_spectrum(rng, m, n, singulars):
-    u = np.linalg.qr(rng.standard_normal((m, len(singulars))))[0]
-    v = np.linalg.qr(rng.standard_normal((n, len(singulars))))[0]
-    return (u * singulars) @ v.T
-
-
 @pytest.fixture
 def svd_calls(monkeypatch):
     """Count calls to ``rpca.linalg.svd``, the L-step's fallback."""
@@ -395,7 +388,6 @@ def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
     # keep-thresholds sqrt(2/mu) (gamma) and 1/mu (nuclear) both sit near 10,
     # inside each planted spectrum
     mu = 0.02 if surrogate.kind == "gamma" else 0.1
-    cfg = SolverConfig(surrogate=surrogate)
     rng = np.random.default_rng(31)
     spread = np.linspace(20.0, 1.0, 12)
     deficient = np.concatenate([np.linspace(20.0, 5.0, 5), np.zeros(7)])
@@ -408,7 +400,7 @@ def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
         "deficient-wide": planted_spectrum(rng, 12, 40, deficient),
     }
     for name, a in cases.items():
-        l, sig, _, _ = l_step(a, mu, cfg)
+        l, sig, _, _ = l_step(a, mu, surrogate)
         ref = prox_matrix(a, mu, surrogate)
         assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), name
         assert np.count_nonzero(sig) == np.linalg.matrix_rank(ref), name
@@ -420,7 +412,7 @@ def test_l_step_falls_back_when_kept_values_are_uncertified(surrogate, svd_calls
     # at mu = 1e11 both keep-thresholds fall below sqrt(delta) of this
     # twelve-decade spectrum, so the Gram spectrum cannot certify the step
     a = planted_spectrum(np.random.default_rng(32), 30, 20, np.logspace(0, -12, 20))
-    l, _, _, _ = l_step(a, 1e11, SolverConfig(surrogate=surrogate))
+    l, _, _, _ = l_step(a, 1e11, surrogate)
     assert np.array_equal(l, prox_matrix(a, 1e11, surrogate))
     assert svd_calls == [a.shape]
 
@@ -429,10 +421,10 @@ def test_l_step_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    cfg = SolverConfig()
+    surrogate = gamma_surrogate()
     a = planted_spectrum(np.random.default_rng(33), 20, 15, np.linspace(20.0, 1.0, 15))
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    assert np.array_equal(l_step(a, 0.02, cfg)[0], prox_matrix(a, 0.02, cfg.surrogate))
+    assert np.array_equal(l_step(a, 0.02, surrogate)[0], prox_matrix(a, 0.02, surrogate))
     assert svd_calls == [a.shape]
 
 
@@ -440,18 +432,13 @@ def test_low_rank_route_falls_back_when_the_eigensolver_fails(monkeypatch, svd_c
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    cfg = SolverConfig()
+    surrogate = gamma_surrogate()
     a = planted_spectrum(np.random.default_rng(33), 40, 30, np.linspace(20.0, 1.0, 30))
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    l, _, route, _ = l_step(a, 0.02, cfg)
+    l, _, route, _ = l_step(a, 0.02, surrogate)
     assert route == "svd"
-    assert np.array_equal(l, prox_matrix(a, 0.02, cfg.surrogate))
+    assert np.array_equal(l, prox_matrix(a, 0.02, surrogate))
     assert svd_calls == [a.shape]
-
-
-def test_l_step_rejects_nonfinite_target():
-    with pytest.raises(ValueError, match="finite"):
-        l_step(np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0, SolverConfig())
 
 
 SPEC_200 = SyntheticSpec(m=200, n=200, rank=5, sparsity=0.05, magnitude_low=1.0, magnitude_high=10.0)
@@ -537,9 +524,9 @@ def ritz_calls(monkeypatch):
     for each Ritz iterate ``r`` and ``("tail", r, k, certified)``.
     """
     calls = {"attempts": 0, "steps": 0, "tails": 0, "events": []}
-    iterations, tail_below = rpca.linalg.ritz_iterations, rpca.linalg.gram_tail_below
+    iterations, tail_below = rpca.spectral.ritz_iterations, rpca.spectral.gram_tail_below
 
-    def counted_iterations(a, basis=rpca.linalg.COLD):
+    def counted_iterations(a, basis=rpca.spectral.COLD):
         calls["attempts"] += 1
         calls["events"].append(("attempt",))
         for r in iterations(a, basis):
@@ -553,8 +540,8 @@ def ritz_calls(monkeypatch):
         calls["events"].append(("tail", r, k, certified))
         return certified
 
-    monkeypatch.setattr(rpca.linalg, "ritz_iterations", counted_iterations)
-    monkeypatch.setattr(rpca.linalg, "gram_tail_below", counted_tail)
+    monkeypatch.setattr(rpca.spectral, "ritz_iterations", counted_iterations)
+    monkeypatch.setattr(rpca.spectral, "gram_tail_below", counted_tail)
     return calls
 
 
@@ -569,11 +556,10 @@ def test_low_rank_route_matches_full_svd_prox(surrogate, tall, svd_calls):
     # near 14 and near 3, and keep-thresholds sqrt(2/mu) (gamma) and 1/mu
     # (nuclear) near 8, between the two groups
     mu = 0.03 if surrogate.kind == "gamma" else 0.125
-    cfg = SolverConfig(surrogate=surrogate)
     for seed in range(3):
         a = wide_injected_columns(seed)
         a = a.T if tall else a
-        l, sig, route, _ = l_step(a, mu, cfg)
+        l, sig, route, _ = l_step(a, mu, surrogate)
         ref = prox_matrix(a, mu, surrogate)
         assert route == "low_rank", seed
         assert np.count_nonzero(sig) == 3, seed
@@ -589,7 +575,7 @@ def test_low_rank_route_certifies_an_entrywise_bulk(ritz_calls):
     # certifies the step
     cfg = SolverConfig()
     a = planted_200(0)
-    l, sig, route, basis = l_step(a, cfg.mu0, cfg)
+    l, sig, route, basis = l_step(a, cfg.mu0, cfg.surrogate)
     ref = prox_matrix(a, cfg.mu0, cfg.surrogate)
     assert route == "low_rank"
     assert ritz_calls["attempts"] == 1 and ritz_calls["tails"] == 1
@@ -602,12 +588,12 @@ def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
     # just above that bulk: the kept block's residual falls by a few percent
     # per power step, so the attempt gives up after two steps without
     # forming G, and the Gram path gives its own result unchanged
-    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(36), 60, 120, np.r_[10.0, 9.9, 9.8, np.full(57, 9.6)])
     mu = 1.0 / 9.7
-    l, sig, route, _ = l_step(a, mu, cfg)
+    l, sig, route, _ = l_step(a, mu, nuclear)
     assert route == "gram" and np.count_nonzero(sig) == 3
-    assert np.array_equal(l, l_step(a, mu, cfg, basis=None).l)
+    assert np.array_equal(l, l_step(a, mu, nuclear, basis=None).l)
     assert counts(ritz_calls) == (1, 2, 0)
 
 
@@ -659,14 +645,14 @@ def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
     # (plus its rounding slack) certifies the route after one power step,
     # and just below it takes a second step, whose smaller residual
     # certifies; neither forms G, and both give the prox of the full spectrum
-    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e6, 2e6, 1e6, np.ones(57)])
-    r = next(rpca.linalg.ritz_iterations(a))
+    r = next(rpca.spectral.ritz_iterations(a))
     tail = max(r.theta[3], r.frob2 - r.theta.sum()) + np.linalg.norm(r.residuals) + r.slack
     assert tail > 20.0
     mu = 1.0 / (np.sqrt(tail) * (1.0 - side * 1e-3))
-    l, sig, route, _ = l_step(a, mu, cfg)
-    ref = prox_matrix(a, mu, cfg.surrogate)
+    l, sig, route, _ = l_step(a, mu, nuclear)
+    ref = prox_matrix(a, mu, nuclear)
     assert route == "low_rank"
     assert counts(ritz_calls) == (2, 1 + (1 if side < 0 else 2), 0)
     assert np.count_nonzero(sig) == 3
@@ -679,18 +665,18 @@ def test_low_rank_route_needs_accurate_kept_values(ritz_calls):
     # (about 3.4) is far above 1e-8 of the smallest kept theta (1e6), so the
     # route takes a second power step, where the residual has fallen by
     # about lambda_4/lambda_3 = 1e-6, before it certifies
-    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e3, 2e3, 1e3, np.ones(57)])
-    r = next(rpca.linalg.ritz_iterations(a))
+    r = next(rpca.spectral.ritz_iterations(a))
     rho = np.linalg.norm(r.residuals)
     tail = max(r.theta[3], r.frob2 - r.theta.sum()) + rho + r.slack
     assert rho > 1e-6 * r.theta[2]
     mu = 1.0 / (2.0 * np.sqrt(tail))
-    l, sig, route, _ = l_step(a, mu, cfg)
+    l, sig, route, _ = l_step(a, mu, nuclear)
     assert route == "low_rank"
     assert counts(ritz_calls) == (2, 3, 0)
     assert np.count_nonzero(sig) == 3
-    ref = prox_matrix(a, mu, cfg.surrogate)
+    ref = prox_matrix(a, mu, nuclear)
     assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -709,16 +695,16 @@ def test_cholesky_certificate_boundary_on_the_tail(side, ritz_calls):
     # Cholesky, and four below it, where the residual of a block holding
     # lambda_4 falls only 4x per step (lambda_17/lambda_4), so the route
     # gives up and the Gram path takes the step
-    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(35), 60, 120, CHOLESKY_SPECTRUM)
     c = 1.0 + side * 1e-3
-    r = list(itertools.islice(rpca.linalg.ritz_iterations(a), 4))[-1]
-    assert rpca.linalg.gram_tail_below(a, r, 3, c) is (side > 0)
+    r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 4))[-1]
+    assert rpca.spectral.gram_tail_below(a, r, 3, c) is (side > 0)
     assert tail_reference(a, 3, c) is (side > 0)
     before = counts(ritz_calls)
     mu = 1.0 / np.sqrt(c)
-    l, sig, route, _ = l_step(a, mu, cfg)
-    ref = prox_matrix(a, mu, cfg.surrogate)
+    l, sig, route, _ = l_step(a, mu, nuclear)
+    ref = prox_matrix(a, mu, nuclear)
     assert route == ("low_rank" if side > 0 else "gram")
     assert np.count_nonzero(sig) == (3 if side > 0 else 4)
     assert counts(ritz_calls)[2] - before[2] == (1 if side > 0 else 0)
@@ -731,9 +717,9 @@ def test_cholesky_tail_fails_over_when_the_block_misses_a_value(ritz_calls):
     # 30, 20 and 10 over a bulk of ones, and the nuclear prox at 1/mu = 1.5
     # keeps three Ritz values. lambda_4 = 4 lies above c = 2.25, so the
     # Cholesky fails and the Gram path keeps all four values
-    cfg = SolverConfig(surrogate=nuclear_surrogate())
+    nuclear = nuclear_surrogate()
     rng = np.random.default_rng(37)
-    omega = np.random.default_rng(0).standard_normal((60, rpca.linalg.RITZ_BLOCK))
+    omega = np.random.default_rng(0).standard_normal((60, rpca.spectral.RITZ_BLOCK))
     q = np.linalg.qr(omega)[0]
     hidden = rng.standard_normal(60)
     hidden -= q @ (q.T @ hidden)
@@ -744,12 +730,12 @@ def test_cholesky_tail_fails_over_when_the_block_misses_a_value(ritz_calls):
     v = np.linalg.qr(rng.standard_normal((120, 60)))[0]
     a = (u * np.r_[30.0, 20.0, 10.0, 2.0, np.ones(56)]) @ v.T
     mu = 1.0 / 1.5
-    l, sig, route, _ = l_step(a, mu, cfg)
+    l, sig, route, _ = l_step(a, mu, nuclear)
     tails = [e for e in ritz_calls["events"] if e[0] == "tail"]
     assert [(k, certified) for _, _, k, certified in tails] == [(3, False)]
     assert not tail_reference(a, 3, 2.25)
     assert route == "gram" and np.count_nonzero(sig) == 4
-    ref = prox_matrix(a, mu, cfg.surrogate)
+    ref = prox_matrix(a, mu, nuclear)
     assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -764,10 +750,10 @@ def test_cholesky_tail_agrees_with_the_full_eigh(tall):
         spectrum = np.r_[rng.uniform(5.0, 20.0, 4), rng.uniform(0.5, 1.0, 40)]
         a = planted_spectrum(rng, 44, 90, spectrum)
         a = a.T if tall else a
-        r = list(itertools.islice(rpca.linalg.ritz_iterations(a), 6))[-1]
+        r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 6))[-1]
         lam5 = np.sort(spectrum)[::-1][4] ** 2
         for c in lam5 * np.r_[0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]:
-            certified = rpca.linalg.gram_tail_below(a, r, 4, c)
+            certified = rpca.spectral.gram_tail_below(a, r, 4, c)
             assert certified <= tail_reference(a, 4, c), (seed, c)
             assert certified is bool(c > lam5), (seed, c)
 

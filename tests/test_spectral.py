@@ -1,0 +1,64 @@
+import numpy as np
+import pytest
+
+from helpers import planted_spectrum, prox_matrix
+from rpca.linalg import svd
+from rpca.spectral import WARM_RANK_DIVISOR, gram_spectrum, l_step
+from rpca.surrogates import nuclear_surrogate
+
+
+def test_gram_spectrum_matches_svd():
+    rng = np.random.default_rng(9)
+    for shape in [(7, 4), (4, 7), (5, 5), (0, 3)]:
+        m = rng.standard_normal(shape)
+        g = gram_spectrum(m)
+        k = min(shape)
+        assert g.right == (shape[0] >= shape[1])
+        assert g.vectors.shape == (shape[1] if g.right else shape[0], k)
+        assert np.all(np.diff(g.singulars) <= 0) and np.all(g.singulars >= 0)
+        assert np.abs(g.singulars**2 - svd(m).singulars**2).max(initial=0.0) <= g.delta
+        assert np.abs(g.vectors.T @ g.vectors - np.eye(k)).max(initial=0.0) <= 1e-12
+    assert gram_spectrum(np.zeros((3, 2))).delta == 0.0
+
+
+def test_gram_spectrum_overflow_is_linalg_error():
+    with pytest.raises(np.linalg.LinAlgError):
+        gram_spectrum(np.full((3, 2), 1e200))
+
+
+@pytest.mark.parametrize("offset", [0.5, 1.5], ids=["inside", "outside"])
+@pytest.mark.parametrize("value", ["dropped", "kept"])
+def test_gram_certificate_boundary(value, offset):
+    # the nuclear prox keeps sigma exactly when sigma > 1/mu. Put 1/mu^2 at
+    # lambda_6 +- offset*delta, above lambda_6 when it is to be dropped and
+    # below when kept: half a delta from it the error interval
+    # [lambda_6 - delta, lambda_6 + delta] straddles the threshold and the
+    # step falls to the SVD; one and a half deltas away it does not, and the
+    # Gram spectrum is certified
+    nuclear = nuclear_surrogate()
+    a = planted_spectrum(np.random.default_rng(38), 40, 12, np.linspace(20.0, 1.0, 12))
+    g = gram_spectrum(a)
+    sign = 1.0 if value == "dropped" else -1.0
+    mu = 1.0 / np.sqrt(g.singulars[5] ** 2 + sign * offset * g.delta)
+    l, sig, route, _ = l_step(a, mu, nuclear, basis=None)
+    ref = prox_matrix(a, mu, nuclear)
+    assert route == ("svd" if offset < 1.0 else "gram")
+    if route == "gram":
+        assert np.count_nonzero(sig) == (5 if value == "dropped" else 6)
+    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_warm_basis_rule():
+    # five values of order 1e6 kept over 55 unit values, p = 60: more than
+    # p / WARM_RANK_DIVISOR = 3, so a gram step hands no basis on, but a
+    # certified Gram-free step hands on its kept vectors whatever their number
+    nuclear = nuclear_surrogate()
+    a = planted_spectrum(np.random.default_rng(39), 60, 120, np.r_[5e6, 4e6, 3e6, 2e6, 1e6, np.ones(55)])
+    assert 5 * WARM_RANK_DIVISOR > 60
+    low = l_step(a, 1e-3, nuclear)
+    gram = l_step(a, 1e-3, nuclear, basis=None)
+    assert (low.route, low.basis.shape) == ("low_rank", (60, 5))
+    assert (gram.route, gram.basis) == ("gram", None)
+    ref = prox_matrix(a, 1e-3, nuclear)
+    for step in (low, gram):
+        assert np.linalg.norm(step.l - ref) <= 1e-12 * np.linalg.norm(ref)

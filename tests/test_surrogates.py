@@ -7,6 +7,7 @@ from helpers import (
     central_diff,
     dc_prox_reference,
     grid_prox_min,
+    prox_matrix,
     prox_objective,
     random_orthonormal,
 )
@@ -14,7 +15,6 @@ from rpca.surrogates import (
     RankSurrogate,
     gamma_surrogate,
     nuclear_surrogate,
-    prox_matrix,
     prox_vector,
     rank_curve,
     scalar_penalty,
