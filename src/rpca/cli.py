@@ -12,6 +12,7 @@ did not converge (outputs are still written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
@@ -86,9 +87,31 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
     )
 
 
-def _run_and_write(x, cfg: SolverConfig, outdir: Path, seed: int | None = None):
-    result = solve(x, cfg)
+@contextlib.contextmanager
+def _outdir_made(outdir: Path):
+    """Create ``outdir`` and its missing parents before the block runs.
+
+    An output path that cannot be made thus fails before the solve spends
+    its time. If the block raises, the levels made here are removed again.
+    """
+    created = []
+    level = outdir
+    while level != level.parent and not level.exists():
+        created.append(level)
+        level = level.parent
     outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        for level in created:  # deepest first
+            with contextlib.suppress(OSError):
+                level.rmdir()
+        raise
+
+
+def _run_and_write(x, cfg: SolverConfig, outdir: Path, seed: int | None = None):
+    with _outdir_made(outdir):
+        result = solve(x, cfg)
     write_matrix_csv(outdir / "L.csv", result.l)
     write_matrix_csv(outdir / "S.csv", result.s)
     write_json(outdir / "report.json", build_report(cfg, result, seed))
@@ -215,17 +238,17 @@ def cmd_bench(args) -> int:
 
     runs = {}
     all_converged = True
-    for name, cfg in (("gamma", gamma_cfg), ("nuclear", nuclear_cfg)):
-        result = solve(x, cfg)
-        report = runs[name] = build_report(cfg, result)
-        all_converged = all_converged and result.converged
-        print(
-            f"{name:8s} rank {report['rank_estimate']:4d}  "
-            f"residual {report['final_residual']:.3e}  "
-            f"iterations {result.iterations:4d}  time {result.elapsed_seconds:.2f}s"
-        )
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _outdir_made(outdir):
+        for name, cfg in (("gamma", gamma_cfg), ("nuclear", nuclear_cfg)):
+            result = solve(x, cfg)
+            report = runs[name] = build_report(cfg, result)
+            all_converged = all_converged and result.converged
+            print(
+                f"{name:8s} rank {report['rank_estimate']:4d}  "
+                f"residual {report['final_residual']:.3e}  "
+                f"iterations {result.iterations:4d}  time {result.elapsed_seconds:.2f}s"
+            )
     write_json(outdir / "bench.json", {"instance": instance, "runs": runs})
     return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
 

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import rpca.cli
+import rpca.matrixio
 from rpca.cli import main
 from rpca.matrixio import read_matrix_csv, write_matrix_csv, write_pgm
 from rpca.synthetic import SyntheticSpec, generate_synthetic
@@ -173,10 +175,49 @@ def test_outdir_that_is_a_regular_file_is_an_output_error(tmp_path, capsys, monk
     monkeypatch.chdir(tmp_path)
     write_matrix_csv("X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
     (tmp_path / "out").write_text("a file\n")
+    # the output path fails before any solve time is spent
+    monkeypatch.setattr(rpca.cli, "solve", lambda *a, **k: pytest.fail("solved before mkdir"))
     assert run(*argv, "--outdir", "out") == 3
     err = capsys.readouterr().err
     assert err == f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: 'out'\n"
     assert (tmp_path / "out").read_text() == "a file\n"
+
+
+SOLVING_COMMANDS = ["decompose", "anomaly", "bench"]
+
+
+@pytest.mark.parametrize("command", SOLVING_COMMANDS)
+def test_failed_solve_removes_the_outdir_levels_it_made(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_matrix_csv("X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
+    made = []
+
+    def failing_solve(x, cfg):
+        made.append(os.path.isdir("a/b/c"))
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(rpca.cli, "solve", failing_solve)
+    assert run(command, "X.csv", "--outdir", "a/b/c") == 2
+    assert made == [True]
+    assert not os.path.exists("a")
+    os.mkdir("a")
+    assert run(command, "X.csv", "--outdir", "a/b/c") == 2
+    assert os.listdir("a") == []
+    assert capsys.readouterr().err == "error: SVD did not converge\n" * 2
+
+
+def test_unwritable_split_write_is_one_output_error(tmp_path, capsys, monkeypatch):
+    # L.csv is written by two processes here; the error is still the parent's own
+    monkeypatch.setattr(rpca.matrixio, "FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(rpca.matrixio, "_usable_cpus", lambda: 2)
+    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
+    (tmp_path / "out" / "L.csv").mkdir(parents=True)
+    assert run("decompose", tmp_path / "X.csv", "--mu0", "1e-2", "--outdir", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and err.count("\n") == 1
+    assert "L.csv" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

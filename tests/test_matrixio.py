@@ -1,8 +1,12 @@
 import json
+import os
+import signal
+import warnings
 
 import numpy as np
 import pytest
 
+import rpca.matrixio
 from helpers import reference_write_matrix_csv
 from rpca.matrixio import (
     MatrixIoError,
@@ -174,6 +178,165 @@ def test_csv_write_deterministic(tmp_path):
     write_matrix_csv(p1, m)
     write_matrix_csv(p2, m)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# Inputs the C parser and the token parser could read differently. Each
+# must give the same float64 bits, or the same error text, on both paths.
+READER_TABLE = {
+    "plain": "1,2\n3,4\n",
+    "padded": " 3 ,4\r\n\t-0,\t2\t\n",
+    "signed zeros": "-0.0,0\n+0,-0\n",
+    "subnormal": "1e-320,5e-324\n",
+    "underscores": "1_0,2\n3,4\n",
+    "double underscore": "1__0,2\n",
+    "arabic-indic digit": "\u0661,2\n",
+    "fullwidth digit": "\uff11,2\n",
+    "unicode spaces": "\u2003 1,\u00a02\u3000\n",
+    "unit separator": "1\x1f,2\n",
+    "inner space": "1 2,3\n",
+    "hex": "0x10,1\n",
+    "nul": "1\x00,2\n",
+    "inf": "inf,1\n",
+    "minus infinity": "1,-Infinity\n",
+    "nan": "1,nan\n",
+    "overflow": "1e400,1\n",
+    "trailing comma": "1,2,\n",
+    "blank line inside": "1,2\n\n3,4\n",
+    "blank line inside one column": "1\n\n2\n",
+    "one blank line": "\n\n",
+    "one space line": " \n",
+    "two trailing blank lines": "1,2\n\n\n",
+    "no final newline": "1,2\n3,4",
+    "byte-order mark": "\ufeff1,2\n3,4\n",
+    "byte-order mark inside": "1,2\n\ufeff3,4\n",
+    "crlf": "1,2\r\n3,4\r\n",
+    "form feed break": "1,2\x0c3,4\n",
+    "vertical tab break": "1,2\x0b3,4\n",
+    "next-line break": "1,2\x853,4\n",
+    "one column": "1\n2\n3\n",
+    "one row": "1,2,3\n",
+    "one value": "5",
+    "ragged short": "1,2\n3\n",
+    "ragged long": "1,2\n3,4,5\n",
+}
+
+
+def read_outcome(path):
+    """``("ok", shape, bytes)`` or ``("error", message)``, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            m = read_matrix_csv(path)
+        except MatrixIoError as exc:
+            return ("error", str(exc))
+    assert m.dtype == np.float64 and m.flags.c_contiguous
+    return ("ok", m.shape, m.tobytes())
+
+
+@pytest.mark.parametrize("text", list(READER_TABLE.values()), ids=list(READER_TABLE))
+def test_read_matrix_csv_paths_agree(tmp_path, monkeypatch, text):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode("utf-8"))
+    fast = read_outcome(p)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("C parser switched off")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    assert fast == read_outcome(p)  # every line through _parse_rows
+
+
+def test_read_matrix_csv_common_files_skip_the_token_parser(tmp_path, monkeypatch):
+    def refuse(path, lines):
+        raise AssertionError("fell back to the token parser")
+
+    monkeypatch.setattr(rpca.matrixio, "_parse_rows", refuse)
+    p = tmp_path / "m.csv"
+    for text in ("1", "1,2,3\n", "1\n2\n", "\ufeff 3 ,-0\r\n1e-320,\t4\r\n\n"):
+        p.write_bytes(text.encode("utf-8"))
+        read_matrix_csv(p)
+
+
+def forced_split(monkeypatch):
+    """Split every write with at least two rows; count the children started."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(rpca.matrixio, "FORK_MIN_VALUES", 0)
+    monkeypatch.setattr(rpca.matrixio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# (2, 5000) and (3, 3000) rows are wider than the 64 KiB copy chunk
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (2, 3), (5, 3), (7, 1), (2, 5000), (3, 3000)])
+def test_write_matrix_csv_split_matches_reference_bytes(tmp_path, monkeypatch, shape):
+    forks = forced_split(monkeypatch)
+    m = np.random.default_rng(5).standard_normal(shape) * 1e-3
+    ours, ref = tmp_path / "out" / "ours.csv", tmp_path / "ref.csv"
+    ours.parent.mkdir()
+    write_matrix_csv(ours, m)
+    reference_write_matrix_csv(ref, m)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert len(forks) == (shape[0] >= 2)
+    assert_no_child_left()
+    assert [q.name for q in ours.parent.iterdir()] == ["ours.csv"]  # no temp file
+
+
+@pytest.mark.parametrize("failure", ["exit", "signal"])
+def test_write_matrix_csv_formats_a_failed_childs_rows_itself(tmp_path, monkeypatch, capfd, failure):
+    forks = forced_split(monkeypatch)
+    parent = os.getpid()
+    write_rows = rpca.matrixio._write_rows
+
+    def failing_in_child(f, rows, row_format):
+        if os.getpid() != parent:
+            if failure == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("child failed")
+        write_rows(f, rows, row_format)
+
+    monkeypatch.setattr(rpca.matrixio, "_write_rows", failing_in_child)
+    m = np.random.default_rng(6).standard_normal((9, 4))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_matrix_csv(ours, m)
+    reference_write_matrix_csv(ref, m)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert capfd.readouterr().err == ""
+
+
+def test_write_matrix_csv_writes_alone_when_fork_fails(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError("fork refused")
+
+    forced_split(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    m = np.random.default_rng(7).standard_normal((4, 4))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_matrix_csv(ours, m)
+    reference_write_matrix_csv(ref, m)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_write_matrix_csv_unwritable_destination_reaps_the_child(tmp_path, monkeypatch):
+    forks = forced_split(monkeypatch)
+    with pytest.raises(IsADirectoryError):
+        write_matrix_csv(tmp_path, np.ones((6, 6)))
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_read_pgm_ascii(tmp_path):
