@@ -161,7 +161,10 @@ def _rows_in_child(rows: np.ndarray, row_format: str):
     def append(f) -> None:
         nonlocal pid
         if pid is not None:
-            _, status = os.waitpid(pid, 0)
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # SIGCHLD ignored: the exit status is lost
+                status = -1
             pid = None
             if status == 0:
                 f.flush()
@@ -176,8 +179,10 @@ def _rows_in_child(rows: np.ndarray, row_format: str):
         if pid is not None:
             import signal  # only this path needs it; importing rpca does not load it
 
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            # with SIGCHLD ignored the child may already be gone and reaped
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         if tmp is not None:
             tmp.close()
 

@@ -318,6 +318,25 @@ def test_write_matrix_csv_formats_a_failed_childs_rows_itself(tmp_path, monkeypa
     assert capfd.readouterr().err == ""
 
 
+def test_write_matrix_csv_with_sigchld_ignored(tmp_path, monkeypatch):
+    # a host that ignores SIGCHLD has its children reaped for it, so the
+    # child's status is lost: the parent formats the rows itself
+    forks = forced_split(monkeypatch)
+    m = np.random.default_rng(8).standard_normal((6, 3))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    reference_write_matrix_csv(ref, m)
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        write_matrix_csv(ours, m)
+        with pytest.raises(IsADirectoryError):
+            write_matrix_csv(tmp_path, m)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
 def test_write_matrix_csv_writes_alone_when_fork_fails(tmp_path, monkeypatch):
     def no_fork():
         raise OSError("fork refused")
