@@ -183,10 +183,7 @@ def test_outdir_that_is_a_regular_file_is_an_output_error(tmp_path, capsys, monk
     assert (tmp_path / "out").read_text() == "a file\n"
 
 
-SOLVING_COMMANDS = ["decompose", "anomaly", "bench"]
-
-
-@pytest.mark.parametrize("command", SOLVING_COMMANDS)
+@pytest.mark.parametrize("command", ["decompose", "anomaly", "bench"])
 def test_failed_solve_removes_the_outdir_levels_it_made(tmp_path, capsys, monkeypatch, command):
     monkeypatch.chdir(tmp_path)
     write_matrix_csv("X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
