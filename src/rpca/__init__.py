@@ -16,7 +16,7 @@ from .solver import (
     scaled_lambda,
     solve,
 )
-from .sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value, shrink
+from .sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, shrink
 from .surrogates import (
     RankSurrogate,
     gamma_surrogate,
@@ -49,7 +49,6 @@ __all__ = [
     "SparsePenalty",
     "ENTRYWISE_L1",
     "COLUMNWISE_L21",
-    "penalty_value",
     "shrink",
     "SolverConfig",
     "SolverState",

@@ -31,6 +31,8 @@ from .solver import SolverConfig, scaled_lambda, solve
 from .sparse import SparsePenalty
 from .surrogates import GAMMA, NUCLEAR, RankSurrogate, rank_curve
 from .synthetic import (
+    COLUMNWISE,
+    ENTRYWISE,
     SyntheticSpec,
     anomaly_scores,
     check_threshold,
@@ -52,7 +54,7 @@ def _add_solver_flags(p: argparse.ArgumentParser, penalty_default: str = "l1") -
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="sparsity weight (overrides --lambda-policy)")
     p.add_argument("--lambda-policy", choices=["fixed", "scale"], default="fixed",
-                   help="fixed: 1e-3; scale: 1/sqrt(max(m, n))")
+                   help=f"fixed: {d.lam:g}; scale: 1/sqrt(max(m, n))")
     p.add_argument("--mu0", type=float, default=d.mu0, help="initial penalty weight")
     p.add_argument("--rho", type=float, default=d.rho, help="penalty growth factor (> 1)")
     p.add_argument("--mu-max", type=float, default=d.mu_max, help="penalty weight cap")
@@ -133,34 +135,15 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        m=args.m,
-        n=args.n,
-        rank=args.rank,
-        sparsity=args.sparsity,
-        magnitude_low=args.magnitude_low,
-        magnitude_high=args.magnitude_high,
-        corruption=args.corruption,
-    )
+    fields = dataclasses.fields(SyntheticSpec)
+    spec = SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields})
     x, l_star, s_star = generate_synthetic(spec, args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(outdir / "X.csv", x)
     write_matrix_csv(outdir / "L_star.csv", l_star)
     write_matrix_csv(outdir / "S_star.csv", s_star)
-    write_json(
-        outdir / "synth.json",
-        {
-            "m": spec.m,
-            "n": spec.n,
-            "rank": spec.rank,
-            "sparsity": spec.sparsity,
-            "magnitude_low": spec.magnitude_low,
-            "magnitude_high": spec.magnitude_high,
-            "corruption": spec.corruption,
-            "seed": args.seed,
-        },
-    )
+    write_json(outdir / "synth.json", {**dataclasses.asdict(spec), "seed": args.seed})
     print(f"wrote X.csv, L_star.csv, S_star.csv, synth.json to {outdir}")
     return EXIT_OK
 
@@ -218,14 +201,7 @@ def cmd_bench(args) -> int:
     else:
         spec = SyntheticSpec(m=args.m, n=args.n, rank=args.rank, sparsity=args.sparsity)
         x, _, _ = generate_synthetic(spec, args.seed)
-        instance = {
-            "source": "synthetic",
-            "m": spec.m,
-            "n": spec.n,
-            "rank": spec.rank,
-            "sparsity": spec.sparsity,
-            "seed": args.seed,
-        }
+        instance = {"source": "synthetic", **dataclasses.asdict(spec), "seed": args.seed}
 
     gamma_cfg = _build_config(args, x.shape)
     # The convex baseline needs the dimension-scaled weight to stay away from
@@ -288,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--sparsity", type=float, required=True)
-    p.add_argument("--magnitude-low", type=float, default=1.0)
-    p.add_argument("--magnitude-high", type=float, default=10.0)
-    p.add_argument("--corruption", choices=["entrywise", "columnwise"], default="entrywise")
+    p.add_argument("--magnitude-low", type=float, default=SyntheticSpec.magnitude_low)
+    p.add_argument("--magnitude-high", type=float, default=SyntheticSpec.magnitude_high)
+    p.add_argument("--corruption", choices=[ENTRYWISE, COLUMNWISE], default=SyntheticSpec.corruption)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default=".", help="output directory")
     p.set_defaults(func=cmd_synth)

@@ -15,7 +15,7 @@ import numpy as np
 from .linalg import as_matrix
 from .solver import SolverConfig, SolverResult
 from .sparse import SparsePenalty
-from .surrogates import RankSurrogate, GAMMA, NUCLEAR
+from .surrogates import NUCLEAR, RankSurrogate
 
 
 class MatrixIoError(ValueError):
@@ -285,20 +285,17 @@ def write_pgm(path, m, maxval: int = 255, binary: bool = True) -> None:
 
 
 def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
-    """Flatten a solver config into the JSON-friendly params echo."""
-    surrogate: dict = {"kind": cfg.surrogate.kind}
-    if cfg.surrogate.kind == GAMMA:
-        surrogate["gamma"] = cfg.surrogate.gamma
-    params = {
-        "lambda": cfg.lam,
-        "mu0": cfg.mu0,
-        "rho": cfg.rho,
-        "mu_max": cfg.mu_max,
-        "tol": cfg.tol,
-        "max_outer": cfg.max_outer,
-        "surrogate": surrogate,
-        "penalty": cfg.penalty.kind,
-    }
+    """Flatten a solver config into the JSON-friendly params echo.
+
+    The echo is ``dataclasses.asdict(cfg)`` with three changes: ``lam`` is
+    written as ``"lambda"``, the penalty as its kind string, and the nuclear
+    surrogate without a ``"gamma"`` key. ``seed``, when given, is added.
+    """
+    params = dataclasses.asdict(cfg)
+    params["lambda"] = params.pop("lam")
+    params["penalty"] = cfg.penalty.kind
+    if cfg.surrogate.kind == NUCLEAR:
+        del params["surrogate"]["gamma"]
     if seed is not None:
         params["seed"] = seed
     return params
@@ -307,23 +304,16 @@ def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
 def config_from_params(params: dict) -> SolverConfig:
     """Rebuild a solver config from a params echo (inverse of config_to_params).
 
-    Keys the config does not have, such as the ``"dc"`` block that older
-    reports echo, are ignored.
+    A missing key raises ``KeyError``. Keys the config does not have, such as
+    ``"seed"`` or the ``"dc"`` block that older reports echo, are ignored.
     """
-    sur = params["surrogate"]
-    surrogate = (
-        RankSurrogate(GAMMA, sur["gamma"]) if sur["kind"] == GAMMA else RankSurrogate(NUCLEAR)
-    )
-    return SolverConfig(
-        lam=params["lambda"],
-        mu0=params["mu0"],
-        rho=params["rho"],
-        mu_max=params["mu_max"],
-        tol=params["tol"],
-        max_outer=params["max_outer"],
-        surrogate=surrogate,
-        penalty=SparsePenalty(params["penalty"]),
-    )
+    built = {
+        "lam": params["lambda"],
+        "surrogate": RankSurrogate(**params["surrogate"]),
+        "penalty": SparsePenalty(params["penalty"]),
+    }
+    plain = (f.name for f in dataclasses.fields(SolverConfig) if f.name not in built)
+    return SolverConfig(**built, **{name: params[name] for name in plain})
 
 
 def build_report(cfg: SolverConfig, result: SolverResult, seed: int | None = None) -> dict:

@@ -74,6 +74,11 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        # an infinite setting passes the comparisons above, then gives NaN
+        # Lagrangians, an overflowing mu, or a report that is not valid JSON
+        for name in ("lam", "mu0", "rho", "mu_max", "tol"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,6 @@ ENTRYWISE_L1 = SparsePenalty(L1)
 COLUMNWISE_L21 = SparsePenalty(L21)
 
 
-def penalty_value(s, p: SparsePenalty) -> float:
-    a = as_matrix(s)
-    if p.kind == L1:
-        return float(np.abs(a).sum())
-    return column_norm_total(np.add.reduce(a * a, axis=0))
-
-
 def column_norm_total(sums) -> float:
     """The l2,1 norm from the column sums of squares ``sums``.
 

@@ -12,7 +12,10 @@ L-step's oracle ``prox_matrix`` applies the scalar prox to the singular
 values of a full SVD instead of taking a certified route, and the tail
 oracle reads every eigenvalue of the Gram matrix instead of factoring one
 matrix by Cholesky. The reference CSV writer formats one entry at a
-time with ``format`` rather than a row at a time with ``%``.
+time with ``format`` rather than a row at a time with ``%``. The package
+has no penalty-value function of its own; ``penalty_value`` here, one
+whole-array expression, serves the reference step, the reference
+Lagrangian and the tests.
 """
 
 from pathlib import Path
@@ -206,11 +209,18 @@ def reference_solve(x, cfg):
     return l, s, history
 
 
+def penalty_value(s, p) -> float:
+    """The sparsity penalty of ``s``: the sum of ``|s_ij|`` for l1, of the
+    column 2-norms for l2,1."""
+    a = as_matrix(s)
+    if p.kind == "l1":
+        return float(np.abs(a).sum())
+    return float(np.linalg.norm(a, axis=0).sum())
+
+
 def reference_lagrangian(x, l, s, y, mu: float, cfg) -> float:
     """``F(L) + lam*penalty(S) + <Y, L+S-X> + (mu/2)*||L+S-X||_F^2``, with
     F on the singular values from ``np.linalg.svd``."""
-    from rpca.sparse import penalty_value
-
     resid = l + s - x
     return (
         surrogate_value(np.linalg.svd(l, compute_uv=False), cfg.surrogate)
@@ -232,12 +242,6 @@ def reference_step(x, state, cfg, norm_x):
     """
     from rpca import linalg, spectral
     from rpca.solver import IterationRecord, SolverState
-
-    def penalty_value(s, p):
-        a = as_matrix(s)
-        if p.kind == "l1":
-            return float(np.abs(a).sum())
-        return float(np.linalg.norm(a, axis=0).sum())
 
     def shrink(q, tau, p):
         if not tau > 0.0:

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -9,6 +10,8 @@ import rpca.cli
 import rpca.matrixio
 from rpca.cli import main
 from rpca.matrixio import read_matrix_csv, write_matrix_csv, write_pgm
+from rpca.solver import SolverConfig
+from rpca.sparse import COLUMNWISE_L21
 from rpca.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -24,8 +27,29 @@ def test_synth_writes_instance(tmp_path):
     s = read_matrix_csv(tmp_path / "S_star.csv")
     assert x.shape == (12, 10)
     assert np.array_equal(x, l + s)
+    # without the magnitude and corruption flags the spec takes its defaults
     echo = json.loads((tmp_path / "synth.json").read_text())
-    assert echo["seed"] == 7 and echo["corruption"] == "entrywise"
+    spec = SyntheticSpec(m=12, n=10, rank=2, sparsity=0.1)
+    assert echo == {**dataclasses.asdict(spec), "seed": 7}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["decompose", "X.csv"], SolverConfig()),
+    (["bench"], SolverConfig()),
+    (["anomaly", "X.csv"], SolverConfig(penalty=COLUMNWISE_L21)),
+], ids=["decompose", "bench", "anomaly"])
+def test_stock_solver_flags_give_the_default_config(argv, expected):
+    args = rpca.cli.build_parser().parse_args(argv)
+    assert rpca.cli._build_config(args, (30, 20)) == expected
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth", "anomaly", "curve", "bench", "stack"])
+def test_every_subcommand_help_renders(capsys, command):
+    # argparse %-formats help text, and some of it is built from defaults
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: rpca {command}")
 
 
 def test_decompose_recovers_planted_rank(tmp_path):
@@ -268,6 +292,16 @@ def test_nan_mu_max_is_usage_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("decompose", tmp_path / "X.csv", "--mu-max", "nan", "--outdir", out) == 2
     assert capsys.readouterr().err == "error: mu_max must be >= mu0\n"
+    assert not out.exists()
+
+
+def test_infinite_lambda_is_usage_error_before_any_solve(tmp_path, capsys, monkeypatch):
+    spec = SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1)
+    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(spec, 0)[0])
+    monkeypatch.setattr(rpca.cli, "solve", lambda *a, **k: pytest.fail("solved with lam=inf"))
+    out = tmp_path / "run"
+    assert run("decompose", tmp_path / "X.csv", "--lambda", "inf", "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: lam must be finite\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -21,7 +22,7 @@ from rpca.matrixio import (
 )
 from rpca.solver import SolverConfig, solve
 from rpca.sparse import COLUMNWISE_L21
-from rpca.surrogates import nuclear_surrogate
+from rpca.surrogates import gamma_surrogate, nuclear_surrogate
 from rpca.synthetic import rank_estimate
 
 
@@ -417,6 +418,47 @@ def test_config_params_round_trip():
     assert config_from_params(config_to_params(cfg)) == cfg
     cfg2 = SolverConfig()
     assert config_from_params(config_to_params(cfg2, seed=3)) == cfg2
+    # every field off its default, so an echo that drops one fails here
+    cfg3 = SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
+                        surrogate=gamma_surrogate(0.5), penalty=COLUMNWISE_L21)
+    for f in dataclasses.fields(SolverConfig):
+        assert getattr(cfg3, f.name) != getattr(cfg2, f.name), f.name
+    assert config_from_params(config_to_params(cfg3)) == cfg3
+
+
+# the echo's exact form, as report.json carries it (keys sorted on write)
+ECHOES = {
+    "gamma-l1-seed": (
+        SolverConfig(),
+        3,
+        {"lambda": 1e-3, "mu0": 1e-4, "rho": 1.1, "mu_max": 1e10, "tol": 1e-3,
+         "max_outer": 500, "surrogate": {"kind": "gamma", "gamma": 0.01},
+         "penalty": "l1", "seed": 3},
+    ),
+    "nuclear-l21": (
+        SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
+                     surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21),
+        None,
+        {"lambda": 0.05, "mu0": 2e-3, "rho": 1.2, "mu_max": 1e8, "tol": 1e-4,
+         "max_outer": 77, "surrogate": {"kind": "nuclear"}, "penalty": "l21"},
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg, seed, expected", list(ECHOES.values()), ids=list(ECHOES))
+def test_config_to_params_format(cfg, seed, expected):
+    params = config_to_params(cfg, seed)
+    assert params == expected
+    # equal dicts can still differ in JSON (500 against 500.0)
+    assert json.dumps(params, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_config_from_params_missing_key_raises():
+    params = config_to_params(SolverConfig(), seed=3)
+    for key in set(params) - {"seed"}:
+        partial = {k: v for k, v in params.items() if k != key}
+        with pytest.raises(KeyError):
+            config_from_params(partial)
 
 
 def test_config_from_params_ignores_the_old_dc_echo():

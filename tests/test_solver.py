@@ -7,6 +7,7 @@ import pytest
 import rpca.linalg
 import rpca.spectral
 from helpers import (
+    penalty_value,
     planted_spectrum,
     prox_matrix,
     random_orthonormal,
@@ -25,7 +26,7 @@ from rpca.solver import (
     solve,
     step,
 )
-from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value
+from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty
 from rpca.spectral import KEPT_REL_ERROR, RITZ_STEPS, WARM_RANK_DIVISOR, l_step
 from rpca.surrogates import (
     gamma_surrogate,
@@ -63,6 +64,20 @@ def test_config_rejects_nan_mu_max():
     # NaN fails every comparison, so it must not pass as "not below mu0"
     with pytest.raises(ValueError, match="mu_max must be >= mu0"):
         SolverConfig(mu_max=float("nan"))
+
+
+@pytest.mark.parametrize("settings", [
+    {"lam": np.inf},
+    {"mu0": np.inf, "mu_max": np.inf},
+    {"rho": np.inf},
+    {"mu_max": np.inf},
+    {"tol": np.inf},
+], ids=["lam", "mu0", "rho", "mu_max", "tol"])
+def test_config_rejects_infinite_settings(settings):
+    # each passes the comparisons; the first infinite field in order is named
+    name = next(iter(settings))
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        SolverConfig(**settings)
 
 
 def test_scaled_lambda():

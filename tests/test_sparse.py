@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import l1_shrink_oracle, l21_shrink_oracle
-from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, penalty_value, shrink
+from helpers import l1_shrink_oracle, l21_shrink_oracle, penalty_value
+from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty, shrink
 
 
 def test_penalty_kind_validation():
