@@ -11,8 +11,9 @@ geometrically. The loop stops when the relative residual
 
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -72,6 +73,10 @@ class SolverConfig:
             raise ValueError("mu_max must be >= mu0")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Integral):
+            raise ValueError("max_outer must be an integer")
+        # a numpy integer is kept as an int, which the JSON echo can write
+        object.__setattr__(self, "max_outer", int(self.max_outer))
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         # an infinite setting passes the comparisons above, then gives NaN
@@ -177,23 +182,24 @@ def step(
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
     Frobenius norm. The L-step tries the Gram-free route from
     ``state.warm_basis`` unless it is ``None``, and the next state carries
-    the basis the L-step returns. Returns the next state and
-    the iteration's record, whose Lagrangian is evaluated at the new pair
-    and the old multiplier and mu.
+    the basis the L-step returns. ``state.l`` is not read. Returns the next
+    state and the iteration's record, whose Lagrangian is evaluated at the
+    new pair and the old multiplier and mu.
 
     The elementwise work runs in row blocks of ``BLOCK_BYTES``: one pass
     forms the L-step's target, and one pass after it forms the shrink's
-    target, S, the residual ``R = L + S - X``, the new multiplier and the
-    products behind the record's sums. The l2,1 shrink scales whole
-    columns, so a pass between the two sums the squares of each column of
-    its target, which the last pass forms again. Each entry comes from the
-    same floating-point operations as the whole-array expressions above,
-    and every scalar sum and norm is still taken over one full-size array,
-    so the results are those of the unblocked step to the bit. Each target
-    is checked for finite entries once. The L-step target's buffer is
-    reused for the shrink's target and then R, and one scratch array holds
-    each product in turn. L, S and the multiplier are new arrays;
-    ``state``'s arrays are only read.
+    target, S, the residual ``R = L + S - X`` and the new multiplier. The
+    l2,1 shrink scales whole columns, so a pass between the two forms its
+    target and sums the squares of each column, and the main pass shrinks
+    that target in place. A last pass forms R again, from the same
+    operations on the same operands, and multiplies it by Y. Each entry
+    comes from the same floating-point operations as the whole-array
+    expressions above, and every scalar sum and norm is still taken over
+    one full-size array, so the results are those of the unblocked step to
+    the bit. Each target is checked for finite entries once. One buffer
+    holds the L-step's target, then the shrink's target and R, and then
+    each product behind the record's sums in turn. L, S and the multiplier
+    are new arrays; ``state``'s arrays are only read.
     """
     y, s_prev, mu = state.y, state.s, state.mu
     m, n = x.shape
@@ -211,46 +217,48 @@ def step(
     check_tau(tau)
     l21 = cfg.penalty.kind == L21
     if l21:
-        q = np.empty((rows, n))
         q_sums = np.zeros(n)
         for b in blocks:
-            k = b.stop - b.start
-            require_finite(_target(x[b], l[b], y[b], mu, q[:k], w[:k]))
-            _add_column_squares(q_sums, q[:k], buf, b.start == 0)
+            q = t[b]
+            require_finite(_target(x[b], l[b], y[b], mu, q, w[: b.stop - b.start]))
+            _add_column_squares(q_sums, q, buf, b.start == 0)
         scale = column_scale(np.sqrt(q_sums), tau)
         s_sums = np.zeros(n)
     s = np.empty((m, n))
     y_next = np.empty((m, n))
-    work = np.empty((m, n))
     y_max = []
     for b in blocks:
         r, sb, wb = t[b], s[b], w[: b.stop - b.start]
-        _target(x[b], l[b], y[b], mu, r, wb)
         if l21:
             np.multiply(r, scale, out=sb)
             _add_column_squares(s_sums, sb, buf, b.start == 0)
         else:
+            _target(x[b], l[b], y[b], mu, r, wb)
             require_finite(r)
             soft_threshold(r, tau, sb, wb)
         np.add(l[b], sb, out=r)
         np.subtract(r, x[b], out=r)
-        np.multiply(y[b], r, out=work[b])
         np.multiply(mu, r, out=wb)
         np.add(y[b], wb, out=y_next[b])
         if n:
             y_max.append(np.abs(y_next[b], out=wb).max())
 
-    # t now holds R and work holds Y∘R. The record's sums, each over one
-    # full-size array (R∘R is formed in t once ||R|| is taken); the
-    # Lagrangian is F(L) + lam*penalty(S) + <Y, R> + (mu/2)*||R||_F^2
+    # t now holds R. The record's sums, each over one full-size array formed
+    # in t in turn; the Lagrangian is
+    # F(L) + lam*penalty(S) + <Y, R> + (mu/2)*||R||_F^2
     resid_norm = float(np.linalg.norm(t))
-    y_dot_r = float(np.sum(work))
     r_dot_r = float(np.sum(np.multiply(t, t, out=t)))
+    for b in blocks:
+        r = t[b]
+        np.add(l[b], s[b], out=r)
+        np.subtract(r, x[b], out=r)
+        np.multiply(y[b], r, out=r)
+    y_dot_r = float(np.sum(t))
     if l21:
         penalty = column_norm_total(s_sums)
     else:
-        penalty = float(np.abs(s, out=work).sum())
-    s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=work)))
+        penalty = float(np.abs(s, out=t).sum())
+    s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=t)))
     record = IterationRecord(
         iter=state.iter + 1,
         residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
@@ -310,7 +318,9 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     callback : callable, optional
         Invoked once per outer iteration with the state the loop continues
         from (frozen) and that iteration's record. The arrays handed over are
-        not mutated afterwards.
+        not mutated afterwards. The loop holds only the arrays its next
+        step reads, so a callback that keeps a state keeps its arrays alive
+        too.
 
     Returns
     -------
@@ -326,10 +336,13 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     t0 = time.perf_counter()
     zero = np.zeros_like(x)
     state = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
+    del zero
     norm_x = float(np.linalg.norm(x))
     history: list[IterationRecord] = []
     converged = False
     while state.iter < cfg.max_outer:
+        # the step does not read L: drop it, unless the callback kept it
+        state = replace(state, l=None)
         state, record = step(x, state, cfg, norm_x)
         history.append(record)
         if callback is not None:

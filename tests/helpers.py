@@ -18,6 +18,7 @@ whole-array expression, serves the reference step, the reference
 Lagrangian and the tests.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,27 @@ def reference_write_matrix_csv(path, m) -> None:
     a = np.asarray(m, dtype=np.float64)
     lines = [",".join(format(v, ".17g") for v in row) for row in a]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the most bytes it held at once, by ``tracemalloc``.
+
+    Counts only what is allocated during the call: arrays made before it,
+    such as the input, are not in the figure. numpy reports its array
+    buffers to ``tracemalloc``.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak
 
 
 def central_diff(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
 import rpca.linalg
+import rpca.solver
 import rpca.spectral
 from helpers import (
     penalty_value,
@@ -15,6 +17,7 @@ from helpers import (
     reference_solve,
     reference_step,
     tail_reference,
+    traced_peak,
 )
 from rpca.solver import (
     BLOCK_BYTES,
@@ -78,6 +81,21 @@ def test_config_rejects_infinite_settings(settings):
     name = next(iter(settings))
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         SolverConfig(**settings)
+
+
+@pytest.mark.parametrize("max_outer", [float("inf"), 2.5, True], ids=["inf", "2.5", "True"])
+def test_config_rejects_a_non_integer_max_outer(max_outer):
+    # each passes the ">= 1" check; an infinite budget is echoed as
+    # Infinity, which is not JSON, and a bool as true
+    with pytest.raises(ValueError, match="^max_outer must be an integer$"):
+        SolverConfig(max_outer=max_outer)
+
+
+def test_config_takes_a_numpy_integer_max_outer_as_an_int():
+    # as an int it is echoed to report.json; json cannot write np.int64
+    cfg = SolverConfig(max_outer=np.int64(3))
+    assert type(cfg.max_outer) is int and cfg.max_outer == 3
+    assert solve(np.arange(12.0).reshape(3, 4) + 1.0, cfg).iterations <= 3
 
 
 def test_scaled_lambda():
@@ -884,3 +902,51 @@ def test_step_rejects_a_nonfinite_shrink_target(penalty):
     for take in (step, reference_step):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
             take(x, state, cfg, 1e308)
+
+
+# 2000x400, the CLI's tall benchmark shape: the default solve takes about 30
+# steps, most on the Gram route, whose p x p products are small next to X
+TALL_SPEC = SyntheticSpec(2000, 400, rank=5, sparsity=0.05)
+
+
+def test_solve_holds_at_most_six_and_a_half_full_size_arrays():
+    # S_prev, Y_prev, the target/R buffer, L, S and Y_next while a step runs
+    x = generate_synthetic(TALL_SPEC, 0)[0]
+    r, peak = traced_peak(solve, x)
+    assert r.iterations > 10
+    assert peak <= 6.5 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("penalty", [ENTRYWISE_L1, COLUMNWISE_L21], ids=["l1", "l21"])
+def test_step_holds_at_most_four_and_a_half_full_size_arrays(penalty):
+    # the target/R buffer, L, S and Y_next; the state's arrays exist before
+    x = generate_synthetic(TALL_SPEC, 0)[0]
+    state = SolverState(l=np.zeros_like(x), s=np.zeros_like(x), y=np.zeros_like(x), mu=1e-4)
+    _, peak = traced_peak(step, x, state, SolverConfig(penalty=penalty), float(np.linalg.norm(x)))
+    assert peak <= 4.5 * x.nbytes, peak / x.nbytes
+
+
+@pytest.mark.parametrize("keep_records", [False, True], ids=["no-callback", "records-only"])
+def test_solve_lets_go_of_the_arrays_no_step_reads(monkeypatch, keep_records):
+    # while step k+1 runs, step k's L and the all-zero start are collected
+    # when nothing outside the loop keeps them
+    x = planted_200(0)
+    real_step = rpca.solver.step
+    refs = {}
+    alive = []
+
+    def watched(x, state, cfg, norm_x):
+        if state.iter == 0:
+            refs["start"] = weakref.ref(state.s)
+        else:
+            alive.append((state.iter, refs["l"]() is not None, refs["start"]() is not None))
+        nxt, rec = real_step(x, state, cfg, norm_x)
+        refs["l"] = weakref.ref(nxt.l)
+        return nxt, rec
+
+    monkeypatch.setattr(rpca.solver, "step", watched)
+    records = []
+    r = solve(x, callback=(lambda state, rec: records.append(rec)) if keep_records else None)
+    assert r.iterations > 3
+    assert alive == [(k, False, False) for k in range(1, r.iterations)]
+    assert refs["l"]() is r.l
