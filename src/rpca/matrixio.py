@@ -268,22 +268,6 @@ def read_pgm(path) -> np.ndarray:
     return raw.reshape((height, width)) / float(maxval)
 
 
-def write_pgm(path, m, maxval: int = 255, binary: bool = True) -> None:
-    """Write a [0, 1]-scaled matrix as a PGM image (P5 by default, P2 otherwise)."""
-    a = as_matrix(m)
-    if maxval < 1 or maxval > 65535:
-        raise MatrixIoError(f"max value {maxval} out of range [1, 65535]")
-    q = np.clip(np.rint(a * maxval), 0, maxval).astype(np.uint32)
-    h, w = a.shape
-    header = f"{'P5' if binary else 'P2'}\n{w} {h}\n{maxval}\n".encode("ascii")
-    if binary:
-        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-        Path(path).write_bytes(header + q.astype(dtype).tobytes())
-    else:
-        body = "\n".join(" ".join(str(v) for v in row) for row in q)
-        Path(path).write_bytes(header + body.encode("ascii") + b"\n")
-
-
 def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
     """Flatten a solver config into the JSON-friendly params echo.
 

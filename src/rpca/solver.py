@@ -24,7 +24,6 @@ from .sparse import (
     L21,
     SparsePenalty,
     check_tau,
-    column_norm_total,
     column_scale,
     soft_threshold,
 )
@@ -41,6 +40,9 @@ BLOCK_BYTES = 256 * 1024
 def scaled_lambda(m: int, n: int) -> float:
     """Dimension-scaled sparsity weight, ``1/sqrt(max(m, n))``."""
     return 1.0 / np.sqrt(max(m, n))
+
+
+_FLOAT_SETTINGS = ("lam", "mu0", "rho", "mu_max", "tol")
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,13 @@ class SolverConfig:
     penalty: SparsePenalty = ENTRYWISE_L1
 
     def __post_init__(self):
+        # a bool is not a number here, and a numpy scalar is kept as a float,
+        # which the JSON echo can write
+        for name in _FLOAT_SETTINGS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(value))
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
         if not self.mu0 > 0.0:
@@ -81,7 +90,7 @@ class SolverConfig:
             raise ValueError("max_outer must be >= 1")
         # an infinite setting passes the comparisons above, then gives NaN
         # Lagrangians, an overflowing mu, or a report that is not valid JSON
-        for name in ("lam", "mu0", "rho", "mu_max", "tol"):
+        for name in _FLOAT_SETTINGS:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
@@ -191,15 +200,17 @@ def step(
     target, S, the residual ``R = L + S - X`` and the new multiplier. The
     l2,1 shrink scales whole columns, so a pass between the two forms its
     target and sums the squares of each column, and the main pass shrinks
-    that target in place. A last pass forms R again, from the same
-    operations on the same operands, and multiplies it by Y. Each entry
-    comes from the same floating-point operations as the whole-array
-    expressions above, and every scalar sum and norm is still taken over
-    one full-size array, so the results are those of the unblocked step to
-    the bit. Each target is checked for finite entries once. One buffer
-    holds the L-step's target, then the shrink's target and R, and then
-    each product behind the record's sums in turn. L, S and the multiplier
-    are new arrays; ``state``'s arrays are only read.
+    that target in place. Each entry comes from the same floating-point
+    operations as the whole-array expressions above, and every scalar sum
+    and norm is still taken over one full-size array, so the results are
+    those of the unblocked step to the bit. Each target is checked for
+    finite entries once. One buffer holds the L-step's target, then the
+    shrink's target and R. The record's ``||R||_F^2`` and ``<Y, R>`` are dot
+    products over R in that buffer, and ``|S|`` and ``S - S_prev`` go
+    through it in turn. The l2,1 penalty is ``sum(max(n_j - tau, 0))`` over
+    the shrink target's column norms ``n_j``: ``||S||_2,1`` in exact
+    arithmetic. L, S and the multiplier are new arrays; ``state``'s arrays
+    are only read.
     """
     y, s_prev, mu = state.y, state.s, state.mu
     m, n = x.shape
@@ -222,8 +233,8 @@ def step(
             q = t[b]
             require_finite(_target(x[b], l[b], y[b], mu, q, w[: b.stop - b.start]))
             _add_column_squares(q_sums, q, buf, b.start == 0)
-        scale = column_scale(np.sqrt(q_sums), tau)
-        s_sums = np.zeros(n)
+        q_norms = np.sqrt(q_sums)
+        scale = column_scale(q_norms, tau)
     s = np.empty((m, n))
     y_next = np.empty((m, n))
     y_max = []
@@ -231,7 +242,6 @@ def step(
         r, sb, wb = t[b], s[b], w[: b.stop - b.start]
         if l21:
             np.multiply(r, scale, out=sb)
-            _add_column_squares(s_sums, sb, buf, b.start == 0)
         else:
             _target(x[b], l[b], y[b], mu, r, wb)
             require_finite(r)
@@ -243,19 +253,14 @@ def step(
         if n:
             y_max.append(np.abs(y_next[b], out=wb).max())
 
-    # t now holds R. The record's sums, each over one full-size array formed
-    # in t in turn; the Lagrangian is
-    # F(L) + lam*penalty(S) + <Y, R> + (mu/2)*||R||_F^2
-    resid_norm = float(np.linalg.norm(t))
-    r_dot_r = float(np.sum(np.multiply(t, t, out=t)))
-    for b in blocks:
-        r = t[b]
-        np.add(l[b], s[b], out=r)
-        np.subtract(r, x[b], out=r)
-        np.multiply(y[b], r, out=r)
-    y_dot_r = float(np.sum(t))
+    # t now holds R. The Lagrangian is
+    # F(L) + lam*penalty(S) + <Y, R> + (mu/2)*||R||_F^2; np.linalg.norm takes
+    # ||R||_F as sqrt(<R, R>), and a shrunk column of norm n has norm n - tau
+    r_dot_r = float(np.vdot(t, t))
+    resid_norm = float(np.sqrt(r_dot_r))
+    y_dot_r = float(np.vdot(y, t))
     if l21:
-        penalty = column_norm_total(s_sums)
+        penalty = float(np.maximum(q_norms - tau, 0.0).sum())
     else:
         penalty = float(np.abs(s, out=t).sum())
     s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=t)))
@@ -330,7 +335,9 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         tolerance returns ``converged=False`` with the full history rather
         than raising; the partial decomposition is still useful.
     """
-    x = as_matrix(x)
+    # a C-ordered copy of any other layout: ||X||_F and the row blocks then
+    # read the entries in one order, so the record does not depend on it
+    x = np.ascontiguousarray(as_matrix(x))
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()

@@ -27,15 +27,6 @@ ENTRYWISE_L1 = SparsePenalty(L1)
 COLUMNWISE_L21 = SparsePenalty(L21)
 
 
-def column_norm_total(sums) -> float:
-    """The l2,1 norm from the column sums of squares ``sums``.
-
-    ``np.linalg.norm(a, axis=0)`` is ``sqrt(add.reduce(a * a, axis=0))``, so
-    this gives its sum to the bit.
-    """
-    return float(np.sqrt(sums).sum())
-
-
 def check_tau(tau: float) -> None:
     if not tau > 0.0:
         raise ValueError("tau must be positive")

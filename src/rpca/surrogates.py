@@ -16,6 +16,7 @@ collapsing the component to zero.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,11 @@ class RankSurrogate:
         if self.kind not in (GAMMA, NUCLEAR):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
         if self.kind == GAMMA:
-            if self.gamma is None or not 0.0 < self.gamma < np.inf:
+            g = self.gamma
+            if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0.0 < g < np.inf:
                 raise ValueError("gamma surrogate requires a finite gamma > 0")
+            # a numpy scalar is kept as a float, which the JSON echo can write
+            object.__setattr__(self, "gamma", float(g))
         elif self.gamma is not None:
             raise ValueError("nuclear surrogate takes no gamma")
 

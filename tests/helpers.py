@@ -169,6 +169,23 @@ def reference_write_matrix_csv(path, m) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_pgm(path, m, maxval: int = 255, binary: bool = True) -> None:
+    """Write a [0, 1]-scaled matrix as a PGM image (P5 by default, P2
+    otherwise): the frames that ``rpca.matrixio.read_pgm`` and ``rpca stack``
+    read in the tests."""
+    assert 1 <= maxval <= 65535, maxval
+    a = as_matrix(m)
+    q = np.clip(np.rint(a * maxval), 0, maxval).astype(np.uint32)
+    h, w = a.shape
+    header = f"{'P5' if binary else 'P2'}\n{w} {h}\n{maxval}\n".encode("ascii")
+    if binary:
+        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+        Path(path).write_bytes(header + q.astype(dtype).tobytes())
+    else:
+        body = "\n".join(" ".join(str(v) for v in row) for row in q)
+        Path(path).write_bytes(header + body.encode("ascii") + b"\n")
+
+
 def traced_peak(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` and the most bytes it held at once, by ``tracemalloc``.
 
@@ -276,26 +293,32 @@ def reference_step(x, state, cfg, norm_x):
         scale = np.where(norms > tau, (norms - tau) / safe, 0.0)
         return a * scale
 
-    def _lagrangian(sig, s, y, mu, resid, cfg):
+    def _lagrangian(sig, s, q, y, mu, resid, cfg):
+        # a shrunk column of norm n has norm n - tau: the l2,1 penalty of S
+        # in exact arithmetic, from the shrink target's column norms
+        if cfg.penalty.kind == "l1":
+            penalty = penalty_value(s, cfg.penalty)
+        else:
+            penalty = float(np.maximum(np.linalg.norm(q, axis=0) - cfg.lam / mu, 0.0).sum())
         return (
             surrogate_value(sig, cfg.surrogate)
-            + cfg.lam * penalty_value(s, cfg.penalty)
-            + float(np.sum(y * resid))
-            + 0.5 * mu * float(np.sum(resid * resid))
+            + cfg.lam * penalty
+            + float(np.vdot(y, resid))
+            + 0.5 * mu * float(np.vdot(resid, resid))
         )
 
     y, mu = state.y, state.mu
     target = x - state.s - y / mu
     linalg.require_finite(target)
     l, sig, route, basis = spectral.l_step(target, mu, cfg.surrogate, state.warm_basis)
-    s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
+    s = shrink(q := x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))
     y_next = y + mu * resid
     record = IterationRecord(
         iter=state.iter + 1,
         residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
-        lagrangian=_lagrangian(sig, s, y, mu, resid, cfg),
+        lagrangian=_lagrangian(sig, s, q, y, mu, resid, cfg),
         rank_estimate=linalg.numerical_rank(sig),
         y_inf_norm=float(np.max(np.abs(y_next))) if y_next.size else 0.0,
         mu=mu,

@@ -1,15 +1,19 @@
+import ast
 import dataclasses
 import errno
+import functools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rpca.cli
 import rpca.matrixio
+from helpers import write_pgm
 from rpca.cli import main
-from rpca.matrixio import read_matrix_csv, write_matrix_csv, write_pgm
+from rpca.matrixio import read_matrix_csv, write_matrix_csv
 from rpca.solver import SolverConfig
 from rpca.sparse import COLUMNWISE_L21
 from rpca.synthetic import SyntheticSpec, generate_synthetic
@@ -17,6 +21,23 @@ from rpca.synthetic import SyntheticSpec, generate_synthetic
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def test_the_benchmark_names_only_what_the_package_has():
+    # perfbench/workloads.py drives the package through rpca.<name> chains;
+    # it is parsed, not imported, so a deleted name fails here
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "rpca":
+            chains.add(tuple(parts))
+    assert ("cli", "main") in chains
+    missing = [c for c in chains if functools.reduce(lambda o, a: getattr(o, a, None), c, rpca) is None]
+    assert missing == []
 
 
 def test_synth_writes_instance(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rpca.matrixio
-from helpers import reference_write_matrix_csv
+from helpers import reference_write_matrix_csv, write_pgm
 from rpca.matrixio import (
     MatrixIoError,
     build_report,
@@ -18,7 +18,6 @@ from rpca.matrixio import (
     read_pgm,
     write_json,
     write_matrix_csv,
-    write_pgm,
 )
 from rpca.solver import SolverConfig, solve
 from rpca.sparse import COLUMNWISE_L21

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import weakref
 
 import numpy as np
@@ -19,6 +20,7 @@ from helpers import (
     tail_reference,
     traced_peak,
 )
+from rpca.matrixio import config_from_params, config_to_params
 from rpca.solver import (
     BLOCK_BYTES,
     IterationRecord,
@@ -32,6 +34,7 @@ from rpca.solver import (
 from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty
 from rpca.spectral import KEPT_REL_ERROR, RITZ_STEPS, WARM_RANK_DIVISOR, l_step
 from rpca.surrogates import (
+    RankSurrogate,
     gamma_surrogate,
     nuclear_surrogate,
     surrogate_gradient,
@@ -477,6 +480,31 @@ def test_low_rank_route_falls_back_when_the_eigensolver_fails(monkeypatch, svd_c
 SPEC_200 = SyntheticSpec(m=200, n=200, rank=5, sparsity=0.05, magnitude_low=1.0, magnitude_high=10.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SolverConfig(lam=True),
+    lambda: RankSurrogate("gamma", True),
+], ids=["lam", "gamma"])
+def test_settings_reject_a_bool(build):
+    # True passes every comparison: it solved with a weight of 1 and was
+    # echoed as true
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("settings, name, value", [
+    ({"lam": np.float32(1e-3)}, "lam", np.float32(1e-3)),
+    ({"tol": np.float16(0.01)}, "tol", np.float16(0.01)),
+    ({"surrogate": RankSurrogate("gamma", np.float32(0.01))}, "gamma", np.float32(0.01)),
+], ids=["lam-float32", "tol-float16", "gamma-float32"])
+def test_settings_keep_a_numpy_scalar_as_a_float(settings, name, value):
+    # json cannot write a float32 or float16, so the echo to report.json
+    # failed after the solve
+    cfg = SolverConfig(**settings)
+    got = cfg.surrogate.gamma if name == "gamma" else getattr(cfg, name)
+    assert type(got) is float and got == float(value)
+    assert config_from_params(json.loads(json.dumps(config_to_params(cfg)))) == cfg
+
+
 def planted_200(seed):
     return generate_synthetic(SPEC_200, seed)[0]
 
@@ -547,6 +575,25 @@ def test_kkt_dual_is_a_subgradient_certificate(make_x, cfg):
         assert r.kkt_dual * max(1.0, np.linalg.norm(last.y)) == pytest.approx(residual, rel=1e-10), seed
         if cfg.surrogate.kind == "gamma" and cfg.penalty.kind == "l1":
             assert r.kkt_dual <= 1e-3, seed
+
+
+@pytest.mark.parametrize("make_x, cfg", EQUIVALENCE_CASES)
+def test_record_lagrangian_matches_the_reference_along_the_acceptance_solves(make_x, cfg):
+    # the step takes its sums as dot products over R and the l2,1 penalty
+    # from the shrink target's column norms; the reference takes F from an
+    # SVD of L and the penalty of S itself
+    for seed in range(5):
+        x = make_x(seed)
+        zero = np.zeros_like(x)
+        prev = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
+
+        def check(state, rec):
+            nonlocal prev
+            ref = reference_lagrangian(x, state.l, state.s, prev.y, prev.mu, cfg)
+            assert abs(rec.lagrangian - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, rec.iter)
+            prev = state
+
+        solve(x, cfg, callback=check)
 
 
 @pytest.fixture
@@ -856,6 +903,17 @@ def test_step_is_bit_identical_along_the_acceptance_solves(make_x, cfg):
         for state, after in zip(states, states[1:]):
             got = assert_step_matches_reference(x, state, cfg)
             assert bits(got.l) == bits(after.l) and bits(got.s) == bits(after.s), seed
+
+
+def test_solve_does_not_depend_on_the_layout_of_x():
+    # np.linalg.norm sums a Fortran-ordered X in another order, which moved
+    # every residual of the history in its last bits; on this instance the
+    # two sums differ
+    x = np.random.default_rng(2).standard_normal((60, 40))
+    assert np.linalg.norm(x) != np.linalg.norm(np.asfortranarray(x))
+    c, f = solve(x), solve(np.asfortranarray(x))
+    assert bits(c.l) == bits(f.l) and bits(c.s) == bits(f.s)
+    assert repr(c.history) == repr(f.history)
 
 
 @pytest.mark.parametrize("penalty", [ENTRYWISE_L1, COLUMNWISE_L21], ids=["l1", "l21"])
