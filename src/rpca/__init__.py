@@ -22,7 +22,6 @@ from .surrogates import (
     gamma_surrogate,
     nuclear_surrogate,
     prox_vector,
-    rank_curve,
     surrogate_gradient,
     surrogate_value,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "surrogate_value",
     "surrogate_gradient",
     "prox_vector",
-    "rank_curve",
     "SparsePenalty",
     "ENTRYWISE_L1",
     "COLUMNWISE_L21",

@@ -29,7 +29,7 @@ from .matrixio import (
 )
 from .solver import SolverConfig, scaled_lambda, solve
 from .sparse import SparsePenalty
-from .surrogates import GAMMA, NUCLEAR, RankSurrogate, rank_curve
+from .surrogates import GAMMA, NUCLEAR, RankSurrogate, scalar_penalty
 from .synthetic import (
     COLUMNWISE,
     ENTRYWISE,
@@ -111,12 +111,12 @@ def _outdir_made(outdir: Path):
         raise
 
 
-def _run_and_write(x, cfg: SolverConfig, outdir: Path, seed: int | None = None):
+def _run_and_write(x, cfg: SolverConfig, outdir: Path):
     with _outdir_made(outdir):
         result = solve(x, cfg)
     write_matrix_csv(outdir / "L.csv", result.l)
     write_matrix_csv(outdir / "S.csv", result.s)
-    write_json(outdir / "report.json", build_report(cfg, result, seed))
+    write_json(outdir / "report.json", build_report(cfg, result))
     return result
 
 
@@ -182,7 +182,7 @@ def cmd_curve(args) -> int:
     columns = [grid]
     for kind in kinds:
         s = RankSurrogate(GAMMA, args.gamma) if kind == "gamma" else RankSurrogate(NUCLEAR)
-        columns.append(rank_curve(s, grid)[:, 1])
+        columns.append(scalar_penalty(grid, s))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(outdir / "curve.csv", np.column_stack(columns))

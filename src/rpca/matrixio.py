@@ -250,7 +250,7 @@ def read_pgm(path) -> np.ndarray:
             try:
                 values.append(int(tok))
             except ValueError:
-                raise MatrixIoError(f"{path}: non-numeric sample {tok!r}") from None
+                raise MatrixIoError(f"{path}: non-numeric sample {tok.decode('latin-1')!r}") from None
             if len(values) == count:
                 break
         if len(values) < count:

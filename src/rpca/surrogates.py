@@ -125,9 +125,3 @@ def prox_vector(sigma_a, mu: float, s: RankSurrogate) -> np.ndarray:
     keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
     drop = 0.5 * mu * sig_a**2
     return np.where(drop < keep, 0.0, sig)
-
-
-def rank_curve(s: RankSurrogate, grid) -> np.ndarray:
-    """Tabulate the scalar penalty over ``grid``; rows are (sigma, f(sigma))."""
-    pts = _checked_sigma(grid)
-    return np.column_stack([pts, scalar_penalty(pts, s)])

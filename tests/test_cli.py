@@ -4,6 +4,8 @@ import errno
 import functools
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +60,9 @@ def test_synth_writes_instance(tmp_path):
     (["decompose", "X.csv"], SolverConfig()),
     (["bench"], SolverConfig()),
     (["anomaly", "X.csv"], SolverConfig(penalty=COLUMNWISE_L21)),
-], ids=["decompose", "bench", "anomaly"])
+    (["decompose", "X.csv", "--lambda-policy", "scale"], SolverConfig(lam=1.0 / np.sqrt(30))),
+    (["decompose", "X.csv", "--lambda", "0.5", "--lambda-policy", "scale"], SolverConfig(lam=0.5)),
+], ids=["decompose", "bench", "anomaly", "lambda-policy-scale", "lambda-over-policy"])
 def test_stock_solver_flags_give_the_default_config(argv, expected):
     args = rpca.cli.build_parser().parse_args(argv)
     assert rpca.cli._build_config(args, (30, 20)) == expected
@@ -191,6 +195,14 @@ def test_stack_empty_dir_is_input_error(tmp_path):
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()
     assert run("stack", frames_dir, "-o", tmp_path / "X.csv") == 3
+
+
+def test_stack_of_a_file_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("1,2\n")
+    assert run("stack", "file.txt") == 3
+    assert capsys.readouterr().err == "error: file.txt is not a directory\n"
+    assert not (tmp_path / "X.csv").exists()
 
 
 def test_stack_frames_of_different_sizes_is_input_error(tmp_path, capsys):
@@ -364,3 +376,15 @@ def test_curve_bad_grid_is_usage_error(tmp_path, capsys, recwarn, flag, value, m
     assert capsys.readouterr().err == f"error: {message}\n"
     assert len(recwarn) == 0
     assert not out.exists()
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # ``python -m rpca.cli`` exits with main's code
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+
+    def script(*argv):
+        cmd = [sys.executable, "-m", "rpca.cli", *argv]
+        return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True).returncode
+
+    assert script("--help") == 0
+    assert script("decompose", "missing.csv") == 3

@@ -411,6 +411,32 @@ def test_pgm_oversized_maxval(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("data, message", [
+    (None, None),
+    (b"", "empty file"),
+    (b"# a comment and nothing else\n", "empty file"),
+    (b"P5 4 4", "truncated header"),
+    (b"P5 a 4 255", "non-numeric header fields"),
+    (b"P2 0 4 255", "bad dimensions 0x4"),
+    (b"P2 2 1 255\n1 x\n", "non-numeric sample 'x'"),
+    (b"P2 2 2 255\n1 2 3", "expected 4 samples, found 3"),
+], ids=["directory", "empty", "comment-only", "short-header", "text-header", "zero-width",
+        "text-sample", "few-samples"])
+def test_read_pgm_error_messages(tmp_path, data, message):
+    p = tmp_path / "img.pgm"
+    if data is None:
+        p.mkdir()
+        with pytest.raises(OSError) as exc:
+            p.read_bytes()
+        expected = f"cannot read {p}: {exc.value}"
+    else:
+        p.write_bytes(data)
+        expected = f"{p}: {message}"
+    with pytest.raises(MatrixIoError) as exc:
+        read_pgm(p)
+    assert str(exc.value) == expected
+
+
 def test_config_params_round_trip():
     cfg = SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, tol=1e-4, max_outer=77,
                        surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21)

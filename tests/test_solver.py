@@ -64,6 +64,12 @@ def test_config_validation():
         SolverConfig(mu_max=1e-6)
     with pytest.raises(ValueError):
         SolverConfig(max_outer=0)
+    with pytest.raises(ValueError, match="mu0 must be positive"):
+        SolverConfig(mu0=0.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        SolverConfig(tol=0.0)
+    with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+        solve([1.0, 2.0])
 
 
 def test_config_rejects_nan_mu_max():
@@ -716,6 +722,23 @@ def test_low_rank_route_solves_are_bit_identical():
     assert first.history == second.history
 
 
+def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
+    # l_step hands both Gram routes the target or its transpose, whichever
+    # is tall: the l2,1 solve certifies low_rank steps, the entrywise one
+    # takes gram steps and Cholesky tail checks
+    shapes = {"gram_spectrum": [], "ritz_iterations": [], "gram_tail_below": []}
+    for name, calls in shapes.items():
+        def recorded(b, *args, original=getattr(rpca.spectral, name), calls=calls):
+            calls.append(b.shape)
+            return original(b, *args)
+
+        monkeypatch.setattr(rpca.spectral, name, recorded)
+    solve(wide_injected_columns(0), SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21))
+    solve(generate_synthetic(SyntheticSpec(m=100, n=200, rank=5, sparsity=0.2), 0)[0])
+    for name, calls in shapes.items():
+        assert calls and all(rows >= cols for rows, cols in calls), name
+
+
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
 def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
     # three values of order 1e6 over 57 unit values: the first power step's
@@ -727,7 +750,7 @@ def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
     # certifies; neither forms G, and both give the prox of the full spectrum
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e6, 2e6, 1e6, np.ones(57)])
-    r = next(rpca.spectral.ritz_iterations(a))
+    r = next(rpca.spectral.ritz_iterations(a.T))
     tail = max(r.theta[3], r.frob2 - r.theta.sum()) + np.linalg.norm(r.residuals) + r.slack
     assert tail > 20.0
     mu = 1.0 / (np.sqrt(tail) * (1.0 - side * 1e-3))
@@ -747,7 +770,7 @@ def test_low_rank_route_needs_accurate_kept_values(ritz_calls):
     # about lambda_4/lambda_3 = 1e-6, before it certifies
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e3, 2e3, 1e3, np.ones(57)])
-    r = next(rpca.spectral.ritz_iterations(a))
+    r = next(rpca.spectral.ritz_iterations(a.T))
     rho = np.linalg.norm(r.residuals)
     tail = max(r.theta[3], r.frob2 - r.theta.sum()) + rho + r.slack
     assert rho > 1e-6 * r.theta[2]
@@ -778,8 +801,8 @@ def test_cholesky_certificate_boundary_on_the_tail(side, ritz_calls):
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(35), 60, 120, CHOLESKY_SPECTRUM)
     c = 1.0 + side * 1e-3
-    r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 4))[-1]
-    assert rpca.spectral.gram_tail_below(a, r, 3, c) is (side > 0)
+    r = list(itertools.islice(rpca.spectral.ritz_iterations(a.T), 4))[-1]
+    assert rpca.spectral.gram_tail_below(a.T, r, 3, c) is (side > 0)
     assert tail_reference(a, 3, c) is (side > 0)
     before = counts(ritz_calls)
     mu = 1.0 / np.sqrt(c)
@@ -829,7 +852,8 @@ def test_cholesky_tail_agrees_with_the_full_eigh(tall):
         rng = np.random.default_rng(40 + seed)
         spectrum = np.r_[rng.uniform(5.0, 20.0, 4), rng.uniform(0.5, 1.0, 40)]
         a = planted_spectrum(rng, 44, 90, spectrum)
-        a = a.T if tall else a
+        # a row-major tall copy, or the transposed view that l_step passes for a wide target
+        a = np.ascontiguousarray(a.T) if tall else a.T
         r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 6))[-1]
         lam5 = np.sort(spectrum)[::-1][4] ** 2
         for c in lam5 * np.r_[0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]:

@@ -16,7 +16,6 @@ from rpca.surrogates import (
     gamma_surrogate,
     nuclear_surrogate,
     prox_vector,
-    rank_curve,
     scalar_penalty,
     surrogate_gradient,
     surrogate_value,
@@ -232,14 +231,11 @@ def test_prox_matrix_perturbation_oracle():
 
 
 def test_rank_curve_values():
-    pts = rank_curve(G001, [0.0, 1.0])
-    assert pts[0] == pytest.approx([0.0, 0.0])
-    assert pts[1] == pytest.approx([1.0, 1.0])
-    nuc = rank_curve(NUC, [0.0, 2.0, 5.0])
-    assert np.allclose(nuc[:, 1], [0.0, 2.0, 5.0])
-    tail = rank_curve(G001, [100.0])
-    assert tail[0, 1] == pytest.approx(1.0098990100989902, abs=1e-12)
-    assert np.all(rank_curve(G001, np.linspace(0, 1e6, 100))[:, 1] <= 1.01)
+    # the values ``rpca curve`` tabulates
+    assert scalar_penalty([0.0, 1.0], G001) == pytest.approx([0.0, 1.0])
+    assert np.allclose(scalar_penalty([0.0, 2.0, 5.0], NUC), [0.0, 2.0, 5.0])
+    assert scalar_penalty([100.0], G001)[0] == pytest.approx(1.0098990100989902, abs=1e-12)
+    assert np.all(scalar_penalty(np.linspace(0, 1e6, 100), G001) <= 1.01)
 
 
 def test_limit_laws():
