@@ -167,9 +167,13 @@ def _curve_grid(args) -> np.ndarray:
     if args.grid_points < 1:
         raise ValueError("--grid-points must be >= 1")
     if args.grid is not None:
-        grid = np.array([float(tok) for tok in args.grid.split(",")])
+        message = f"--grid values must be finite and nonnegative, got {args.grid}"
+        try:
+            grid = np.array([float(tok) for tok in args.grid.split(",")])
+        except ValueError:
+            raise ValueError(message) from None
         if not (np.isfinite(grid).all() and (grid >= 0.0).all()):
-            raise ValueError(f"--grid values must be finite and nonnegative, got {args.grid}")
+            raise ValueError(message)
         return grid
     if not 0.0 <= args.grid_max < np.inf:
         raise ValueError(f"--grid-max must be finite and nonnegative, got {args.grid_max:g}")

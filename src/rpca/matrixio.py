@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -187,23 +189,10 @@ def _rows_in_child(rows: np.ndarray, row_format: str):
             tmp.close()
 
 
-def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield data[i:j], j
-            i = j
+# One match is a comment ('#' up to the next CR or LF) or a token (a run of
+# bytes that are neither ASCII whitespace nor '#'). In a bytes pattern \s is
+# exactly the set that bytes.isspace() tests.
+_PGM_TOKEN = re.compile(rb"#[^\r\n]*|[^\s#]+")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -211,31 +200,24 @@ def read_pgm(path) -> np.ndarray:
 
     Intensities are divided by the header max value (at most 65535; binary
     payloads use one byte per sample up to 255 and big-endian two bytes
-    above that).
+    above that). Every sample must lie in ``[0, maxval]``.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise MatrixIoError(f"cannot read {path}: {exc}") from exc
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise MatrixIoError(f"{path}: empty file") from None
-    if magic not in (b"P2", b"P5"):
-        raise MatrixIoError(f"{path}: unsupported format magic {magic.decode('latin-1')!r}")
-    header = []
-    end = 0
-    for tok, pos in tokens:
-        header.append(tok)
-        end = pos
-        if len(header) == 3:
-            break
+    tokens = (t for t in _PGM_TOKEN.finditer(data) if not t[0].startswith(b"#"))
+    magic = next(tokens, None)
+    if magic is None:
+        raise MatrixIoError(f"{path}: empty file")
+    if magic[0] not in (b"P2", b"P5"):
+        raise MatrixIoError(f"{path}: unsupported format magic {magic[0].decode('latin-1')!r}")
+    header = list(itertools.islice(tokens, 3))
     if len(header) < 3:
         raise MatrixIoError(f"{path}: truncated header")
     try:
-        width, height, maxval = (int(t) for t in header)
+        width, height, maxval = (int(t[0]) for t in header)
     except ValueError:
         raise MatrixIoError(f"{path}: non-numeric header fields") from None
     if width < 1 or height < 1:
@@ -244,20 +226,18 @@ def read_pgm(path) -> np.ndarray:
         raise MatrixIoError(f"{path}: max value {maxval} out of range [1, 65535]")
 
     count = width * height
-    if magic == b"P2":
+    if magic[0] == b"P2":
         values = []
-        for tok, _ in tokens:
+        for tok in itertools.islice(tokens, count):
             try:
-                values.append(int(tok))
+                values.append(int(tok[0]))
             except ValueError:
-                raise MatrixIoError(f"{path}: non-numeric sample {tok.decode('latin-1')!r}") from None
-            if len(values) == count:
-                break
+                raise MatrixIoError(f"{path}: non-numeric sample {tok[0].decode('latin-1')!r}") from None
         if len(values) < count:
             raise MatrixIoError(f"{path}: expected {count} samples, found {len(values)}")
         raw = np.array(values, dtype=np.float64)
     else:
-        payload = data[end + 1 :]  # single whitespace byte separates header and raster
+        payload = data[header[-1].end() + 1 :]  # single whitespace byte separates header and raster
         bytes_per = 1 if maxval < 256 else 2
         if len(payload) < count * bytes_per:
             raise MatrixIoError(
@@ -265,6 +245,10 @@ def read_pgm(path) -> np.ndarray:
             )
         dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
         raw = np.frombuffer(payload[: count * bytes_per], dtype=dtype).astype(np.float64)
+    bad = np.flatnonzero((raw < 0) | (raw > maxval))
+    if bad.size:
+        i = bad[0]
+        raise MatrixIoError(f"{path}: sample {i + 1} is {raw[i]:.0f}, outside [0, {maxval}]")
     return raw.reshape((height, width)) / float(maxval)
 
 

@@ -39,6 +39,8 @@ class SyntheticSpec:
             raise ValueError("rank must lie in [1, min(m, n)]")
         if not 0.0 < self.sparsity < 1.0:
             raise ValueError("sparsity must lie strictly between 0 and 1")
+        if not np.isfinite(self.magnitude_high):
+            raise ValueError("magnitude_high must be finite")
         if not 0.0 < self.magnitude_low <= self.magnitude_high:
             raise ValueError("need 0 < magnitude_low <= magnitude_high")
         if self.corruption not in (ENTRYWISE, COLUMNWISE):

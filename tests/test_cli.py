@@ -26,18 +26,20 @@ def run(*argv):
 
 
 def test_the_benchmark_names_only_what_the_package_has():
-    # perfbench/workloads.py drives the package through rpca.<name> chains;
-    # it is parsed, not imported, so a deleted name fails here
-    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+    # perfbench/workloads.py and the benchmark's self-test drive the package
+    # through rpca.<name> chains; they are parsed, not imported, so a deleted
+    # name fails here
     chains = set()
-    for node in ast.walk(tree):
-        parts = []
-        while isinstance(node, ast.Attribute):
-            parts.insert(0, node.attr)
-            node = node.value
-        if parts and isinstance(node, ast.Name) and node.id == "rpca":
-            chains.add(tuple(parts))
-    assert ("cli", "main") in chains
+    for name in ("workloads.py", "selftest.py"):
+        tree = ast.parse((Path(__file__).parents[1] / "perfbench" / name).read_text())
+        for node in ast.walk(tree):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.insert(0, node.attr)
+                node = node.value
+            if parts and isinstance(node, ast.Name) and node.id == "rpca":
+                chains.add(tuple(parts))
+    assert ("cli", "main") in chains and ("linalg", "svd") in chains
     missing = [c for c in chains if functools.reduce(lambda o, a: getattr(o, a, None), c, rpca) is None]
     assert missing == []
 
@@ -54,6 +56,14 @@ def test_synth_writes_instance(tmp_path):
     echo = json.loads((tmp_path / "synth.json").read_text())
     spec = SyntheticSpec(m=12, n=10, rank=2, sparsity=0.1)
     assert echo == {**dataclasses.asdict(spec), "seed": 7}
+
+
+def test_synth_infinite_magnitude_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run("synth", "--m", 5, "--n", 4, "--rank", 1, "--sparsity", 0.1,
+               "--magnitude-high", "inf", "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: magnitude_high must be finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -218,6 +228,23 @@ def test_stack_frames_of_different_sizes_is_input_error(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"P2 2 1 255\n300 0\n", "sample 1 is 300, outside [0, 255]"),
+    (b"P5 2 1 1000\n\x00\x01\xff\xff", "sample 2 is 65535, outside [0, 1000]"),
+], ids=["p2", "p5"])
+def test_stack_sample_above_maxval_is_input_error(tmp_path, capsys, data, message):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    write_pgm(frames_dir / "f00.pgm", np.zeros((1, 2)))
+    (frames_dir / "f01.pgm").write_bytes(data)
+    out_csv = tmp_path / "X.csv"
+    assert run("stack", frames_dir, "-o", out_csv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {frames_dir / 'f01.pgm'}: {message}\n"
+    assert captured.out == ""
+    assert not out_csv.exists()
+
+
 OUTDIR_COMMANDS = {
     "decompose": ["decompose", "X.csv", "--mu0", "1e-2"],
     "anomaly": ["anomaly", "X.csv", "--mu0", "5e-2"],
@@ -363,6 +390,7 @@ def test_curve_grid_points_below_one_is_usage_error(tmp_path, capsys, count):
         ("--grid", "0,inf", "--grid values must be finite and nonnegative, got 0,inf"),
         ("--grid", "1,nan,2", "--grid values must be finite and nonnegative, got 1,nan,2"),
         ("--grid", "0,-1", "--grid values must be finite and nonnegative, got 0,-1"),
+        ("--grid", "1,x", "--grid values must be finite and nonnegative, got 1,x"),
         ("--grid-max", "nan", "--grid-max must be finite and nonnegative, got nan"),
         ("--grid-max", "inf", "--grid-max must be finite and nonnegative, got inf"),
         ("--grid-max", "-1", "--grid-max must be finite and nonnegative, got -1"),

@@ -56,3 +56,13 @@ def test_singular_values_unitarily_invariant():
     s1 = svd(m).singulars
     s2 = svd(q1 @ m @ q2.T).singulars
     assert np.abs(s1 - s2).max() <= 1e-8
+
+
+def test_svd_non_convergence_names_the_shape(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        svd(np.ones((3, 2)))
+    assert str(exc.value) == "SVD did not converge for a 3x2 matrix"

@@ -372,6 +372,32 @@ def test_read_pgm_handles_comments(tmp_path):
     assert img[0, 0] == pytest.approx(128 / 255)
 
 
+# What may separate two PGM tokens: the six ASCII whitespace bytes, CRLF,
+# and comments that end in LF or CR, with or without whitespace before them
+PGM_SEPARATORS = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n", b"# c\n", b"#x\r", b" # s\n"]
+
+
+def test_read_pgm_token_grammar(tmp_path):
+    # a comment glued straight after a token ends it (12#c\n34 is 12, 34),
+    # in the header and in the raster alike
+    rng = np.random.default_rng(18)
+    p = tmp_path / "img.pgm"
+    for _ in range(200):
+        h, w = (int(v) for v in rng.integers(1, 5, size=2))
+        maxval = int(rng.choice([1, 255, 1000, 65535]))
+        samples = rng.integers(0, maxval + 1, size=h * w)
+        fields = [b"P2", *(str(v).encode() for v in (w, h, maxval, *samples))]
+        seps = rng.integers(len(PGM_SEPARATORS), size=len(fields))
+        p.write_bytes(b"".join(f + PGM_SEPARATORS[i] for f, i in zip(fields, seps)))
+        assert np.array_equal(read_pgm(p), samples.reshape(h, w) / maxval)
+    # bytes outside ASCII whitespace do not separate: the two samples are one token
+    for sep, shown in ((b"\x1c", "\\x1c"), (b"\xa0", "\\xa0")):
+        p.write_bytes(b"P2 2 1 255\n1" + sep + b"2\n")
+        with pytest.raises(MatrixIoError) as exc:
+            read_pgm(p)
+        assert str(exc.value) == f"{p}: non-numeric sample '1{shown}2'"
+
+
 def test_pgm_binary_and_ascii_agree(tmp_path):
     rng = np.random.default_rng(2)
     img = rng.uniform(0.0, 1.0, (5, 7))
@@ -420,8 +446,12 @@ def test_pgm_oversized_maxval(tmp_path):
     (b"P2 0 4 255", "bad dimensions 0x4"),
     (b"P2 2 1 255\n1 x\n", "non-numeric sample 'x'"),
     (b"P2 2 2 255\n1 2 3", "expected 4 samples, found 3"),
+    (b"P2 2 1 255\n300 -1\n", "sample 1 is 300, outside [0, 255]"),
+    (b"P2 2 1 255\n3 -1\n", "sample 2 is -1, outside [0, 255]"),
+    (b"P5 2 1 1000\n\x00\x01\xff\xff", "sample 2 is 65535, outside [0, 1000]"),
 ], ids=["directory", "empty", "comment-only", "short-header", "text-header", "zero-width",
-        "text-sample", "few-samples"])
+        "text-sample", "few-samples", "sample-above-maxval", "negative-sample",
+        "wide-sample-above-maxval"])
 def test_read_pgm_error_messages(tmp_path, data, message):
     p = tmp_path / "img.pgm"
     if data is None:

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import planted_spectrum, prox_matrix
 from rpca.linalg import svd
-from rpca.spectral import WARM_RANK_DIVISOR, gram_spectrum, l_step
+from rpca.spectral import WARM_RANK_DIVISOR, gram_spectrum, gram_tail_below, l_step, ritz_iterations
 from rpca.surrogates import nuclear_surrogate
 
 
@@ -24,6 +24,25 @@ def test_gram_spectrum_matches_svd():
 def test_gram_spectrum_overflow_is_linalg_error():
     with pytest.raises(np.linalg.LinAlgError):
         gram_spectrum(np.full((3, 2), 1e200))
+
+
+def test_ritz_overflow_is_linalg_error():
+    # ||B||_F^2 overflows while the eigensolver on the Ritz block still succeeds
+    b = np.random.default_rng(0).standard_normal((1000, 800)) * 2e151
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        next(ritz_iterations(b))
+    assert str(exc.value) == "Gram products of a 1000x800 matrix are not finite"
+
+
+def test_gram_tail_below_a_tiny_bound_skips_the_factorization(monkeypatch):
+    # a bound below the rounding slack is refused before G is formed
+    b = np.random.default_rng(4).standard_normal((40, 30))
+    r = next(ritz_iterations(b))
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
+    assert gram_tail_below(b, r, 3, 1e-300) is False
+    assert calls == []
 
 
 @pytest.mark.parametrize("offset", [0.5, 1.5], ids=["inside", "outside"])

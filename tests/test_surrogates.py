@@ -96,6 +96,11 @@ def test_prox_vector_requires_positive_mu():
         prox_vector([1.0], 0.0, G001)
 
 
+def test_prox_vector_requires_a_1d_sequence():
+    with pytest.raises(ValueError, match="singular values must form a 1-D sequence"):
+        prox_vector(np.ones((2, 2)), 1.0, gamma_surrogate())
+
+
 def test_prox_monotone_shrinkage():
     rng = np.random.default_rng(1)
     for _ in range(50):

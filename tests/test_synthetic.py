@@ -23,6 +23,10 @@ def test_spec_validation():
         SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1, magnitude_low=2.0, magnitude_high=1.0)
     with pytest.raises(ValueError):
         SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1, corruption="rows")
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        SyntheticSpec(m=0, n=3, rank=1, sparsity=0.1)
+    with pytest.raises(ValueError, match="magnitude_high must be finite"):
+        SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1, magnitude_high=np.inf)
 
 
 def test_generate_exact_counts_and_magnitudes():
@@ -73,6 +77,7 @@ def test_rank_estimate_cases():
     m = u @ np.diag([10.0, 5.0, 1e-9, 0.0, 0.0, 0.0]) @ v
     assert rank_estimate(m) == 2
     assert rank_estimate(np.zeros((4, 4))) == 0
+    assert rank_estimate(np.zeros((0, 3))) == 0
     rng = np.random.default_rng(2)
     prod = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))
     assert rank_estimate(prod) == 3
@@ -89,6 +94,8 @@ def test_recovery_errors_cases():
     e *= 0.01 * np.linalg.norm(l_star) / np.linalg.norm(e)
     l_err, _, _ = recovery_errors(l_star + e, l_star, s_star, s_star)
     assert l_err == pytest.approx(0.01, abs=1e-10)
+    with pytest.raises(ValueError, match="recovered and ground-truth shapes must match"):
+        recovery_errors(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_anomaly_scores_cases():
