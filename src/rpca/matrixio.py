@@ -200,7 +200,8 @@ def read_pgm(path) -> np.ndarray:
 
     Intensities are divided by the header max value (at most 65535; binary
     payloads use one byte per sample up to 255 and big-endian two bytes
-    above that). Every sample must lie in ``[0, maxval]``.
+    above that). Header fields and P2 samples are runs of ASCII decimal
+    digits. Every sample must lie in ``[0, maxval]``.
     """
     path = Path(path)
     try:
@@ -217,8 +218,10 @@ def read_pgm(path) -> np.ndarray:
     if len(header) < 3:
         raise MatrixIoError(f"{path}: truncated header")
     try:
+        if not all(t[0].isdigit() for t in header):  # bytes.isdigit: ASCII digits only
+            raise ValueError
         width, height, maxval = (int(t[0]) for t in header)
-    except ValueError:
+    except ValueError:  # also int()'s refusal of a run of over 4300 digits
         raise MatrixIoError(f"{path}: non-numeric header fields") from None
     if width < 1 or height < 1:
         raise MatrixIoError(f"{path}: bad dimensions {width}x{height}")
@@ -227,15 +230,20 @@ def read_pgm(path) -> np.ndarray:
 
     count = width * height
     if magic[0] == b"P2":
-        values = []
+        samples = []
         for tok in itertools.islice(tokens, count):
-            try:
-                values.append(int(tok[0]))
-            except ValueError:
-                raise MatrixIoError(f"{path}: non-numeric sample {tok[0].decode('latin-1')!r}") from None
-        if len(values) < count:
-            raise MatrixIoError(f"{path}: expected {count} samples, found {len(values)}")
-        raw = np.array(values, dtype=np.float64)
+            if not tok[0].isdigit():
+                raise MatrixIoError(f"{path}: non-numeric sample {tok[0].decode('latin-1')!r}")
+            samples.append(tok[0])
+        if len(samples) < count:
+            raise MatrixIoError(f"{path}: expected {count} samples, found {len(samples)}")
+        # a run of more than five digits, leading zeros aside, exceeds
+        # 65535 >= maxval; its first six stand for it, so every value is an
+        # exact float and int() never meets a run of over 4300 digits
+        raw = np.array(
+            [int(t) if len(t) <= 5 else int(t.lstrip(b"0")[:6] or b"0") for t in samples],
+            dtype=np.float64,
+        )
     else:
         payload = data[header[-1].end() + 1 :]  # single whitespace byte separates header and raster
         bytes_per = 1 if maxval < 256 else 2
@@ -245,10 +253,11 @@ def read_pgm(path) -> np.ndarray:
             )
         dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
         raw = np.frombuffer(payload[: count * bytes_per], dtype=dtype).astype(np.float64)
-    bad = np.flatnonzero((raw < 0) | (raw > maxval))
+    bad = np.flatnonzero(raw > maxval)  # digits and unsigned bytes are never negative
     if bad.size:
         i = bad[0]
-        raise MatrixIoError(f"{path}: sample {i + 1} is {raw[i]:.0f}, outside [0, {maxval}]")
+        value = samples[i].lstrip(b"0").decode() if magic[0] == b"P2" else f"{raw[i]:.0f}"
+        raise MatrixIoError(f"{path}: sample {i + 1} is {value}, outside [0, {maxval}]")
     return raw.reshape((height, width)) / float(maxval)
 
 
@@ -287,11 +296,13 @@ def config_from_params(params: dict) -> SolverConfig:
 def build_report(cfg: SolverConfig, result: SolverResult, seed: int | None = None) -> dict:
     """Assemble the run report: params echo, outcome summary, full history.
 
-    The final residual and rank estimate are the last iteration's.
+    The final residual and rank estimate are the last iteration's. ``scale``
+    is the working scale the solve resolved (see ``SolverResult``).
     """
     last = result.history[-1]
     return {
         "params": config_to_params(cfg, seed),
+        "scale": result.scale,
         "iterations": result.iterations,
         "converged": result.converged,
         "final_residual": last.residual,

@@ -11,6 +11,8 @@ geometrically. The loop stops when the relative residual
 
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 import time
 from dataclasses import dataclass, field, replace
@@ -37,6 +39,16 @@ from . import linalg, spectral
 BLOCK_BYTES = 256 * 1024
 
 
+# Under ``scale="auto"`` the loop runs on ``c * X``, ``c`` the power of two
+# that puts the estimate of sigma_1(c * X) within a factor sqrt(2) of this
+# value: inside the band of sigma_1 where the default settings recover the
+# planted split across the shapes measured (60x60 up to 4000x1000).
+SCALE_REF = 236.0
+
+# Power steps behind the working scale's estimate of sigma_1.
+SCALE_STEPS = 3
+
+
 def scaled_lambda(m: int, n: int) -> float:
     """Dimension-scaled sparsity weight, ``1/sqrt(max(m, n))``."""
     return 1.0 / np.sqrt(max(m, n))
@@ -53,6 +65,9 @@ class SolverConfig:
     quadratic penalty and its growth per iteration (capped at ``mu_max`` so
     the stopping rule, not overflow, ends the run). ``tol`` is the relative
     residual at which the loop stops, ``max_outer`` the iteration budget.
+    ``scale`` is ``1.0``, the solve on X as given, or ``"auto"``, the solve
+    on ``c * X`` with ``c`` from :func:`working_scale`, whose L and S are
+    divided by ``c``; every other setting then acts on ``c * X``.
     """
 
     lam: float = 1e-3
@@ -63,6 +78,7 @@ class SolverConfig:
     max_outer: int = 500
     surrogate: RankSurrogate = field(default_factory=gamma_surrogate)
     penalty: SparsePenalty = ENTRYWISE_L1
+    scale: float | str = 1.0
 
     def __post_init__(self):
         # a bool is not a number here, and a numpy scalar is kept as a float,
@@ -88,6 +104,11 @@ class SolverConfig:
         object.__setattr__(self, "max_outer", int(self.max_outer))
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        scale = self.scale
+        if isinstance(scale, numbers.Real) and not isinstance(scale, bool) and scale == 1.0:
+            object.__setattr__(self, "scale", 1.0)
+        elif not (isinstance(scale, str) and scale == "auto"):
+            raise ValueError('scale must be 1 or "auto"')
         # an infinite setting passes the comparisons above, then gives NaN
         # Lagrangians, an overflowing mu, or a report that is not valid JSON
         for name in _FLOAT_SETTINGS:
@@ -104,7 +125,7 @@ class SolverState:
     y: np.ndarray
     mu: float
     iter: int = 0
-    # the start of the next L-step's Gram-free attempt (see
+    # the start of the next L-step's low-rank attempt (see
     # ``spectral.l_step``): no columns at the start, then the last step's kept
     # vectors on the smaller side, or None to skip the attempt
     warm_basis: np.ndarray | None = field(default_factory=lambda: spectral.COLD)
@@ -135,7 +156,9 @@ class SolverResult:
     ``kkt_primal`` is the final relative residual ``||L+S-X||_F / max(1, ||X||_F)``.
     ``kkt_dual`` is the last iteration's ``mu*||S - S_prev||_F / max(1, ||Y||_F)``,
     the norm of ``G + Y`` for the subgradient ``G`` of the rank penalty that the
-    last L-step's prox certifies at L (see :func:`kkt_residuals`).
+    last L-step's prox certifies at L (see :func:`kkt_residuals`). ``scale``
+    is the working scale ``c``: L and S are the solve of ``c * X`` divided by
+    ``c``, while the history and both KKT figures are those of ``c * X``.
     """
 
     l: np.ndarray
@@ -146,6 +169,7 @@ class SolverResult:
     elapsed_seconds: float
     kkt_primal: float
     kkt_dual: float
+    scale: float = 1.0
 
 
 def _row_blocks(m: int, n: int) -> list[slice]:
@@ -189,7 +213,7 @@ def step(
     ``spectral.l_step``), S the shrink of ``X - L - Y/mu`` at threshold
     lambda/mu, then ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
-    Frobenius norm. The L-step tries the Gram-free route from
+    Frobenius norm. The L-step tries the low-rank route from
     ``state.warm_basis`` unless it is ``None``, and the next state carries
     the basis the L-step returns. ``state.l`` is not read. Returns the next
     state and the iteration's record, whose Lagrangian is evaluated at the
@@ -308,6 +332,34 @@ def kkt_residuals(
     return primal, dual
 
 
+def working_scale(x: np.ndarray) -> float:
+    """The power of two ``c`` nearest ``SCALE_REF / sigma_1(X)`` on a log scale.
+
+    ``x`` must be a finite 2-D float array. ``sigma_1`` is estimated by the
+    top Ritz value of ``SCALE_STEPS`` power steps of the fixed-seed
+    ``spectral.ritz_iterations`` on the tall view of ``x``, or by the 2-norm
+    when that block would span every column, or its products overflow or
+    underflow to 0. A power of two times ``x`` and the result divided by it
+    are exact, and ``c`` depends only on the binary mantissa of ``SCALE_REF
+    / sigma_1``, so the scale of ``2^j * X`` is ``2^-j`` times this one.
+    Returns 1 for a zero ``x``.
+    """
+    b = x if x.shape[0] >= x.shape[1] else x.T
+    try:
+        r = next(itertools.islice(spectral.ritz_iterations(b), SCALE_STEPS - 1, None), None)
+    except np.linalg.LinAlgError:
+        r = None
+    top = math.sqrt(max(float(r.theta[0]), 0.0)) if r is not None else 0.0
+    if not top > 0.0 and x.size:
+        top = float(np.linalg.norm(x, 2))
+    if not (top > 0.0 and SCALE_REF / top < np.inf):
+        return 1.0
+    # SCALE_REF / top = mantissa * 2^exp with mantissa in [1/2, 1): its log2
+    # rounds to exp when log2(mantissa) >= -1/2
+    mantissa, exp = math.frexp(SCALE_REF / top)
+    return math.ldexp(1.0, exp if mantissa >= math.sqrt(0.5) else exp - 1)
+
+
 ProgressCallback = Callable[[SolverState, IterationRecord], None]
 
 
@@ -327,13 +379,17 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         step reads, so a callback that keeps a state keeps its arrays alive
         too.
 
+    With ``cfg.scale == "auto"`` the loop runs on ``c * X`` (see
+    :func:`working_scale`), and the callback sees that loop's states.
+
     Returns
     -------
     SolverResult
-        Final pair, convergence flag, per-iteration history, wall time, and
-        final KKT residuals. Hitting ``max_outer`` without reaching the
-        tolerance returns ``converged=False`` with the full history rather
-        than raising; the partial decomposition is still useful.
+        Final pair, convergence flag, per-iteration history, wall time,
+        final KKT residuals and the working scale. Hitting ``max_outer``
+        without reaching the tolerance returns ``converged=False`` with the
+        full history rather than raising; the partial decomposition is still
+        useful.
     """
     # a C-ordered copy of any other layout: ||X||_F and the row blocks then
     # read the entries in one order, so the record does not depend on it
@@ -341,6 +397,9 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
+    c = 1.0 if cfg.scale == 1.0 else working_scale(x)
+    if c != 1.0:
+        x = x * c
     zero = np.zeros_like(x)
     state = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
     del zero
@@ -360,12 +419,13 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
 
     kkt_primal, kkt_dual = kkt_residuals(state, record, norm_x)
     return SolverResult(
-        l=state.l,
-        s=state.s,
+        l=state.l if c == 1.0 else state.l / c,
+        s=state.s if c == 1.0 else state.s / c,
         iterations=state.iter,
         converged=converged,
         history=history,
         elapsed_seconds=time.perf_counter() - t0,
         kkt_primal=kkt_primal,
         kkt_dual=kkt_dual,
+        scale=c,
     )

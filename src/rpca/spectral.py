@@ -4,9 +4,11 @@ Two routes give candidate values ``theta`` (squared singular values of the
 target's tall view ``B``, the target or its transpose, and eigenvalues of
 the smaller Gram matrix ``G = B^T B``), an error ``err`` on each kept one
 and a bound ``tail`` on the dropped ones, and one certificate
-(``_certified``) decides for both. The Gram-free ``low_rank`` route takes
-power steps with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
-arXiv:0909.4061); the ``gram`` route eigendecomposes ``G``. Both rebuild L
+(``_certified``) decides for both. The ``low_rank`` route takes power steps
+with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
+arXiv:0909.4061), through products with ``B`` on the first step and with
+``G``, formed once, on any later one; the ``gram`` route eigendecomposes
+``G``, reusing the one a failed ``low_rank`` attempt formed. Both rebuild L
 from the kept vectors ``W`` and their images ``B W`` alone. The third
 route, ``svd``, is the thin SVD (``linalg.svd``) when neither certifies.
 """
@@ -24,7 +26,7 @@ from .surrogates import RankSurrogate, prox_vector
 # before the L-step uses it instead of the thin SVD.
 KEPT_REL_ERROR = 1e-8
 
-# Bounds on the Gram-free route (see ``_low_rank_step``): at most this many
+# Bounds on the low-rank route (see ``_low_rank_step``): at most this many
 # power steps per attempt, continued while the kept block's residual falls
 # at least RITZ_FALL times per step.
 RITZ_STEPS = 10
@@ -34,7 +36,7 @@ RITZ_FALL = 10.0
 # once its interval stops shrinking.
 BISECT_STEPS = 100
 
-# The next L-step tries the Gram-free route after a step that kept at most
+# The next L-step tries the low-rank route after a step that kept at most
 # p / WARM_RANK_DIVISOR values, p = min(m, n), or that took the route.
 WARM_RANK_DIVISOR = 20
 
@@ -65,21 +67,24 @@ class GramSpectrum(NamedTuple):
 
 
 class RitzSpectrum(NamedTuple):
-    """Rayleigh–Ritz pairs of ``G = B^T B`` from products with a tall ``B`` alone.
+    """Rayleigh–Ritz pairs of ``G = B^T B`` on a power step of a tall ``B``.
 
-    ``theta`` holds the Ritz values, nonincreasing, ``vectors`` the
-    orthonormal Ritz vectors ``W`` and ``images`` is ``B W``. ``residuals``
-    holds the column norms of ``G W - W diag(theta)``. ``frob2 = ||B||_F^2``
-    is the trace of ``G``, so ``frob2 - sum(theta)`` bounds every eigenvalue
-    of ``G`` compressed to the complement of ``W``. ``slack`` bounds the rounding in those figures.
+    ``theta`` holds the Ritz values, nonincreasing, and ``vectors`` the
+    orthonormal Ritz vectors ``W``. ``images`` is ``B W`` on the first step
+    and ``None`` on the steps taken with ``gram``, the formed ``G`` (``None``
+    until then). ``residuals`` holds the column norms of ``G W - W
+    diag(theta)``. ``frob2 = ||B||_F^2`` is the trace of ``G``, so ``frob2 -
+    sum(theta)`` bounds every eigenvalue of ``G`` compressed to the
+    complement of ``W``. ``slack`` bounds the rounding in those figures.
     """
 
     theta: np.ndarray
     vectors: np.ndarray
-    images: np.ndarray
+    images: np.ndarray | None
     residuals: np.ndarray
     frob2: float
     slack: float
+    gram: np.ndarray | None
 
 
 class LStep(NamedTuple):
@@ -92,11 +97,12 @@ class LStep(NamedTuple):
     basis: np.ndarray | None
 
 
-def gram_spectrum(b: np.ndarray) -> GramSpectrum:
+def gram_spectrum(b: np.ndarray, gram: np.ndarray | None = None) -> GramSpectrum:
     """Spectrum of ``B`` from an eigendecomposition of ``B^T B``.
 
     ``b`` must be a finite 2-D float array with at least as many rows as
-    columns, so the eigenproblem has the smaller size. Returns
+    columns, so the eigenproblem has the smaller size. ``gram``, when given,
+    is ``b.T @ b`` as :func:`ritz_iterations` formed it. Returns
     ``sqrt(max(lambda, 0))`` in nonincreasing order with the matching
     eigenvectors, and the error bound ``delta`` on each eigenvalue. Values
     with ``lambda`` of the order of ``delta`` are known only to
@@ -106,7 +112,7 @@ def gram_spectrum(b: np.ndarray) -> GramSpectrum:
     """
     rows, cols = b.shape
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        lam, vecs = np.linalg.eigh(b.T @ b)
+        lam, vecs = np.linalg.eigh(b.T @ b if gram is None else gram)
     if not np.isfinite(lam).all():
         raise np.linalg.LinAlgError(f"Gram matrix of a {rows}x{cols} matrix is not finite")
     eps = np.finfo(np.float64).eps
@@ -122,10 +128,17 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     vectors of a previous target) followed by a ``p x RITZ_BLOCK`` Gaussian
     block drawn from ``default_rng(0)``. Each step orthonormalizes ``Q =
     qr(G Y)``, ``Y`` the start block and then the last step's Ritz vectors,
-    and yields the eigenpairs of ``Q^T G Q`` with their residuals. ``G``
-    itself is never formed: the start costs two products with ``B``, every
-    step two more (the last of which, ``G W``, is the next step's ``G Y``),
-    and ``||B||_F`` one pass. The caller stops the iteration. Yields nothing
+    and yields the eigenpairs of ``Q^T G Q`` with their residuals. The start
+    costs two products with ``B`` and ``||B||_F`` one pass. The first step
+    takes two more products with ``B`` (the last of which, ``G W``, is the
+    next step's ``G Y``) and never forms ``G``. A caller that asks for a
+    second step has found the first one short, and then usually needs ``G``
+    anyway (for :func:`gram_tail_below` or the ``gram`` route), so ``G`` is
+    formed once, handed on in each later spectrum, and every later step
+    takes ``G Q``: ``p^2`` flops per column instead of ``2 m p``. The Ritz
+    values ``Q^T G Q`` and the residuals of such a step carry the rounding
+    of the formed ``G``, which ``slack`` covers as it covers the Gram
+    route's (see below). The caller stops the iteration. Yields nothing
     when the block has ``p`` or more columns, where it spans everything.
     Raises ``LinAlgError`` when the eigensolver fails or a product overflows.
     """
@@ -137,26 +150,40 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         gy = _times(b.T, _times(b, block))
         frob2 = float(np.vdot(b.ravel("K"), b.ravel("K")))  # "K": a transposed view is not copied
-    # Every computed figure here (||B||_F^2, the entries of Z and of the
-    # residual's Gram product) is a sum of at most max(m, n) products, whose
-    # rounding is at most length * eps times the sum of the magnitudes, and
-    # the magnitudes add up to at most ||B||_F^2 >= lambda_max(G). The Gram
-    # path's factor bounds the same rounding with lambda_max; ||B||_F^2 also
-    # covers the loss of orthogonality of the Householder Q, O(p * eps).
+    # Every computed figure here (||B||_F^2, the entries of Z, of G and of
+    # the residual's Gram product, and those of G Q and Q^T G Q) is a sum of
+    # at most max(m, n) products, whose rounding is at most length * eps
+    # times the sum of the magnitudes, and the magnitudes add up to at most
+    # ||B||_F^2 >= lambda_max(G). So the formed G is within rows * eps *
+    # ||B||_F^2 of G in norm, and by Weyl's inequality so are its
+    # eigenvalues. The Gram path's factor bounds the same rounding with
+    # lambda_max; ||B||_F^2 also covers the loss of orthogonality of the
+    # Householder Q, O(p * eps).
     slack = GRAM_ERROR_FACTOR * rows * np.finfo(np.float64).eps * frob2
+    gram = None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             q = np.linalg.qr(gy)[0]
-            z = _times(b, q)
-            theta, e = np.linalg.eigh(z.T @ z)
+            if gram is None:
+                z = _times(b, q)
+                theta, e = np.linalg.eigh(z.T @ z)
+            else:
+                gq = gram @ q
+                theta, e = np.linalg.eigh(q.T @ gq)
         if not (np.isfinite(theta).all() and np.isfinite(frob2)):
             raise np.linalg.LinAlgError(f"Gram products of a {rows}x{p} matrix are not finite")
         with np.errstate(over="ignore", invalid="ignore"):
             theta, e = theta[::-1], e[:, ::-1]
-            w, bw = q @ e, z @ e
-            gy = _times(b.T, bw)
+            w = q @ e
+            if gram is None:
+                bw = z @ e
+                gy = _times(b.T, bw)
+            else:
+                bw, gy = None, gq @ e
             residuals = np.linalg.norm(gy - w * theta, axis=0)
-        yield RitzSpectrum(theta, w, bw, residuals, frob2, slack)
+        yield RitzSpectrum(theta, w, bw, residuals, frob2, slack, gram)
+        if gram is None:
+            gram = b.T @ b  # finite: each entry is at most ||B||_F^2 in magnitude
 
 
 def _times(m: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -176,7 +203,8 @@ def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
     (see :func:`ritz_iterations`), and ``W_k``, ``Theta_k`` its first ``k``.
     ``P = W_k Theta_k W_k^T`` is positive semidefinite of rank ``k``, so
     ``lambda_(k+1)(G) <= lambda_max(G - P)`` by Weyl's inequality, whatever
-    ``W_k``. Forms ``G`` and factors ``c' I - G + P``. If that succeeds,
+    ``W_k``. Factors ``c' I - G + P``, with the ``G`` that ``r`` carries
+    when the power steps formed it, else one formed here. If that succeeds,
     the matrix plus the factorization's backward error is positive definite
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3: the
     error is at most ``(p+1) eps`` times ``||R||_F^2``, the trace of the
@@ -194,7 +222,7 @@ def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
     w = r.vectors[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):
         m = (w * r.theta[:k]) @ w.T
-        m -= b.T @ b
+        m -= b.T @ b if r.gram is None else r.gram
     m[np.diag_indices(p)] += shift
     try:
         np.linalg.cholesky(m)
@@ -241,8 +269,12 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
 _Kept = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _low_rank_step(b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray) -> _Kept | None:
-    """The Gram-free route from the start block ``basis``, or ``None`` when it cannot be certified.
+def _low_rank_step(
+    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
+) -> tuple[_Kept | None, np.ndarray | None]:
+    """The low-rank route from the start block ``basis``, and ``G`` if the power steps formed it.
+
+    The route's result is ``None`` when it cannot be certified.
 
     Takes at most ``RITZ_STEPS`` power steps of :func:`ritz_iterations` and
     proxes the square roots of their Ritz values; ``k`` of them are kept.
@@ -261,18 +293,23 @@ def _low_rank_step(b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
     :func:`gram_tail_below` shows ``lambda_(k+1)(G) < c``, ``c`` the square
     of the largest value the prox drops. Then exactly ``k`` values are kept,
-    each known as well as on the Gram path. A step whose residual did not
-    converge forms no ``G``. An attempt fails when the block keeps every
-    Ritz value, which leaves the rest unbounded.
+    each known as well as on the Gram path. ``G`` is formed only from the
+    second power step on (see :func:`ritz_iterations`), so a step certified
+    by the trace bound at its first power step never forms it. An attempt
+    fails when the block keeps every Ritz value, which leaves the rest
+    unbounded. ``B W_k`` for the rebuild comes from the first step's images
+    or, after a step taken with ``G``, from one product with ``B``.
     """
+    gram = None
     try:
         prev = np.inf
         for steps, r in enumerate(ritz_iterations(b, basis), start=1):
+            gram = r.gram
             singulars = np.sqrt(np.maximum(r.theta, 0.0))
             sig = prox_vector(singulars, mu, surrogate)
             k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
             if k == r.theta.size:
-                return None  # no dropped Ritz value, so no bound on the rest
+                return None, gram  # no dropped Ritz value, so no bound on the rest
             rho = float(np.linalg.norm(r.residuals))
             tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
             if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
@@ -280,33 +317,38 @@ def _low_rank_step(b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np
             rho_k = float(np.linalg.norm(r.residuals[:k]))
             if steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev:
                 if not (k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate)):
-                    return None
+                    return None, gram
                 c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
                 if not gram_tail_below(b, r, k, c):
-                    return None
+                    return None, gram
                 break
             prev = rho_k
         else:
-            return None  # no step at all: the block spans everything
+            return None, None  # no step at all: the block spans everything
     except np.linalg.LinAlgError:
-        return None
-    return r.vectors[:, :k], r.images[:, :k], singulars, sig
+        return None, gram
+    w = r.vectors[:, :k]
+    bw = _times(b, w) if r.images is None else r.images[:, :k]
+    return (w, bw, singulars, sig), None
 
 
-def _gram_step(b: np.ndarray, mu: float, surrogate: RankSurrogate) -> _Kept | None:
+def _gram_step(
+    b: np.ndarray, mu: float, surrogate: RankSurrogate, gram: np.ndarray | None
+) -> _Kept | None:
     """The ``gram`` route, or ``None`` when the eigensolver fails or the step cannot be certified.
 
-    Each eigenvalue is known to ``delta``, so every dropped one lies below
+    ``gram`` is ``G`` when a failed low-rank attempt formed it. Each
+    eigenvalue is known to ``delta``, so every dropped one lies below
     ``theta_(k+1) + delta`` (nothing, when every value is kept).
     """
     try:
-        g = gram_spectrum(b)
+        g = gram_spectrum(b, gram)
     except np.linalg.LinAlgError:
         return None
     sig = prox_vector(g.singulars, mu, surrogate)
     keep = sig > 0.0
     theta = g.singulars**2
-    k = int(np.count_nonzero(keep))  # a prefix, as on the Gram-free route
+    k = int(np.count_nonzero(keep))  # a prefix, as on the low-rank route
     tail = theta[k] + g.delta if k < theta.size else 0.0
     if not _certified(theta, k, g.delta, tail, mu, surrogate):
         return None
@@ -321,29 +363,32 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
 
     Three routes, each used only when its result is the exact prox with a
     certified keep/drop decision. Unless ``basis`` is ``None``, the step
-    first tries the Gram-free route (``_low_rank_step``): power steps with
+    first tries the low-rank route (``_low_rank_step``): power steps with
     Rayleigh–Ritz on a block that starts from ``basis`` (the kept vectors of
     a previous step; no columns for a cold start) and a Gaussian block,
-    through products with ``a``. It certifies when the kept rank is small
+    through products with ``a`` on the first step and with the Gram matrix,
+    formed once, on later ones. It certifies when the kept rank is small
     and the tail below the keep-threshold is bounded, by the trace left
     outside the block or by a Cholesky factorization. Otherwise the singular
     values come from the eigendecomposition of the smaller Gram matrix
-    (:func:`gram_spectrum`), a fraction of the cost of a thin SVD, certified
-    by the eigenvalues' error bound. Both run on ``a`` or its transposed
+    (:func:`gram_spectrum`, with the Gram matrix the attempt formed, if
+    any), a fraction of the cost of a thin SVD, certified by the
+    eigenvalues' error bound. Both run on ``a`` or its transposed
     view, whichever is tall, and rebuild only the kept components. Otherwise,
     and when the eigensolver fails, the step takes the thin SVD of ``a``.
 
     The result's ``basis`` is the next step's start: the kept singular
     vectors on the smaller side, a new array, after a step that took the
-    Gram-free route or kept at most ``p / WARM_RANK_DIVISOR`` values, and
+    low-rank route or kept at most ``p / WARM_RANK_DIVISOR`` values, and
     ``None`` otherwise.
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
-    kept = None if basis is None else _low_rank_step(b, mu, surrogate, basis)
+    kept, gram = (None, None) if basis is None else _low_rank_step(b, mu, surrogate, basis)
     route = "low_rank"
     if kept is None:
-        kept, route = _gram_step(b, mu, surrogate), "gram"
+        kept, route = _gram_step(b, mu, surrogate, gram), "gram"
+        del gram  # not held while L is rebuilt
     if kept is None:
         f = linalg.svd(a)
         sig = prox_vector(f.singulars, mu, surrogate)

@@ -32,7 +32,13 @@ from rpca.surrogates import (
     surrogate_gradient,
     surrogate_value,
 )
-from rpca.synthetic import SyntheticSpec, anomaly_scores, generate_synthetic, rank_estimate
+from rpca.synthetic import (
+    SyntheticSpec,
+    anomaly_scores,
+    generate_synthetic,
+    rank_estimate,
+    recovery_errors,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 SPEC_200 = SyntheticSpec(m=200, n=200, rank=5, sparsity=0.05,
@@ -239,3 +245,62 @@ def test_c10_cli_runs_are_deterministic(tmp_path):
     assert r0["history"] == r1["history"]
     assert r0["params"] == r1["params"]
     assert r0["rank_estimate"] == r1["rank_estimate"]
+
+
+def spread_instance(seed, m=400, n=400, rank=10, ratio=0.1):
+    """Planted singular values ``geomspace(1, ratio, rank) * 0.3 * sqrt(mn)`` on
+    random singular vectors, plus 5% entries of +-U(1, 10)."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    l_star = (u * (np.geomspace(1.0, ratio, rank) * 0.3 * np.sqrt(m * n))) @ v.T
+    s_star = np.zeros((m, n))
+    count = int(round(0.05 * m * n))
+    positions = rng.choice(m * n, size=count, replace=False)
+    signs = rng.choice(np.array([-1.0, 1.0]), size=count)
+    s_star.flat[positions] = signs * rng.uniform(1.0, 10.0, size=count)
+    return l_star + s_star, l_star, s_star, rank
+
+
+def planted(spec, seed):
+    return (*generate_synthetic(spec, seed), spec.rank)
+
+
+# sigma_1(X) from 67 to 979: the raw defaults recover only inside a band of
+# sigma_1 whose top lies between about 250 and 1100, depending on shape
+AUTO_LADDER = {
+    "60x60-c10": lambda: planted(SyntheticSpec(m=60, n=60, rank=3, sparsity=0.05), 11),
+    "200x200-seed0": lambda: planted(SPEC_200, 0),
+    "1000x200-r20": lambda: planted(SyntheticSpec(m=1000, n=200, rank=20, sparsity=0.05), 1),
+    "2000x400-seed0": lambda: planted(SyntheticSpec(m=2000, n=400, rank=5, sparsity=0.05), 0),
+    "2000x400-seed1": lambda: planted(SyntheticSpec(m=2000, n=400, rank=5, sparsity=0.05), 1),
+    "400x400-spread": lambda: spread_instance(0),
+}
+
+
+@pytest.mark.parametrize("make", list(AUTO_LADDER.values()), ids=list(AUTO_LADDER))
+def test_auto_scale_ladder_recovers(make):
+    """scale="auto" with every other setting at its default: converged, the
+    planted rank, L to 1e-2, support F1 >= 0.99, and no thin-SVD L-step."""
+    x, l_star, s_star, rank = make()
+    r = solve(x, SolverConfig(scale="auto"))
+    l_err, _, f1 = recovery_errors(r.l, l_star, r.s, s_star)
+    assert r.converged
+    assert rank_estimate(r.l) == rank, f"rank {rank_estimate(r.l)} (c = {r.scale:g})"
+    assert l_err <= 1e-2, f"l_err {l_err:.3e} (c = {r.scale:g})"
+    assert f1 >= 0.99, f"support F1 {f1:.4f} (c = {r.scale:g})"
+    assert "svd" not in {rec.l_route for rec in r.history}
+
+
+def test_auto_scale_keeps_the_exact_rank_4_product():
+    """The uncorrupted rank-4 20x20 product at mu0=1e-2: raw, sigma_4 = 12.5
+    falls below the first keep-threshold sqrt(2/mu0) = 14.1 and the run
+    converges at rank 3 with S holding the rest; at c = 8 the first step
+    keeps all four and S stays 0."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 20))
+    r = solve(x, SolverConfig(mu0=1e-2, scale="auto"))
+    assert r.scale == 8.0 and r.converged and r.iterations == 1
+    assert rank_estimate(r.l) == 4
+    assert np.linalg.norm(r.l - x) <= 1e-6 * np.linalg.norm(x)
+    assert not r.s.any()

@@ -15,8 +15,8 @@ import rpca.cli
 import rpca.matrixio
 from helpers import write_pgm
 from rpca.cli import main
-from rpca.matrixio import read_matrix_csv, write_matrix_csv
-from rpca.solver import SolverConfig
+from rpca.matrixio import config_from_params, read_matrix_csv, write_matrix_csv
+from rpca.solver import SolverConfig, solve
 from rpca.sparse import COLUMNWISE_L21
 from rpca.synthetic import SyntheticSpec, generate_synthetic
 
@@ -66,12 +66,14 @@ def test_synth_infinite_magnitude_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# decompose solves at the working scale unless told otherwise; anomaly and
+# bench solve on X as given
 @pytest.mark.parametrize("argv, expected", [
-    (["decompose", "X.csv"], SolverConfig()),
+    (["decompose", "X.csv"], SolverConfig(scale="auto")),
     (["bench"], SolverConfig()),
     (["anomaly", "X.csv"], SolverConfig(penalty=COLUMNWISE_L21)),
-    (["decompose", "X.csv", "--lambda-policy", "scale"], SolverConfig(lam=1.0 / np.sqrt(30))),
-    (["decompose", "X.csv", "--lambda", "0.5", "--lambda-policy", "scale"], SolverConfig(lam=0.5)),
+    (["decompose", "X.csv", "--lambda-policy", "scale"], SolverConfig(lam=1.0 / np.sqrt(30), scale="auto")),
+    (["decompose", "X.csv", "--lambda", "0.5", "--lambda-policy", "scale"], SolverConfig(lam=0.5, scale="auto")),
 ], ids=["decompose", "bench", "anomaly", "lambda-policy-scale", "lambda-over-policy"])
 def test_stock_solver_flags_give_the_default_config(argv, expected):
     args = rpca.cli.build_parser().parse_args(argv)
@@ -102,6 +104,39 @@ def test_decompose_recovers_planted_rank(tmp_path):
     l = read_matrix_csv(out / "L.csv")
     s = read_matrix_csv(out / "S.csv")
     assert np.linalg.norm(x - l - s) / np.linalg.norm(x) <= 1e-3
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    ([], SolverConfig(scale="auto")),
+    (["--scale", "1"], SolverConfig()),
+    (["--scale", "auto"], SolverConfig(scale="auto")),
+], ids=["default", "scale-1", "scale-auto"])
+def test_decompose_writes_the_api_solve_at_its_scale(tmp_path, argv, cfg):
+    x = generate_synthetic(SyntheticSpec(m=80, n=60, rank=3, sparsity=0.05), 2)[0]
+    write_matrix_csv(tmp_path / "X.csv", x)
+    out = tmp_path / "run"
+    assert run("decompose", tmp_path / "X.csv", *argv, "--outdir", out) == 0
+    result = solve(x, cfg)
+    write_matrix_csv(tmp_path / "L_api.csv", result.l)
+    write_matrix_csv(tmp_path / "S_api.csv", result.s)
+    assert (out / "L.csv").read_bytes() == (tmp_path / "L_api.csv").read_bytes()
+    assert (out / "S.csv").read_bytes() == (tmp_path / "S_api.csv").read_bytes()
+    report = json.loads((out / "report.json").read_text())
+    assert report["scale"] == result.scale == (4.0 if cfg.scale == "auto" else 1.0)
+    assert report["params"]["scale"] == cfg.scale
+    assert config_from_params(report["params"]) == cfg
+    assert report["history"] == [dataclasses.asdict(rec) for rec in result.history]
+
+
+@pytest.mark.parametrize("command", ["decompose", "anomaly", "bench"])
+@pytest.mark.parametrize("scale", ["0", "nan", "foo"])
+def test_bad_scale_is_usage_error(tmp_path, capsys, monkeypatch, command, scale):
+    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
+    monkeypatch.setattr(rpca.cli, "solve", lambda *a, **k: pytest.fail("solved with a bad scale"))
+    out = tmp_path / "run"
+    assert run(command, tmp_path / "X.csv", "--scale", scale, "--outdir", out) == 2
+    assert capsys.readouterr().err == 'error: scale must be 1 or "auto"\n'
+    assert not out.exists()
 
 
 def test_decompose_missing_input_is_input_error(tmp_path):
@@ -231,7 +266,9 @@ def test_stack_frames_of_different_sizes_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("data, message", [
     (b"P2 2 1 255\n300 0\n", "sample 1 is 300, outside [0, 255]"),
     (b"P5 2 1 1000\n\x00\x01\xff\xff", "sample 2 is 65535, outside [0, 1000]"),
-], ids=["p2", "p5"])
+    # past the float range: named digit for digit, not an OverflowError
+    (b"P2 2 1 255\n0 " + b"9" * 400 + b"\n", f"sample 2 is {'9' * 400}, outside [0, 255]"),
+], ids=["p2", "p5", "p2-400-digits"])
 def test_stack_sample_above_maxval_is_input_error(tmp_path, capsys, data, message):
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()

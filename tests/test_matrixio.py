@@ -446,12 +446,21 @@ def test_pgm_oversized_maxval(tmp_path):
     (b"P2 0 4 255", "bad dimensions 0x4"),
     (b"P2 2 1 255\n1 x\n", "non-numeric sample 'x'"),
     (b"P2 2 2 255\n1 2 3", "expected 4 samples, found 3"),
-    (b"P2 2 1 255\n300 -1\n", "sample 1 is 300, outside [0, 255]"),
-    (b"P2 2 1 255\n3 -1\n", "sample 2 is -1, outside [0, 255]"),
+    (b"P2 2 1 255\n300 0\n", "sample 1 is 300, outside [0, 255]"),
+    (b"P2 2 1 255\n3 -1\n", "non-numeric sample '-1'"),
     (b"P5 2 1 1000\n\x00\x01\xff\xff", "sample 2 is 65535, outside [0, 1000]"),
+    # header fields and samples are runs of decimal digits, nothing int() takes besides
+    (b"P2 +2 1 255\n0 0\n", "non-numeric header fields"),
+    (b"P2 2 1 2_55\n0 0\n", "non-numeric header fields"),
+    (b"P2 2 1 255\n+4 0\n", "non-numeric sample '+4'"),
+    (b"P2 2 1 255\n4 1_0\n", "non-numeric sample '1_0'"),
+    # the range is checked on the integers, before any float conversion
+    (b"P2 1 1 255\n9007199254740993\n", "sample 1 is 9007199254740993, outside [0, 255]"),
+    (b"P2 1 1 255\n" + b"9" * 400 + b"\n", f"sample 1 is {'9' * 400}, outside [0, 255]"),
 ], ids=["directory", "empty", "comment-only", "short-header", "text-header", "zero-width",
         "text-sample", "few-samples", "sample-above-maxval", "negative-sample",
-        "wide-sample-above-maxval"])
+        "wide-sample-above-maxval", "signed-header", "separated-header", "signed-sample",
+        "separated-sample", "sample-above-2-to-53", "sample-of-400-digits"])
 def test_read_pgm_error_messages(tmp_path, data, message):
     p = tmp_path / "img.pgm"
     if data is None:
@@ -467,6 +476,17 @@ def test_read_pgm_error_messages(tmp_path, data, message):
     assert str(exc.value) == expected
 
 
+def test_read_pgm_long_runs_of_leading_zeros(tmp_path):
+    # a sample's digits count without its leading zeros
+    p = tmp_path / "img.pgm"
+    p.write_bytes(b"P2 3 1 255\n00255 0000000000000000000255 000000000000000000000\n")
+    assert read_pgm(p).tolist() == [[1.0, 1.0, 0.0]]
+    p.write_bytes(b"P2 2 1 255\n00255 0000000000000000000256\n")
+    with pytest.raises(MatrixIoError) as exc:
+        read_pgm(p)
+    assert str(exc.value) == f"{p}: sample 2 is 256, outside [0, 255]"
+
+
 def test_config_params_round_trip():
     cfg = SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, tol=1e-4, max_outer=77,
                        surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21)
@@ -475,7 +495,7 @@ def test_config_params_round_trip():
     assert config_from_params(config_to_params(cfg2, seed=3)) == cfg2
     # every field off its default, so an echo that drops one fails here
     cfg3 = SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
-                        surrogate=gamma_surrogate(0.5), penalty=COLUMNWISE_L21)
+                        surrogate=gamma_surrogate(0.5), penalty=COLUMNWISE_L21, scale="auto")
     for f in dataclasses.fields(SolverConfig):
         assert getattr(cfg3, f.name) != getattr(cfg2, f.name), f.name
     assert config_from_params(config_to_params(cfg3)) == cfg3
@@ -488,14 +508,14 @@ ECHOES = {
         3,
         {"lambda": 1e-3, "mu0": 1e-4, "rho": 1.1, "mu_max": 1e10, "tol": 1e-3,
          "max_outer": 500, "surrogate": {"kind": "gamma", "gamma": 0.01},
-         "penalty": "l1", "seed": 3},
+         "penalty": "l1", "scale": 1.0, "seed": 3},
     ),
     "nuclear-l21": (
         SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
-                     surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21),
+                     surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21, scale="auto"),
         None,
         {"lambda": 0.05, "mu0": 2e-3, "rho": 1.2, "mu_max": 1e8, "tol": 1e-4,
-         "max_outer": 77, "surrogate": {"kind": "nuclear"}, "penalty": "l21"},
+         "max_outer": 77, "surrogate": {"kind": "nuclear"}, "penalty": "l21", "scale": "auto"},
     ),
 }
 

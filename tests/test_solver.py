@@ -30,6 +30,7 @@ from rpca.solver import (
     scaled_lambda,
     solve,
     step,
+    working_scale,
 )
 from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty
 from rpca.spectral import KEPT_REL_ERROR, RITZ_STEPS, WARM_RANK_DIVISOR, l_step
@@ -105,6 +106,52 @@ def test_config_takes_a_numpy_integer_max_outer_as_an_int():
     cfg = SolverConfig(max_outer=np.int64(3))
     assert type(cfg.max_outer) is int and cfg.max_outer == 3
     assert solve(np.arange(12.0).reshape(3, 4) + 1.0, cfg).iterations <= 3
+
+
+@pytest.mark.parametrize("scale", [0, float("nan"), True, "x"], ids=["0", "nan", "True", "x"])
+def test_config_scale_is_one_or_auto(scale):
+    with pytest.raises(ValueError) as exc:
+        SolverConfig(scale=scale)
+    assert str(exc.value) == 'scale must be 1 or "auto"'
+
+
+def test_config_keeps_a_scale_of_one_as_a_float():
+    for scale in (1, np.float32(1.0), 1.0):
+        cfg = SolverConfig(scale=scale)
+        assert type(cfg.scale) is float and cfg == SolverConfig()
+    assert SolverConfig(scale="auto").scale == "auto"
+
+
+@pytest.mark.parametrize("shape", [(120, 80), (80, 120), (9, 6), (2, 40)])
+def test_working_scale_is_the_nearest_power_of_two(shape):
+    # from the Ritz estimate, or from the 2-norm where the block would span
+    # every column (9x6, 2x40) or its Gram products overflow (1e200) or
+    # underflow (1e-200)
+    rng = np.random.default_rng(sum(shape))
+    for size in (1e-200, 1e-3, 1.0, 1e4, 1e200):
+        x = size * (rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1])))
+        c = working_scale(x)
+        assert c == 2.0 ** round(np.log2(c))
+        assert 236.0 / np.sqrt(2.0) <= c * np.linalg.norm(x, 2) <= 236.0 * np.sqrt(2.0) * (1.0 + 1e-9)
+    assert working_scale(np.zeros(shape)) == 1.0
+
+
+@pytest.mark.parametrize("c", [2.0**-10, 1.0, 2.0**10], ids=["2^-10", "1", "2^10"])
+def test_auto_scale_commutes_with_a_power_of_two(c):
+    # the auto solve of c*X is c times the auto solve of X, bit for bit:
+    # both loops run on the same matrix, and scaling by a power of two is exact
+    x = generate_synthetic(SyntheticSpec(m=150, n=90, rank=4, sparsity=0.05), 5)[0]
+    cfg = SolverConfig(scale="auto")
+    base = solve(x, cfg)
+    assert base.scale == 2.0
+    raw = solve(base.scale * x)
+    assert np.array_equal(base.l, raw.l / base.scale) and np.array_equal(base.s, raw.s / base.scale)
+    assert base.history == raw.history
+    r = solve(c * x, cfg)
+    assert r.scale == base.scale / c
+    assert np.array_equal(r.l, c * base.l) and np.array_equal(r.s, c * base.s)
+    assert r.iterations == base.iterations
+    assert [h.l_route for h in r.history] == [h.l_route for h in base.history]
 
 
 def test_scaled_lambda():
