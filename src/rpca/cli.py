@@ -50,7 +50,7 @@ _DEFAULTS = SolverConfig()
 
 
 def _add_solver_flags(
-    p: argparse.ArgumentParser, penalty_default: str = "l1", scale_default: str = "1"
+    p: argparse.ArgumentParser, penalty_default: str = "l1", auto_scale: bool = False
 ) -> None:
     d = _DEFAULTS
     p.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -67,18 +67,9 @@ def _add_solver_flags(
                    help="sparsity penalty on S")
     p.add_argument("--surrogate", choices=["gamma", "nuclear"], default=d.surrogate.kind,
                    help="rank penalty on L")
-    p.add_argument("--scale", default=scale_default,
-                   help="auto: solve on c*X, c the power of two that puts the largest singular "
-                        "value near 236, and write L/c, S/c; 1: solve on X as given "
-                        f"(default {scale_default})")
-
-
-def _scale_setting(text: str) -> float | str:
-    """``--scale`` as a number, or as given for ``SolverConfig`` to accept ("auto") or reject."""
-    try:
-        return float(text)
-    except ValueError:
-        return text
+    # fixed per subcommand, not a flag: decompose solves at the working
+    # scale, while anomaly's documented mu0 is tuned for X as given
+    p.set_defaults(auto_scale=auto_scale)
 
 
 def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
@@ -100,7 +91,7 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
         max_outer=args.max_outer,
         surrogate=surrogate,
         penalty=SparsePenalty(args.penalty),
-        scale=_scale_setting(args.scale),
+        auto_scale=args.auto_scale,
     )
 
 
@@ -275,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a CSV matrix into L.csv, S.csv, report.json")
     p.add_argument("input", help="input matrix (headerless CSV)")
     p.add_argument("--outdir", default=".", help="output directory")
-    _add_solver_flags(p, scale_default="auto")
+    _add_solver_flags(p, auto_scale=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("synth", help="generate a planted low-rank + sparse instance")

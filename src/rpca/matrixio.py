@@ -281,13 +281,16 @@ def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
 def config_from_params(params: dict) -> SolverConfig:
     """Rebuild a solver config from a params echo (inverse of config_to_params).
 
-    A missing key raises ``KeyError``. Keys the config does not have, such as
-    ``"seed"`` or the ``"dc"`` block that older reports echo, are ignored.
+    A missing key raises ``KeyError``, except ``"auto_scale"``: reports
+    written before the working scale existed solved on X as given, so it
+    defaults to ``False``. Keys the config does not have, such as ``"seed"``
+    or the ``"dc"`` block that older reports echo, are ignored.
     """
     built = {
         "lam": params["lambda"],
         "surrogate": RankSurrogate(**params["surrogate"]),
         "penalty": SparsePenalty(params["penalty"]),
+        "auto_scale": params.get("auto_scale", False),
     }
     plain = (f.name for f in dataclasses.fields(SolverConfig) if f.name not in built)
     return SolverConfig(**built, **{name: params[name] for name in plain})

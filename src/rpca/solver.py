@@ -11,7 +11,6 @@ geometrically. The loop stops when the relative residual
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import time
@@ -39,14 +38,11 @@ from . import linalg, spectral
 BLOCK_BYTES = 256 * 1024
 
 
-# Under ``scale="auto"`` the loop runs on ``c * X``, ``c`` the power of two
+# Under ``auto_scale`` the loop runs on ``c * X``, ``c`` the power of two
 # that puts the estimate of sigma_1(c * X) within a factor sqrt(2) of this
 # value: inside the band of sigma_1 where the default settings recover the
 # planted split across the shapes measured (60x60 up to 4000x1000).
 SCALE_REF = 236.0
-
-# Power steps behind the working scale's estimate of sigma_1.
-SCALE_STEPS = 3
 
 
 def scaled_lambda(m: int, n: int) -> float:
@@ -65,9 +61,9 @@ class SolverConfig:
     quadratic penalty and its growth per iteration (capped at ``mu_max`` so
     the stopping rule, not overflow, ends the run). ``tol`` is the relative
     residual at which the loop stops, ``max_outer`` the iteration budget.
-    ``scale`` is ``1.0``, the solve on X as given, or ``"auto"``, the solve
-    on ``c * X`` with ``c`` from :func:`working_scale`, whose L and S are
-    divided by ``c``; every other setting then acts on ``c * X``.
+    With ``auto_scale`` the solve runs on ``c * X``, ``c`` from
+    :func:`working_scale`, and its L and S are divided by ``c``; every other
+    setting then acts on ``c * X``.
     """
 
     lam: float = 1e-3
@@ -78,7 +74,7 @@ class SolverConfig:
     max_outer: int = 500
     surrogate: RankSurrogate = field(default_factory=gamma_surrogate)
     penalty: SparsePenalty = ENTRYWISE_L1
-    scale: float | str = 1.0
+    auto_scale: bool = False
 
     def __post_init__(self):
         # a bool is not a number here, and a numpy scalar is kept as a float,
@@ -104,11 +100,8 @@ class SolverConfig:
         object.__setattr__(self, "max_outer", int(self.max_outer))
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
-        scale = self.scale
-        if isinstance(scale, numbers.Real) and not isinstance(scale, bool) and scale == 1.0:
-            object.__setattr__(self, "scale", 1.0)
-        elif not (isinstance(scale, str) and scale == "auto"):
-            raise ValueError('scale must be 1 or "auto"')
+        if not isinstance(self.auto_scale, bool):
+            raise ValueError("auto_scale must be True or False")
         # an infinite setting passes the comparisons above, then gives NaN
         # Lagrangians, an overflowing mu, or a report that is not valid JSON
         for name in _FLOAT_SETTINGS:
@@ -157,8 +150,9 @@ class SolverResult:
     ``kkt_dual`` is the last iteration's ``mu*||S - S_prev||_F / max(1, ||Y||_F)``,
     the norm of ``G + Y`` for the subgradient ``G`` of the rank penalty that the
     last L-step's prox certifies at L (see :func:`kkt_residuals`). ``scale``
-    is the working scale ``c``: L and S are the solve of ``c * X`` divided by
-    ``c``, while the history and both KKT figures are those of ``c * X``.
+    is the working scale ``c`` (1 without ``auto_scale``): L and S are the
+    solve of ``c * X`` divided by ``c``, while the history and both KKT
+    figures are those of ``c * X``.
     """
 
     l: np.ndarray
@@ -336,7 +330,7 @@ def working_scale(x: np.ndarray) -> float:
     """The power of two ``c`` nearest ``SCALE_REF / sigma_1(X)`` on a log scale.
 
     ``x`` must be a finite 2-D float array. ``sigma_1`` is estimated by the
-    top Ritz value of ``SCALE_STEPS`` power steps of the fixed-seed
+    top Ritz value of one power step of the fixed-seed
     ``spectral.ritz_iterations`` on the tall view of ``x``, or by the 2-norm
     when that block would span every column, or its products overflow or
     underflow to 0. A power of two times ``x`` and the result divided by it
@@ -346,7 +340,7 @@ def working_scale(x: np.ndarray) -> float:
     """
     b = x if x.shape[0] >= x.shape[1] else x.T
     try:
-        r = next(itertools.islice(spectral.ritz_iterations(b), SCALE_STEPS - 1, None), None)
+        r = next(spectral.ritz_iterations(b), None)
     except np.linalg.LinAlgError:
         r = None
     top = math.sqrt(max(float(r.theta[0]), 0.0)) if r is not None else 0.0
@@ -379,7 +373,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         step reads, so a callback that keeps a state keeps its arrays alive
         too.
 
-    With ``cfg.scale == "auto"`` the loop runs on ``c * X`` (see
+    With ``cfg.auto_scale`` the loop runs on ``c * X`` (see
     :func:`working_scale`), and the callback sees that loop's states.
 
     Returns
@@ -397,7 +391,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    c = 1.0 if cfg.scale == 1.0 else working_scale(x)
+    c = working_scale(x) if cfg.auto_scale else 1.0
     if c != 1.0:
         x = x * c
     zero = np.zeros_like(x)

@@ -280,10 +280,10 @@ AUTO_LADDER = {
 
 @pytest.mark.parametrize("make", list(AUTO_LADDER.values()), ids=list(AUTO_LADDER))
 def test_auto_scale_ladder_recovers(make):
-    """scale="auto" with every other setting at its default: converged, the
+    """auto_scale with every other setting at its default: converged, the
     planted rank, L to 1e-2, support F1 >= 0.99, and no thin-SVD L-step."""
     x, l_star, s_star, rank = make()
-    r = solve(x, SolverConfig(scale="auto"))
+    r = solve(x, SolverConfig(auto_scale=True))
     l_err, _, f1 = recovery_errors(r.l, l_star, r.s, s_star)
     assert r.converged
     assert rank_estimate(r.l) == rank, f"rank {rank_estimate(r.l)} (c = {r.scale:g})"
@@ -299,7 +299,7 @@ def test_auto_scale_keeps_the_exact_rank_4_product():
     keeps all four and S stays 0."""
     rng = np.random.default_rng(3)
     x = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 20))
-    r = solve(x, SolverConfig(mu0=1e-2, scale="auto"))
+    r = solve(x, SolverConfig(mu0=1e-2, auto_scale=True))
     assert r.scale == 8.0 and r.converged and r.iterations == 1
     assert rank_estimate(r.l) == 4
     assert np.linalg.norm(r.l - x) <= 1e-6 * np.linalg.norm(x)

@@ -66,14 +66,13 @@ def test_synth_infinite_magnitude_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-# decompose solves at the working scale unless told otherwise; anomaly and
-# bench solve on X as given
+# decompose solves at the working scale; anomaly and bench solve on X as given
 @pytest.mark.parametrize("argv, expected", [
-    (["decompose", "X.csv"], SolverConfig(scale="auto")),
+    (["decompose", "X.csv"], SolverConfig(auto_scale=True)),
     (["bench"], SolverConfig()),
     (["anomaly", "X.csv"], SolverConfig(penalty=COLUMNWISE_L21)),
-    (["decompose", "X.csv", "--lambda-policy", "scale"], SolverConfig(lam=1.0 / np.sqrt(30), scale="auto")),
-    (["decompose", "X.csv", "--lambda", "0.5", "--lambda-policy", "scale"], SolverConfig(lam=0.5, scale="auto")),
+    (["decompose", "X.csv", "--lambda-policy", "scale"], SolverConfig(lam=1.0 / np.sqrt(30), auto_scale=True)),
+    (["decompose", "X.csv", "--lambda", "0.5", "--lambda-policy", "scale"], SolverConfig(lam=0.5, auto_scale=True)),
 ], ids=["decompose", "bench", "anomaly", "lambda-policy-scale", "lambda-over-policy"])
 def test_stock_solver_flags_give_the_default_config(argv, expected):
     args = rpca.cli.build_parser().parse_args(argv)
@@ -106,37 +105,22 @@ def test_decompose_recovers_planted_rank(tmp_path):
     assert np.linalg.norm(x - l - s) / np.linalg.norm(x) <= 1e-3
 
 
-@pytest.mark.parametrize("argv, cfg", [
-    ([], SolverConfig(scale="auto")),
-    (["--scale", "1"], SolverConfig()),
-    (["--scale", "auto"], SolverConfig(scale="auto")),
-], ids=["default", "scale-1", "scale-auto"])
-def test_decompose_writes_the_api_solve_at_its_scale(tmp_path, argv, cfg):
+def test_decompose_writes_the_api_solve_at_the_working_scale(tmp_path):
     x = generate_synthetic(SyntheticSpec(m=80, n=60, rank=3, sparsity=0.05), 2)[0]
     write_matrix_csv(tmp_path / "X.csv", x)
     out = tmp_path / "run"
-    assert run("decompose", tmp_path / "X.csv", *argv, "--outdir", out) == 0
+    assert run("decompose", tmp_path / "X.csv", "--outdir", out) == 0
+    cfg = SolverConfig(auto_scale=True)
     result = solve(x, cfg)
     write_matrix_csv(tmp_path / "L_api.csv", result.l)
     write_matrix_csv(tmp_path / "S_api.csv", result.s)
     assert (out / "L.csv").read_bytes() == (tmp_path / "L_api.csv").read_bytes()
     assert (out / "S.csv").read_bytes() == (tmp_path / "S_api.csv").read_bytes()
     report = json.loads((out / "report.json").read_text())
-    assert report["scale"] == result.scale == (4.0 if cfg.scale == "auto" else 1.0)
-    assert report["params"]["scale"] == cfg.scale
+    assert report["scale"] == result.scale == 4.0
+    assert report["params"]["auto_scale"] is True
     assert config_from_params(report["params"]) == cfg
     assert report["history"] == [dataclasses.asdict(rec) for rec in result.history]
-
-
-@pytest.mark.parametrize("command", ["decompose", "anomaly", "bench"])
-@pytest.mark.parametrize("scale", ["0", "nan", "foo"])
-def test_bad_scale_is_usage_error(tmp_path, capsys, monkeypatch, command, scale):
-    write_matrix_csv(tmp_path / "X.csv", generate_synthetic(SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1), 0)[0])
-    monkeypatch.setattr(rpca.cli, "solve", lambda *a, **k: pytest.fail("solved with a bad scale"))
-    out = tmp_path / "run"
-    assert run(command, tmp_path / "X.csv", "--scale", scale, "--outdir", out) == 2
-    assert capsys.readouterr().err == 'error: scale must be 1 or "auto"\n'
-    assert not out.exists()
 
 
 def test_decompose_missing_input_is_input_error(tmp_path):

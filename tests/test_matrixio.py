@@ -495,7 +495,7 @@ def test_config_params_round_trip():
     assert config_from_params(config_to_params(cfg2, seed=3)) == cfg2
     # every field off its default, so an echo that drops one fails here
     cfg3 = SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
-                        surrogate=gamma_surrogate(0.5), penalty=COLUMNWISE_L21, scale="auto")
+                        surrogate=gamma_surrogate(0.5), penalty=COLUMNWISE_L21, auto_scale=True)
     for f in dataclasses.fields(SolverConfig):
         assert getattr(cfg3, f.name) != getattr(cfg2, f.name), f.name
     assert config_from_params(config_to_params(cfg3)) == cfg3
@@ -508,14 +508,14 @@ ECHOES = {
         3,
         {"lambda": 1e-3, "mu0": 1e-4, "rho": 1.1, "mu_max": 1e10, "tol": 1e-3,
          "max_outer": 500, "surrogate": {"kind": "gamma", "gamma": 0.01},
-         "penalty": "l1", "scale": 1.0, "seed": 3},
+         "penalty": "l1", "auto_scale": False, "seed": 3},
     ),
     "nuclear-l21": (
         SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
-                     surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21, scale="auto"),
+                     surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21, auto_scale=True),
         None,
         {"lambda": 0.05, "mu0": 2e-3, "rho": 1.2, "mu_max": 1e8, "tol": 1e-4,
-         "max_outer": 77, "surrogate": {"kind": "nuclear"}, "penalty": "l21", "scale": "auto"},
+         "max_outer": 77, "surrogate": {"kind": "nuclear"}, "penalty": "l21", "auto_scale": True},
     ),
 }
 
@@ -530,10 +530,20 @@ def test_config_to_params_format(cfg, seed, expected):
 
 def test_config_from_params_missing_key_raises():
     params = config_to_params(SolverConfig(), seed=3)
-    for key in set(params) - {"seed"}:
+    for key in set(params) - {"seed", "auto_scale"}:
         partial = {k: v for k, v in params.items() if k != key}
         with pytest.raises(KeyError):
             config_from_params(partial)
+
+
+def test_config_from_params_reads_a_report_without_auto_scale():
+    # reports written before the working scale solved on X as given
+    cfg = SolverConfig(mu0=2e-3, penalty=COLUMNWISE_L21)
+    params = config_to_params(cfg, seed=3)
+    del params["auto_scale"]
+    assert config_from_params(params) == cfg
+    params["auto_scale"] = True
+    assert config_from_params(params) == SolverConfig(mu0=2e-3, penalty=COLUMNWISE_L21, auto_scale=True)
 
 
 def test_config_from_params_ignores_the_old_dc_echo():

@@ -108,18 +108,11 @@ def test_config_takes_a_numpy_integer_max_outer_as_an_int():
     assert solve(np.arange(12.0).reshape(3, 4) + 1.0, cfg).iterations <= 3
 
 
-@pytest.mark.parametrize("scale", [0, float("nan"), True, "x"], ids=["0", "nan", "True", "x"])
-def test_config_scale_is_one_or_auto(scale):
+@pytest.mark.parametrize("value", [0, 1, float("nan"), "auto", None], ids=["0", "1", "nan", "auto", "None"])
+def test_config_auto_scale_is_a_bool(value):
     with pytest.raises(ValueError) as exc:
-        SolverConfig(scale=scale)
-    assert str(exc.value) == 'scale must be 1 or "auto"'
-
-
-def test_config_keeps_a_scale_of_one_as_a_float():
-    for scale in (1, np.float32(1.0), 1.0):
-        cfg = SolverConfig(scale=scale)
-        assert type(cfg.scale) is float and cfg == SolverConfig()
-    assert SolverConfig(scale="auto").scale == "auto"
+        SolverConfig(auto_scale=value)
+    assert str(exc.value) == "auto_scale must be True or False"
 
 
 @pytest.mark.parametrize("shape", [(120, 80), (80, 120), (9, 6), (2, 40)])
@@ -141,7 +134,7 @@ def test_auto_scale_commutes_with_a_power_of_two(c):
     # the auto solve of c*X is c times the auto solve of X, bit for bit:
     # both loops run on the same matrix, and scaling by a power of two is exact
     x = generate_synthetic(SyntheticSpec(m=150, n=90, rank=4, sparsity=0.05), 5)[0]
-    cfg = SolverConfig(scale="auto")
+    cfg = SolverConfig(auto_scale=True)
     base = solve(x, cfg)
     assert base.scale == 2.0
     raw = solve(base.scale * x)
