@@ -261,20 +261,18 @@ def read_pgm(path) -> np.ndarray:
     return raw.reshape((height, width)) / float(maxval)
 
 
-def config_to_params(cfg: SolverConfig, seed: int | None = None) -> dict:
+def config_to_params(cfg: SolverConfig) -> dict:
     """Flatten a solver config into the JSON-friendly params echo.
 
     The echo is ``dataclasses.asdict(cfg)`` with three changes: ``lam`` is
     written as ``"lambda"``, the penalty as its kind string, and the nuclear
-    surrogate without a ``"gamma"`` key. ``seed``, when given, is added.
+    surrogate without a ``"gamma"`` key.
     """
     params = dataclasses.asdict(cfg)
     params["lambda"] = params.pop("lam")
     params["penalty"] = cfg.penalty.kind
     if cfg.surrogate.kind == NUCLEAR:
         del params["surrogate"]["gamma"]
-    if seed is not None:
-        params["seed"] = seed
     return params
 
 
@@ -296,7 +294,7 @@ def config_from_params(params: dict) -> SolverConfig:
     return SolverConfig(**built, **{name: params[name] for name in plain})
 
 
-def build_report(cfg: SolverConfig, result: SolverResult, seed: int | None = None) -> dict:
+def build_report(cfg: SolverConfig, result: SolverResult) -> dict:
     """Assemble the run report: params echo, outcome summary, full history.
 
     The final residual and rank estimate are the last iteration's. ``scale``
@@ -304,7 +302,7 @@ def build_report(cfg: SolverConfig, result: SolverResult, seed: int | None = Non
     """
     last = result.history[-1]
     return {
-        "params": config_to_params(cfg, seed),
+        "params": config_to_params(cfg),
         "scale": result.scale,
         "iterations": result.iterations,
         "converged": result.converged,

@@ -6,11 +6,10 @@ the smaller Gram matrix ``G = B^T B``), an error ``err`` on each kept one
 and a bound ``tail`` on the dropped ones, and one certificate
 (``_certified``) decides for both. The ``low_rank`` route takes power steps
 with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
-arXiv:0909.4061), through products with ``B`` on the first step and with
-``G``, formed once, on any later one; the ``gram`` route eigendecomposes
-``G``, reusing the one a failed ``low_rank`` attempt formed. Both rebuild L
-from the kept vectors ``W`` and their images ``B W`` alone. The third
-route, ``svd``, is the thin SVD (``linalg.svd``) when neither certifies.
+arXiv:0909.4061), each applying ``G``, formed after the first step; the
+``gram`` route eigendecomposes ``G``, reusing the one a failed ``low_rank``
+attempt formed. L is rebuilt from their kept vectors ``W`` and ``B W``, or
+from the thin SVD (``linalg.svd``, route ``svd``) when neither certifies.
 """
 
 from __future__ import annotations
@@ -70,17 +69,15 @@ class RitzSpectrum(NamedTuple):
     """Rayleigh–Ritz pairs of ``G = B^T B`` on a power step of a tall ``B``.
 
     ``theta`` holds the Ritz values, nonincreasing, and ``vectors`` the
-    orthonormal Ritz vectors ``W``. ``images`` is ``B W`` on the first step
-    and ``None`` on the steps taken with ``gram``, the formed ``G`` (``None``
-    until then). ``residuals`` holds the column norms of ``G W - W
-    diag(theta)``. ``frob2 = ||B||_F^2`` is the trace of ``G``, so ``frob2 -
-    sum(theta)`` bounds every eigenvalue of ``G`` compressed to the
+    orthonormal Ritz vectors ``W``. ``residuals`` holds the column norms of
+    ``G W - W diag(theta)``. ``frob2 = ||B||_F^2`` is the trace of ``G``, so
+    ``frob2 - sum(theta)`` bounds every eigenvalue of ``G`` compressed to the
     complement of ``W``. ``slack`` bounds the rounding in those figures.
+    ``gram`` is the formed ``G``, ``None`` on the first step.
     """
 
     theta: np.ndarray
     vectors: np.ndarray
-    images: np.ndarray | None
     residuals: np.ndarray
     frob2: float
     slack: float
@@ -127,20 +124,18 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     ``p`` columns. The start block is ``basis`` (``p`` rows, such as the kept
     vectors of a previous target) followed by a ``p x RITZ_BLOCK`` Gaussian
     block drawn from ``default_rng(0)``. Each step orthonormalizes ``Q =
-    qr(G Y)``, ``Y`` the start block and then the last step's Ritz vectors,
-    and yields the eigenpairs of ``Q^T G Q`` with their residuals. The start
-    costs two products with ``B`` and ``||B||_F`` one pass. The first step
-    takes two more products with ``B`` (the last of which, ``G W``, is the
-    next step's ``G Y``) and never forms ``G``. A caller that asks for a
-    second step has found the first one short, and then usually needs ``G``
-    anyway (for :func:`gram_tail_below` or the ``gram`` route), so ``G`` is
-    formed once, handed on in each later spectrum, and every later step
-    takes ``G Q``: ``p^2`` flops per column instead of ``2 m p``. The Ritz
-    values ``Q^T G Q`` and the residuals of such a step carry the rounding
-    of the formed ``G``, which ``slack`` covers as it covers the Gram
-    route's (see below). The caller stops the iteration. Yields nothing
-    when the block has ``p`` or more columns, where it spans everything.
-    Raises ``LinAlgError`` when the eigensolver fails or a product overflows.
+    qr(G Y)``, ``Y`` the start block and then the last step's Ritz vectors
+    ``W = Q E``, and yields the eigenpairs ``Theta, E`` of ``Q^T (G Q)``
+    with their residuals; ``(G Q) E`` is the next ``G Y``. The start costs
+    two products with ``B`` and ``||B||_F`` one pass, and the first step
+    takes ``G Q = B^T (B Q)``, two more, without forming ``G``. A caller
+    that asks for a second step then usually needs ``G`` anyway (for
+    :func:`gram_tail_below` or the ``gram`` route), so ``G`` is formed once,
+    handed on in each later spectrum and applied as it is: ``p^2`` flops
+    per column instead of ``2 m p``. ``slack`` covers the rounding of either
+    form (see below). The caller stops the iteration. Yields nothing when
+    the block has ``p`` or more columns, where it spans everything. Raises
+    ``LinAlgError`` when the eigensolver fails or a product overflows.
     """
     rows, p = b.shape
     if basis.shape[1] + RITZ_BLOCK >= p:
@@ -150,38 +145,28 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         gy = _times(b.T, _times(b, block))
         frob2 = float(np.vdot(b.ravel("K"), b.ravel("K")))  # "K": a transposed view is not copied
-    # Every computed figure here (||B||_F^2, the entries of Z, of G and of
-    # the residual's Gram product, and those of G Q and Q^T G Q) is a sum of
-    # at most max(m, n) products, whose rounding is at most length * eps
-    # times the sum of the magnitudes, and the magnitudes add up to at most
-    # ||B||_F^2 >= lambda_max(G). So the formed G is within rows * eps *
-    # ||B||_F^2 of G in norm, and by Weyl's inequality so are its
-    # eigenvalues. The Gram path's factor bounds the same rounding with
-    # lambda_max; ||B||_F^2 also covers the loss of orthogonality of the
-    # Householder Q, O(p * eps).
+    # Every computed figure here (||B||_F^2, the entries of B Q, of G, of
+    # G Q and of Q^T G Q) is a sum of at most max(m, n) products, whose
+    # rounding is at most length * eps times the sum of the magnitudes, and
+    # the magnitudes add up to at most ||B||_F^2 >= lambda_max(G). So the
+    # formed G is within rows * eps * ||B||_F^2 of G in norm, and by Weyl's
+    # inequality so are its eigenvalues. The Gram path's factor bounds the
+    # same rounding with lambda_max; ||B||_F^2 also covers the loss of
+    # orthogonality of the Householder Q, O(p * eps).
     slack = GRAM_ERROR_FACTOR * rows * np.finfo(np.float64).eps * frob2
     gram = None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             q = np.linalg.qr(gy)[0]
-            if gram is None:
-                z = _times(b, q)
-                theta, e = np.linalg.eigh(z.T @ z)
-            else:
-                gq = gram @ q
-                theta, e = np.linalg.eigh(q.T @ gq)
-        if not (np.isfinite(theta).all() and np.isfinite(frob2)):
-            raise np.linalg.LinAlgError(f"Gram products of a {rows}x{p} matrix are not finite")
-        with np.errstate(over="ignore", invalid="ignore"):
+            gq = _times(b.T, _times(b, q)) if gram is None else gram @ q
+            theta, e = np.linalg.eigh(q.T @ gq)
+            if not (np.isfinite(theta).all() and np.isfinite(frob2)):
+                raise np.linalg.LinAlgError(f"Gram products of a {rows}x{p} matrix are not finite")
             theta, e = theta[::-1], e[:, ::-1]
             w = q @ e
-            if gram is None:
-                bw = z @ e
-                gy = _times(b.T, bw)
-            else:
-                bw, gy = None, gq @ e
+            gy = gq @ e
             residuals = np.linalg.norm(gy - w * theta, axis=0)
-        yield RitzSpectrum(theta, w, bw, residuals, frob2, slack, gram)
+        yield RitzSpectrum(theta, w, residuals, frob2, slack, gram)
         if gram is None:
             gram = b.T @ b  # finite: each entry is at most ||B||_F^2 in magnitude
 
@@ -199,20 +184,19 @@ def _times(m: np.ndarray, y: np.ndarray) -> np.ndarray:
 def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
     """Whether ``lambda_(k+1)(G) < c`` is certified by one Cholesky factorization.
 
-    ``r`` holds Ritz pairs of ``G = B^T B``, ``b`` at least as tall as wide
-    (see :func:`ritz_iterations`), and ``W_k``, ``Theta_k`` its first ``k``.
-    ``P = W_k Theta_k W_k^T`` is positive semidefinite of rank ``k``, so
-    ``lambda_(k+1)(G) <= lambda_max(G - P)`` by Weyl's inequality, whatever
-    ``W_k``. Factors ``c' I - G + P``, with the ``G`` that ``r`` carries
-    when the power steps formed it, else one formed here. If that succeeds,
-    the matrix plus the factorization's backward error is positive definite
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3: the
-    error is at most ``(p+1) eps`` times ``||R||_F^2``, the trace of the
-    factored matrix, which is at most ``p (c + ||B||_F^2)``). So
-    ``c' = c - slack - p(p+1) eps (c + ||B||_F^2)`` leaves
-    ``lambda_max(G - P) < c``; ``slack`` covers the rounding in ``G``, in
-    ``P`` (at most ``k eps sum(theta)``) and in their difference. ``p`` is
-    ``b``'s number of columns; ``k < p``.
+    ``r`` holds Ritz pairs of ``G = B^T B`` from a power step that formed
+    ``G`` (see :func:`ritz_iterations`), ``b`` at least as tall as wide,
+    and ``W_k``, ``Theta_k`` its first ``k``. ``P = W_k Theta_k W_k^T`` is
+    positive semidefinite of rank ``k``, so ``lambda_(k+1)(G) <=
+    lambda_max(G - P)`` by Weyl's inequality, whatever ``W_k``. Factors
+    ``c' I - G + P`` with that ``G``. If that succeeds, the matrix plus the
+    factorization's backward error is positive definite (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 10.3: the error is at most
+    ``(p+1) eps`` times ``||R||_F^2``, the trace of the factored matrix,
+    which is at most ``p (c + ||B||_F^2)``). So ``c' = c - slack - p(p+1)
+    eps (c + ||B||_F^2)`` leaves ``lambda_max(G - P) < c``; ``slack`` covers
+    the rounding in ``G``, in ``P`` (at most ``k eps sum(theta)``) and in
+    their difference. ``p`` is ``b``'s number of columns; ``k < p``.
     """
     p = b.shape[1]
     eps = np.finfo(np.float64).eps
@@ -222,7 +206,7 @@ def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
     w = r.vectors[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):
         m = (w * r.theta[:k]) @ w.T
-        m -= b.T @ b if r.gram is None else r.gram
+        m -= r.gram
     m[np.diag_indices(p)] += shift
     try:
         np.linalg.cholesky(m)
@@ -264,9 +248,9 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
     return lo
 
 
-# A certified route's kept vectors W, their images B W and the singular values
-# before and after the prox.
-_Kept = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A certified route's kept vectors W and the singular values before and after
+# the prox.
+_Kept = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _low_rank_step(
@@ -293,12 +277,11 @@ def _low_rank_step(
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
     :func:`gram_tail_below` shows ``lambda_(k+1)(G) < c``, ``c`` the square
     of the largest value the prox drops. Then exactly ``k`` values are kept,
-    each known as well as on the Gram path. ``G`` is formed only from the
-    second power step on (see :func:`ritz_iterations`), so a step certified
-    by the trace bound at its first power step never forms it. An attempt
-    fails when the block keeps every Ritz value, which leaves the rest
-    unbounded. ``B W_k`` for the rebuild comes from the first step's images
-    or, after a step taken with ``G``, from one product with ``B``.
+    each known as well as on the Gram path. ``G`` is formed from the second
+    power step on (see :func:`ritz_iterations`): the trace bound at the
+    first needs none, and the Cholesky is never reached there, as a finite
+    ``rho_k`` goes on and an infinite one fails. An attempt fails when the
+    block keeps every Ritz value, which leaves the rest unbounded.
     """
     gram = None
     try:
@@ -327,9 +310,7 @@ def _low_rank_step(
             return None, None  # no step at all: the block spans everything
     except np.linalg.LinAlgError:
         return None, gram
-    w = r.vectors[:, :k]
-    bw = _times(b, w) if r.images is None else r.images[:, :k]
-    return (w, bw, singulars, sig), None
+    return (r.vectors[:, :k], singulars, sig), None
 
 
 def _gram_step(
@@ -354,8 +335,7 @@ def _gram_step(
         return None
     # boolean indexing: a slice view or a C-ordered copy of these columns
     # rounds B V differently in the last bits
-    v = g.vectors[:, keep]
-    return v, _times(b, v), g.singulars, sig
+    return g.vectors[:, keep], g.singulars, sig
 
 
 def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray | None = COLD) -> LStep:
@@ -373,9 +353,10 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
     values come from the eigendecomposition of the smaller Gram matrix
     (:func:`gram_spectrum`, with the Gram matrix the attempt formed, if
     any), a fraction of the cost of a thin SVD, certified by the
-    eigenvalues' error bound. Both run on ``a`` or its transposed
-    view, whichever is tall, and rebuild only the kept components. Otherwise,
-    and when the eigensolver fails, the step takes the thin SVD of ``a``.
+    eigenvalues' error bound. Both run on ``a`` or its transposed view
+    ``B``, whichever is tall, and L is rebuilt from their kept vectors ``W``
+    and ``B W``. Otherwise, and when the eigensolver fails, the step takes
+    the thin SVD of ``a``.
 
     The result's ``basis`` is the next step's start: the kept singular
     vectors on the smaller side, a new array, after a step that took the
@@ -396,8 +377,9 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
         w = f.vt[:k].T if tall else f.u[:, :k]
         l, route = (f.u * sig) @ f.vt, "svd"
     else:
-        w, bw, singulars, sig = kept
+        w, singulars, sig = kept
         k = w.shape[1]
+        bw = _times(b, w)
         scale = sig[:k] / singulars[:k]
         l = (bw * scale) @ w.T if tall else (w * scale) @ bw.T
     warm = route == "low_rank" or k * WARM_RANK_DIVISOR <= w.shape[0]

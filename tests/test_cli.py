@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import errno
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -42,6 +43,22 @@ def test_the_benchmark_names_only_what_the_package_has():
     assert ("cli", "main") in chains and ("linalg", "svd") in chains
     missing = [c for c in chains if functools.reduce(lambda o, a: getattr(o, a, None), c, rpca) is None]
     assert missing == []
+
+
+def test_the_tracer_wraps_no_more_gone_names():
+    # perfbench/tracing.py replaces the (module, attribute) pairs of its
+    # WRAPPED list for a traced run, and a pair that no longer resolves
+    # reads 0 on its per-layer metrics. Four are gone; a fifth fails here,
+    # and so does re-pointing one of the four until the set below shrinks.
+    # The list is parsed, not imported
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    wrapped = next(node.value for node in tree.body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WRAPPED")
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in wrapped.elts]
+    assert ("rpca.linalg", "svd") in pairs
+    gone = {(module, attr) for module, attr in pairs if not hasattr(importlib.import_module(module), attr)}
+    assert gone == {("rpca.solver", "prox_vector_with_iters"), ("rpca.solver", "shrink"),
+                    ("rpca.solver", "penalty_value"), ("rpca.cli", "rank_estimate")}
 
 
 def test_synth_writes_instance(tmp_path):

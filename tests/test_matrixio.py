@@ -492,7 +492,7 @@ def test_config_params_round_trip():
                        surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21)
     assert config_from_params(config_to_params(cfg)) == cfg
     cfg2 = SolverConfig()
-    assert config_from_params(config_to_params(cfg2, seed=3)) == cfg2
+    assert config_from_params(config_to_params(cfg2)) == cfg2
     # every field off its default, so an echo that drops one fails here
     cfg3 = SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
                         surrogate=gamma_surrogate(0.5), penalty=COLUMNWISE_L21, auto_scale=True)
@@ -503,34 +503,32 @@ def test_config_params_round_trip():
 
 # the echo's exact form, as report.json carries it (keys sorted on write)
 ECHOES = {
-    "gamma-l1-seed": (
+    "gamma-l1": (
         SolverConfig(),
-        3,
         {"lambda": 1e-3, "mu0": 1e-4, "rho": 1.1, "mu_max": 1e10, "tol": 1e-3,
          "max_outer": 500, "surrogate": {"kind": "gamma", "gamma": 0.01},
-         "penalty": "l1", "auto_scale": False, "seed": 3},
+         "penalty": "l1", "auto_scale": False},
     ),
     "nuclear-l21": (
         SolverConfig(lam=0.05, mu0=2e-3, rho=1.2, mu_max=1e8, tol=1e-4, max_outer=77,
                      surrogate=nuclear_surrogate(), penalty=COLUMNWISE_L21, auto_scale=True),
-        None,
         {"lambda": 0.05, "mu0": 2e-3, "rho": 1.2, "mu_max": 1e8, "tol": 1e-4,
          "max_outer": 77, "surrogate": {"kind": "nuclear"}, "penalty": "l21", "auto_scale": True},
     ),
 }
 
 
-@pytest.mark.parametrize("cfg, seed, expected", list(ECHOES.values()), ids=list(ECHOES))
-def test_config_to_params_format(cfg, seed, expected):
-    params = config_to_params(cfg, seed)
+@pytest.mark.parametrize("cfg, expected", list(ECHOES.values()), ids=list(ECHOES))
+def test_config_to_params_format(cfg, expected):
+    params = config_to_params(cfg)
     assert params == expected
     # equal dicts can still differ in JSON (500 against 500.0)
     assert json.dumps(params, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_config_from_params_missing_key_raises():
-    params = config_to_params(SolverConfig(), seed=3)
-    for key in set(params) - {"seed", "auto_scale"}:
+    params = config_to_params(SolverConfig())
+    for key in set(params) - {"auto_scale"}:
         partial = {k: v for k, v in params.items() if k != key}
         with pytest.raises(KeyError):
             config_from_params(partial)
@@ -539,7 +537,7 @@ def test_config_from_params_missing_key_raises():
 def test_config_from_params_reads_a_report_without_auto_scale():
     # reports written before the working scale solved on X as given
     cfg = SolverConfig(mu0=2e-3, penalty=COLUMNWISE_L21)
-    params = config_to_params(cfg, seed=3)
+    params = config_to_params(cfg)
     del params["auto_scale"]
     assert config_from_params(params) == cfg
     params["auto_scale"] = True
@@ -548,11 +546,13 @@ def test_config_from_params_reads_a_report_without_auto_scale():
 
 def test_config_from_params_ignores_the_old_dc_echo():
     # reports written before the gamma prox had a closed form echo the
-    # settings of its inner loop under "dc"
+    # settings of its inner loop under "dc"; a "seed" key is ignored the
+    # same way
     cfg = SolverConfig(mu0=2e-3, penalty=COLUMNWISE_L21)
-    params = config_to_params(cfg, seed=3)
-    assert "dc" not in params
+    params = config_to_params(cfg)
+    assert "dc" not in params and "seed" not in params
     params["dc"] = {"max_inner": 30, "tol": 1e-10}
+    params["seed"] = 3
     assert config_from_params(params) == cfg
 
 
@@ -561,7 +561,7 @@ def test_report_fields_and_rerun(tmp_path):
     x = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 20))
     cfg = SolverConfig(mu0=1e-2)
     result = solve(x, cfg)
-    report = build_report(cfg, result, seed=None)
+    report = build_report(cfg, result)
     assert report["converged"] is True
     # the report's rank is the last iteration's record, which agrees with an
     # SVD of the final L; this planted rank-4 input comes back at rank 3

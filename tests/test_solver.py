@@ -712,8 +712,9 @@ def test_low_rank_route_certifies_an_entrywise_bulk(ritz_calls):
 def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
     # three values over 57 at 9.6, and the nuclear keep-threshold 1/mu = 9.7
     # just above that bulk: the kept block's residual falls by a few percent
-    # per power step, so the attempt gives up after two steps without
-    # forming G, and the Gram path gives its own result unchanged
+    # per power step, so the attempt gives up after two steps (the second
+    # taken with the formed G), and the Gram path gives its own result
+    # unchanged
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(36), 60, 120, np.r_[10.0, 9.9, 9.8, np.full(57, 9.6)])
     mu = 1.0 / 9.7
@@ -753,13 +754,17 @@ def test_low_rank_route_gate_and_the_cost_of_failed_attempts(ritz_calls):
     assert ritz_calls["attempts"] == tried
 
 
-def test_low_rank_route_solves_are_bit_identical():
+def test_low_rank_route_solves_are_bit_identical(ritz_calls):
     cfg = SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21)
     x = wide_injected_columns(0)
     first, second = solve(x, cfg), solve(x, cfg)
     assert all(rec.l_route == "low_rank" for rec in first.history)
     assert np.array_equal(first.l, second.l) and np.array_equal(first.s, second.s)
     assert first.history == second.history
+    # every step is certified by the trace bound at its first power step,
+    # which forms no G
+    assert ritz_calls["steps"] == ritz_calls["attempts"] and ritz_calls["tails"] == 0
+    assert all(e[1].gram is None for e in ritz_calls["events"] if e[0] == "step")
 
 
 def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
