@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -81,7 +82,7 @@ def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
                 raise MatrixIoError(
                     f"{path}: row {lineno}, column {colno}: not a number: {tok!r}"
                 ) from exc
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise MatrixIoError(
                     f"{path}: row {lineno}, column {colno}: non-finite value {tok!r}"
                 )

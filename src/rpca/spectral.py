@@ -7,9 +7,12 @@ and a bound ``tail`` on the dropped ones, and one certificate
 (``_certified``) decides for both. The ``low_rank`` route takes power steps
 with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
 arXiv:0909.4061), each applying ``G``, formed after the first step; the
-``gram`` route eigendecomposes ``G``, reusing the one a failed ``low_rank``
-attempt formed. L is rebuilt from their kept vectors ``W`` and ``B W``, or
-from the thin SVD (``linalg.svd``, route ``svd``) when neither certifies.
+``gram`` route eigendecomposes ``G``. One function, ``_certified_route``,
+tries them in that order and owns ``G``: the ``gram`` route reuses the one
+a failed ``low_rank`` attempt formed, and ``G`` is released when the
+function returns. L is rebuilt from their kept vectors ``W`` and ``B W``,
+or from the thin SVD (``linalg.svd``, route ``svd``) when neither
+certifies.
 """
 
 from __future__ import annotations
@@ -25,15 +28,11 @@ from .surrogates import RankSurrogate, prox_vector
 # before the L-step uses it instead of the thin SVD.
 KEPT_REL_ERROR = 1e-8
 
-# Bounds on the low-rank route (see ``_low_rank_step``): at most this many
+# Bounds on the low-rank route (see ``_certified_route``): at most this many
 # power steps per attempt, continued while the kept block's residual falls
 # at least RITZ_FALL times per step.
 RITZ_STEPS = 10
 RITZ_FALL = 10.0
-
-# Halvings that place the prox's keep-threshold; the bisection stops sooner
-# once its interval stops shrinking.
-BISECT_STEPS = 100
 
 # The next L-step tries the low-rank route after a step that kept at most
 # p / WARM_RANK_DIVISOR values, p = min(m, n), or that took the route.
@@ -232,19 +231,19 @@ def _certified(theta, k: int, err: float, tail: float, mu: float, surrogate: Ran
 
 
 def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) -> float:
-    """A value the prox drops, by bisection from ``lo`` (dropped) towards ``hi`` (kept).
+    """The largest value the prox drops, by bisection from ``lo`` (dropped) towards ``hi`` (kept).
 
-    The prox is monotone, so the result is the largest dropped value to
-    the last bit once the interval stops shrinking.
+    Each halving strictly shrinks an interval of finite doubles, so the loop
+    ends, when ``hi`` is the double after ``lo``. The prox is monotone, so
+    ``lo`` is then the largest dropped value to the last bit.
     """
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if prox_vector(mid, mu, surrogate)[0] > 0.0:
             hi = mid
         else:
             lo = mid
+        mid = 0.5 * (lo + hi)
     return lo
 
 
@@ -253,21 +252,22 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
 _Kept = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _low_rank_step(
-    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
-) -> tuple[_Kept | None, np.ndarray | None]:
-    """The low-rank route from the start block ``basis``, and ``G`` if the power steps formed it.
+def _certified_route(
+    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray | None
+) -> tuple[_Kept | None, str]:
+    """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, and its name.
 
-    The route's result is ``None`` when it cannot be certified.
-
-    Takes at most ``RITZ_STEPS`` power steps of :func:`ritz_iterations` and
-    proxes the square roots of their Ritz values; ``k`` of them are kept.
-    With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``,
-    ``||E||_2 <= rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest =
-    ||B||_F^2 - sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
-    max(theta_(k+1), rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho``
-    for the kept values. Each step is certified at once by that trace
-    bound, both figures widened by the rounding ``slack``: it needs no ``G``.
+    They are ``None``, with the name ``gram``, when neither certifies.
+    Unless ``basis`` is ``None``, the ``low_rank`` route is tried first,
+    from the start block ``basis``: at most ``RITZ_STEPS`` power steps of
+    :func:`ritz_iterations`, whose Ritz values' square roots the prox keeps
+    ``k`` of. With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W,
+    W_perp]``, ``||E||_2 <= rho = ||G W - W Theta||_F`` and
+    ``lambda_max(C) <= rest = ||B||_F^2 - sum(theta)``, so by Weyl's
+    inequality ``lambda_(k+1)(G) <= max(theta_(k+1), rest) + rho`` and
+    ``|lambda_i(G) - theta_i| <= rho`` for the kept values. Each step is
+    certified at once by that trace bound, both figures widened by the
+    rounding ``slack``: it needs no ``G``.
 
     Otherwise the steps go on while the kept block's residual ``rho_k =
     ||G W_k - W_k Theta_k||_F`` falls at least ``RITZ_FALL`` times per step,
@@ -280,37 +280,42 @@ def _low_rank_step(
     each known as well as on the Gram path. ``G`` is formed from the second
     power step on (see :func:`ritz_iterations`): the trace bound at the
     first needs none, and the Cholesky is never reached there, as a finite
-    ``rho_k`` goes on and an infinite one fails. An attempt fails when the
-    block keeps every Ritz value, which leaves the rest unbounded.
+    ``rho_k`` goes on and an infinite one fails.
+
+    An attempt fails when the block keeps every Ritz value, which leaves
+    the rest unbounded, when the residual stalls or the steps run out
+    without a certificate, when the eigensolver fails or a product
+    overflows, and when the block spans everything, so no step is taken.
+    Every failure then takes the ``gram`` route, with the ``G`` the attempt
+    formed, if any. ``G`` lives only in this function's frame, so it is
+    released before the caller rebuilds L.
     """
     gram = None
-    try:
-        prev = np.inf
-        for steps, r in enumerate(ritz_iterations(b, basis), start=1):
-            gram = r.gram
-            singulars = np.sqrt(np.maximum(r.theta, 0.0))
-            sig = prox_vector(singulars, mu, surrogate)
-            k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
-            if k == r.theta.size:
-                return None, gram  # no dropped Ritz value, so no bound on the rest
-            rho = float(np.linalg.norm(r.residuals))
-            tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
-            if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
-                break
-            rho_k = float(np.linalg.norm(r.residuals[:k]))
-            if steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev:
-                if not (k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate)):
-                    return None, gram
-                c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
-                if not gram_tail_below(b, r, k, c):
-                    return None, gram
-                break
-            prev = rho_k
-        else:
-            return None, None  # no step at all: the block spans everything
-    except np.linalg.LinAlgError:
-        return None, gram
-    return (r.vectors[:, :k], singulars, sig), None
+    if basis is not None:
+        try:
+            prev = np.inf
+            for steps, r in enumerate(ritz_iterations(b, basis), start=1):
+                gram = r.gram
+                singulars = np.sqrt(np.maximum(r.theta, 0.0))
+                sig = prox_vector(singulars, mu, surrogate)
+                k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
+                if k == r.theta.size:
+                    break  # no dropped Ritz value, so no bound on the rest
+                rho = float(np.linalg.norm(r.residuals))
+                tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
+                if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
+                    return (r.vectors[:, :k], singulars, sig), "low_rank"
+                rho_k = float(np.linalg.norm(r.residuals[:k]))
+                if steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev:
+                    if k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
+                        c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
+                        if gram_tail_below(b, r, k, c):
+                            return (r.vectors[:, :k], singulars, sig), "low_rank"
+                    break
+                prev = rho_k
+        except np.linalg.LinAlgError:
+            pass
+    return _gram_step(b, mu, surrogate, gram), "gram"
 
 
 def _gram_step(
@@ -342,21 +347,14 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
     """Spectral prox of the finite 2-D float array ``a`` at weight mu, which it does not check.
 
     Three routes, each used only when its result is the exact prox with a
-    certified keep/drop decision. Unless ``basis`` is ``None``, the step
-    first tries the low-rank route (``_low_rank_step``): power steps with
-    Rayleigh–Ritz on a block that starts from ``basis`` (the kept vectors of
-    a previous step; no columns for a cold start) and a Gaussian block,
-    through products with ``a`` on the first step and with the Gram matrix,
-    formed once, on later ones. It certifies when the kept rank is small
-    and the tail below the keep-threshold is bounded, by the trace left
-    outside the block or by a Cholesky factorization. Otherwise the singular
-    values come from the eigendecomposition of the smaller Gram matrix
-    (:func:`gram_spectrum`, with the Gram matrix the attempt formed, if
-    any), a fraction of the cost of a thin SVD, certified by the
-    eigenvalues' error bound. Both run on ``a`` or its transposed view
-    ``B``, whichever is tall, and L is rebuilt from their kept vectors ``W``
-    and ``B W``. Otherwise, and when the eigensolver fails, the step takes
-    the thin SVD of ``a``.
+    certified keep/drop decision. :func:`_certified_route` tries the two
+    that work on ``a`` or its transposed view ``B``, whichever is tall, and
+    the smaller Gram matrix: ``low_rank``, power steps from ``basis`` (the
+    kept vectors of a previous step; no columns for a cold start, ``None``
+    to skip the route), and then ``gram``, an eigendecomposition, a
+    fraction of the cost of a thin SVD. L is rebuilt from their kept
+    vectors ``W`` and ``B W``. When neither certifies, the step takes the
+    thin SVD of ``a``.
 
     The result's ``basis`` is the next step's start: the kept singular
     vectors on the smaller side, a new array, after a step that took the
@@ -365,11 +363,7 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
-    kept, gram = (None, None) if basis is None else _low_rank_step(b, mu, surrogate, basis)
-    route = "low_rank"
-    if kept is None:
-        kept, route = _gram_step(b, mu, surrogate, gram), "gram"
-        del gram  # not held while L is rebuilt
+    kept, route = _certified_route(b, mu, surrogate, basis)
     if kept is None:
         f = linalg.svd(a)
         sig = prox_vector(f.singulars, mu, surrogate)

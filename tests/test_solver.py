@@ -709,6 +709,43 @@ def test_low_rank_route_certifies_an_entrywise_bulk(ritz_calls):
     assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+def flat_bulk():
+    return planted_spectrum(np.random.default_rng(36), 60, 120, np.r_[10.0, 9.9, 9.8, np.full(57, 9.6)])
+
+
+@pytest.mark.parametrize(
+    "target, mu, surrogate, route",
+    [
+        pytest.param(
+            lambda: planted_200(0), SolverConfig().mu0, SolverConfig().surrogate, "low_rank", id="cholesky"
+        ),
+        pytest.param(flat_bulk, 1.0 / 9.7, nuclear_surrogate(), "gram", id="gram-after-two-steps"),
+    ],
+)
+def test_the_gram_matrix_is_released_before_l_is_rebuilt(monkeypatch, target, mu, surrogate, route):
+    # every G the power steps form is dead by the step's last product with
+    # the target, the rebuild's B W_k: held only by the route walk, whether
+    # the Cholesky tail check or a following gram step used it. The wrapper
+    # keeps no spectra, so only the step itself can keep G alive
+    grams, alive = [], []
+    iterations, times = rpca.spectral.ritz_iterations, rpca.spectral._times
+
+    def watched_iterations(b, basis=rpca.spectral.COLD):
+        for r in iterations(b, basis):
+            if r.gram is not None:
+                grams.append(weakref.ref(r.gram))
+            yield r
+
+    def watched_times(m, y):
+        alive.append(sum(ref() is not None for ref in grams))
+        return times(m, y)
+
+    monkeypatch.setattr(rpca.spectral, "ritz_iterations", watched_iterations)
+    monkeypatch.setattr(rpca.spectral, "_times", watched_times)
+    assert l_step(target(), mu, surrogate).route == route
+    assert grams and alive[-1] == 0
+
+
 def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
     # three values over 57 at 9.6, and the nuclear keep-threshold 1/mu = 9.7
     # just above that bulk: the kept block's residual falls by a few percent

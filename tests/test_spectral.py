@@ -3,8 +3,15 @@ import pytest
 
 from helpers import planted_spectrum, prox_matrix
 from rpca.linalg import svd
-from rpca.spectral import WARM_RANK_DIVISOR, gram_spectrum, gram_tail_below, l_step, ritz_iterations
-from rpca.surrogates import nuclear_surrogate
+from rpca.spectral import (
+    WARM_RANK_DIVISOR,
+    _largest_dropped,
+    gram_spectrum,
+    gram_tail_below,
+    l_step,
+    ritz_iterations,
+)
+from rpca.surrogates import gamma_surrogate, nuclear_surrogate, prox_vector
 
 
 def test_gram_spectrum_matches_svd():
@@ -35,14 +42,27 @@ def test_ritz_overflow_is_linalg_error():
 
 
 def test_gram_tail_below_a_tiny_bound_skips_the_factorization(monkeypatch):
-    # a bound below the rounding slack is refused before G is formed
+    # a bound below the rounding slack is refused before anything is
+    # factored or r.gram is read; a first-step spectrum carries no G
     b = np.random.default_rng(4).standard_normal((40, 30))
     r = next(ritz_iterations(b))
+    assert r.gram is None
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
     assert gram_tail_below(b, r, 3, 1e-300) is False
     assert calls == []
+
+
+@pytest.mark.parametrize("surrogate", [gamma_surrogate(), nuclear_surrogate()], ids=["gamma", "nuclear"])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e6), (3.0, 50.0), (0.0, 1e150)])
+def test_largest_dropped_is_exact_to_the_last_bit(surrogate, lo, hi):
+    # the keep-thresholds at mu = 0.05, about 6.35 (gamma) and 20 (nuclear),
+    # lie in every interval; from 1e150 the bisection needs about 550
+    # halvings to reach them
+    d = _largest_dropped(lo, hi, 0.05, surrogate)
+    assert prox_vector(d, 0.05, surrogate)[0] == 0.0
+    assert prox_vector(np.nextafter(d, np.inf), 0.05, surrogate)[0] > 0.0
 
 
 @pytest.mark.parametrize("offset", [0.5, 1.5], ids=["inside", "outside"])
