@@ -29,7 +29,7 @@ from .matrixio import (
 )
 from .solver import SolverConfig, scaled_lambda, solve
 from .sparse import SparsePenalty
-from .surrogates import GAMMA, NUCLEAR, RankSurrogate, scalar_penalty
+from .surrogates import GAMMA, NUCLEAR, RankSurrogate, gamma_surrogate, nuclear_surrogate, scalar_penalty
 from .synthetic import (
     COLUMNWISE,
     ENTRYWISE,
@@ -72,6 +72,10 @@ def _add_solver_flags(
     p.set_defaults(auto_scale=auto_scale)
 
 
+def _surrogate(kind: str, gamma: float) -> RankSurrogate:
+    return gamma_surrogate(gamma) if kind == GAMMA else nuclear_surrogate()
+
+
 def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
     if args.lam is not None:
         lam = args.lam
@@ -79,9 +83,6 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
         lam = scaled_lambda(*shape)
     else:
         lam = _DEFAULTS.lam
-    surrogate = (
-        RankSurrogate(GAMMA, args.gamma) if args.surrogate == "gamma" else RankSurrogate(NUCLEAR)
-    )
     return SolverConfig(
         lam=lam,
         mu0=args.mu0,
@@ -89,7 +90,7 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
         mu_max=args.mu_max,
         tol=args.tol,
         max_outer=args.max_outer,
-        surrogate=surrogate,
+        surrogate=_surrogate(args.surrogate, args.gamma),
         penalty=SparsePenalty(args.penalty),
         auto_scale=args.auto_scale,
     )
@@ -117,20 +118,21 @@ def _outdir_made(outdir: Path):
         raise
 
 
-def _run_and_write(x, cfg: SolverConfig, outdir: Path):
+def _run_and_write(args):
+    """Read X, solve it and write L.csv, S.csv and report.json; returns ``(result, outdir)``."""
+    x = read_matrix_csv(args.input)
+    cfg = _build_config(args, x.shape)
+    outdir = Path(args.outdir)
     with _outdir_made(outdir):
         result = solve(x, cfg)
     write_matrix_csv(outdir / "L.csv", result.l)
     write_matrix_csv(outdir / "S.csv", result.s)
     write_json(outdir / "report.json", build_report(cfg, result))
-    return result
+    return result, outdir
 
 
 def cmd_decompose(args) -> int:
-    x = read_matrix_csv(args.input)
-    cfg = _build_config(args, x.shape)
-    outdir = Path(args.outdir)
-    result = _run_and_write(x, cfg, outdir)
+    result, outdir = _run_and_write(args)
     status = "converged" if result.converged else "did NOT converge"
     print(
         f"{status} in {result.iterations} iterations; "
@@ -156,10 +158,7 @@ def cmd_synth(args) -> int:
 
 def cmd_anomaly(args) -> int:
     check_threshold(args.threshold)
-    x = read_matrix_csv(args.input)
-    cfg = _build_config(args, x.shape)
-    outdir = Path(args.outdir)
-    result = _run_and_write(x, cfg, outdir)
+    result, outdir = _run_and_write(args)
     scores = anomaly_scores(result.s)
     flagged = detect_anomalies(scores, args.threshold)
     write_matrix_csv(outdir / "scores.csv", scores[:, None])
@@ -191,8 +190,7 @@ def cmd_curve(args) -> int:
     kinds = ["gamma", "nuclear"] if args.surrogate == "both" else [args.surrogate]
     columns = [grid]
     for kind in kinds:
-        s = RankSurrogate(GAMMA, args.gamma) if kind == "gamma" else RankSurrogate(NUCLEAR)
-        columns.append(scalar_penalty(grid, s))
+        columns.append(scalar_penalty(grid, _surrogate(kind, args.gamma)))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(outdir / "curve.csv", np.column_stack(columns))
@@ -219,7 +217,7 @@ def cmd_bench(args) -> int:
     # gamma penalty.
     nuclear_lam = args.nuclear_lambda if args.nuclear_lambda is not None else scaled_lambda(*x.shape)
     nuclear_cfg = dataclasses.replace(
-        gamma_cfg, lam=nuclear_lam, surrogate=RankSurrogate(NUCLEAR)
+        gamma_cfg, lam=nuclear_lam, surrogate=_surrogate(NUCLEAR, args.gamma)
     )
 
     runs = {}

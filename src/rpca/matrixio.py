@@ -32,10 +32,11 @@ def read_matrix_csv(path) -> np.ndarray:
     Every field is one Python ``float`` token, surrounding whitespace
     allowed; one trailing blank line is tolerated. The lines are parsed by
     ``np.loadtxt``, whose C parser reads a subset of ``float``'s grammar to
-    the same bits. If it fails, skips a blank line, or the matrix holds a
-    non-finite value, the lines are parsed again token by token
-    (``_parse_rows``), which accepts the rest of the grammar (digit
-    separators, non-ASCII digits) and names the first bad row and column.
+    the same bits. If it fails or skips a blank line, the lines are parsed
+    again token by token (``_parse_rows``), which accepts the rest of the
+    grammar (digit separators, non-ASCII digits) and names the first bad
+    row and column. A non-finite value that ``np.loadtxt`` read is named
+    from its line alone.
     """
     path = Path(path)
     try:
@@ -57,9 +58,16 @@ def read_matrix_csv(path) -> np.ndarray:
         except ValueError:
             pass
         else:
-            if len(out) == len(lines) and np.isfinite(out).all():
-                return out
+            if len(out) == len(lines):
+                if np.isfinite(out).all():
+                    return out
+                row, col = np.argwhere(~np.isfinite(out))[0]
+                raise _non_finite(path, row + 1, col + 1, lines[row].split(",")[col])
     return _parse_rows(path, lines)
+
+
+def _non_finite(path: Path, lineno: int, colno: int, tok: str) -> MatrixIoError:
+    return MatrixIoError(f"{path}: row {lineno}, column {colno}: non-finite value {tok!r}")
 
 
 def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
@@ -83,9 +91,7 @@ def _parse_rows(path: Path, lines: list[str]) -> np.ndarray:
                     f"{path}: row {lineno}, column {colno}: not a number: {tok!r}"
                 ) from exc
             if not math.isfinite(value):
-                raise MatrixIoError(
-                    f"{path}: row {lineno}, column {colno}: non-finite value {tok!r}"
-                )
+                raise _non_finite(path, lineno, colno, tok)
             parsed.append(value)
         rows.append(parsed)
     return np.array(rows, dtype=np.float64)

@@ -257,7 +257,7 @@ def _certified_route(
 ) -> tuple[_Kept | None, str]:
     """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, and its name.
 
-    They are ``None``, with the name ``gram``, when neither certifies.
+    They are ``None``, with the name ``svd``, when neither certifies.
     Unless ``basis`` is ``None``, the ``low_rank`` route is tried first,
     from the start block ``basis``: at most ``RITZ_STEPS`` power steps of
     :func:`ritz_iterations`, whose Ritz values' square roots the prox keeps
@@ -287,8 +287,10 @@ def _certified_route(
     without a certificate, when the eigensolver fails or a product
     overflows, and when the block spans everything, so no step is taken.
     Every failure then takes the ``gram`` route, with the ``G`` the attempt
-    formed, if any. ``G`` lives only in this function's frame, so it is
-    released before the caller rebuilds L.
+    formed, if any, whose eigenvalues are known to ``delta``: every dropped
+    one lies below ``theta_(k+1) + delta`` (nothing, when all are kept).
+    ``G`` lives only in this function's frame, so it is released before the
+    caller rebuilds L.
     """
     gram = None
     if basis is not None:
@@ -315,32 +317,20 @@ def _certified_route(
                 prev = rho_k
         except np.linalg.LinAlgError:
             pass
-    return _gram_step(b, mu, surrogate, gram), "gram"
-
-
-def _gram_step(
-    b: np.ndarray, mu: float, surrogate: RankSurrogate, gram: np.ndarray | None
-) -> _Kept | None:
-    """The ``gram`` route, or ``None`` when the eigensolver fails or the step cannot be certified.
-
-    ``gram`` is ``G`` when a failed low-rank attempt formed it. Each
-    eigenvalue is known to ``delta``, so every dropped one lies below
-    ``theta_(k+1) + delta`` (nothing, when every value is kept).
-    """
     try:
         g = gram_spectrum(b, gram)
     except np.linalg.LinAlgError:
-        return None
+        return None, "svd"
     sig = prox_vector(g.singulars, mu, surrogate)
     keep = sig > 0.0
     theta = g.singulars**2
     k = int(np.count_nonzero(keep))  # a prefix, as on the low-rank route
     tail = theta[k] + g.delta if k < theta.size else 0.0
     if not _certified(theta, k, g.delta, tail, mu, surrogate):
-        return None
+        return None, "svd"
     # boolean indexing: a slice view or a C-ordered copy of these columns
     # rounds B V differently in the last bits
-    return g.vectors[:, keep], g.singulars, sig
+    return (g.vectors[:, keep], g.singulars, sig), "gram"
 
 
 def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray | None = COLD) -> LStep:
@@ -369,7 +359,7 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
         sig = prox_vector(f.singulars, mu, surrogate)
         k = int(np.count_nonzero(sig))
         w = f.vt[:k].T if tall else f.u[:, :k]
-        l, route = (f.u * sig) @ f.vt, "svd"
+        l = (f.u * sig) @ f.vt
     else:
         w, singulars, sig = kept
         k = w.shape[1]

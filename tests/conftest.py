@@ -1,4 +1,11 @@
-"""Suite-wide hooks: one pass/fail line per acceptance check at the end."""
+"""Suite-wide hooks and fixtures: one pass/fail line per acceptance check at
+the end, and counters on the L-step's fallback SVD and certified routes."""
+
+import numpy as np
+import pytest
+
+import rpca.linalg
+import rpca.spectral
 
 _acceptance_results: dict[str, str] = {}
 
@@ -20,3 +27,46 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line("acceptance checks:")
     for name, status in sorted(_acceptance_results.items()):
         terminalreporter.write_line(f"  {name}: {status}")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count calls to ``rpca.linalg.svd``, the L-step's fallback."""
+    calls = []
+    original = rpca.linalg.svd
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(rpca.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
+def ritz_calls(monkeypatch):
+    """Count the Gram-free L-step's attempts, power steps and Cholesky tail checks.
+
+    ``events`` lists them in call order: ``("attempt",)``, ``("step", r)``
+    for each Ritz iterate ``r`` and ``("tail", r, k, certified)``.
+    """
+    calls = {"attempts": 0, "steps": 0, "tails": 0, "events": []}
+    iterations, tail_below = rpca.spectral.ritz_iterations, rpca.spectral.gram_tail_below
+
+    def counted_iterations(a, basis=rpca.spectral.COLD):
+        calls["attempts"] += 1
+        calls["events"].append(("attempt",))
+        for r in iterations(a, basis):
+            calls["steps"] += 1
+            calls["events"].append(("step", r))
+            yield r
+
+    def counted_tail(a, r, k, c):
+        certified = tail_below(a, r, k, c)
+        calls["tails"] += 1
+        calls["events"].append(("tail", r, k, certified))
+        return certified
+
+    monkeypatch.setattr(rpca.spectral, "ritz_iterations", counted_iterations)
+    monkeypatch.setattr(rpca.spectral, "gram_tail_below", counted_tail)
+    return calls

@@ -15,22 +15,27 @@ matrix by Cholesky. The reference CSV writer formats one entry at a
 time with ``format`` rather than a row at a time with ``%``. The package
 has no penalty-value function of its own; ``penalty_value`` here, one
 whole-array expression, serves the reference step, the reference
-Lagrangian and the tests.
+Lagrangian and the tests. The module also holds the instance builders and
+the surrogate parameter list that more than one test module uses.
 """
 
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from rpca.linalg import as_matrix, svd
 from rpca.surrogates import (
     RankSurrogate,
+    gamma_surrogate,
+    nuclear_surrogate,
     prox_vector,
     scalar_penalty,
     surrogate_gradient,
     surrogate_value,
 )
+from rpca.synthetic import SyntheticSpec, generate_synthetic
 
 
 def prox_objective(sigma, sigma_a: float, mu: float, s: RankSurrogate):
@@ -372,3 +377,20 @@ class IterationAuditor:
             self.max_iterate_norm, float(np.linalg.norm(state.l)), float(np.linalg.norm(state.s))
         )
         self.prev = state
+
+
+SURROGATES = [pytest.param(gamma_surrogate(), id="gamma"), pytest.param(nuclear_surrogate(), id="nuclear")]
+
+
+SPEC_200 = SyntheticSpec(m=200, n=200, rank=5, sparsity=0.05, magnitude_low=1.0, magnitude_high=10.0)
+
+
+def planted_200(seed):
+    return generate_synthetic(SPEC_200, seed)[0]
+
+
+def wide_injected_columns(seed):
+    rng = np.random.default_rng(seed)
+    u1 = np.linalg.qr(rng.standard_normal((100, 3)))[0]
+    u2 = np.linalg.qr(rng.standard_normal((100, 3)))[0]
+    return np.hstack([u1 @ rng.standard_normal((3, 190)), u2 @ rng.standard_normal((3, 10))])

@@ -5,6 +5,7 @@ import functools
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,24 @@ def test_the_benchmark_names_only_what_the_package_has():
     assert ("cli", "main") in chains and ("linalg", "svd") in chains
     missing = [c for c in chains if functools.reduce(lambda o, a: getattr(o, a, None), c, rpca) is None]
     assert missing == []
+
+
+def test_every_public_name_has_a_caller_or_is_documented():
+    # no public API that only tests call: each name in rpca.__all__ is
+    # loaded by a package module other than __init__.py, or README.md names
+    # it as library API. Both are parsed, not imported
+    root = Path(__file__).parents[1]
+    loaded = set()
+    for path in (root / "src" / "rpca").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    named = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    public = {name for name in rpca.__all__ if not name.startswith("__")}
+    assert sorted(public - loaded - named) == []
 
 
 def test_the_tracer_wraps_no_more_gone_names():

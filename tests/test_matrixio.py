@@ -257,6 +257,20 @@ def test_read_matrix_csv_common_files_skip_the_token_parser(tmp_path, monkeypatc
         read_matrix_csv(p)
 
 
+def test_read_matrix_csv_names_a_non_finite_value_without_the_token_parser(tmp_path, monkeypatch):
+    # np.loadtxt read every line, so the first non-finite value in row-major
+    # order is named from its own line, with the token parser's message
+    def refuse(path, lines):
+        raise AssertionError("fell back to the token parser")
+
+    monkeypatch.setattr(rpca.matrixio, "_parse_rows", refuse)
+    p = tmp_path / "m.csv"
+    p.write_text("1,2,3\n4,5, -inf \n1e400,8,nan\n")
+    with pytest.raises(MatrixIoError) as exc:
+        read_matrix_csv(p)
+    assert str(exc.value) == f"{p}: row 2, column 3: non-finite value ' -inf '"
+
+
 def forced_split(monkeypatch):
     """Split every write with at least two rows; count the children started."""
     forks = []

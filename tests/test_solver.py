@@ -1,24 +1,21 @@
 import dataclasses
-import itertools
 import json
 import weakref
 
 import numpy as np
 import pytest
 
-import rpca.linalg
 import rpca.solver
-import rpca.spectral
 from helpers import (
+    SURROGATES,
     penalty_value,
-    planted_spectrum,
-    prox_matrix,
+    planted_200,
     random_orthonormal,
     reference_lagrangian,
     reference_solve,
     reference_step,
-    tail_reference,
     traced_peak,
+    wide_injected_columns,
 )
 from rpca.matrixio import config_from_params, config_to_params
 from rpca.solver import (
@@ -33,10 +30,8 @@ from rpca.solver import (
     working_scale,
 )
 from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty
-from rpca.spectral import KEPT_REL_ERROR, RITZ_STEPS, WARM_RANK_DIVISOR, l_step
 from rpca.surrogates import (
     RankSurrogate,
-    gamma_surrogate,
     nuclear_surrogate,
     surrogate_gradient,
     surrogate_value,
@@ -448,84 +443,6 @@ def test_gamma_run_beats_nuclear_shrink_bias():
     assert err_gamma <= err_nuc + 1e-3
 
 
-SURROGATES = [pytest.param(gamma_surrogate(), id="gamma"), pytest.param(nuclear_surrogate(), id="nuclear")]
-
-
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Count calls to ``rpca.linalg.svd``, the L-step's fallback."""
-    calls = []
-    original = rpca.linalg.svd
-
-    def counted(a):
-        calls.append(np.shape(a))
-        return original(a)
-
-    monkeypatch.setattr(rpca.linalg, "svd", counted)
-    return calls
-
-
-@pytest.mark.parametrize("surrogate", SURROGATES)
-def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
-    # keep-thresholds sqrt(2/mu) (gamma) and 1/mu (nuclear) both sit near 10,
-    # inside each planted spectrum
-    mu = 0.02 if surrogate.kind == "gamma" else 0.1
-    rng = np.random.default_rng(31)
-    spread = np.linspace(20.0, 1.0, 12)
-    deficient = np.concatenate([np.linspace(20.0, 5.0, 5), np.zeros(7)])
-    cases = {
-        "tall": planted_spectrum(rng, 40, 12, spread),
-        "wide": planted_spectrum(rng, 12, 40, spread),
-        "square": planted_spectrum(rng, 12, 12, spread),
-        "zero": np.zeros((6, 9)),
-        "deficient-tall": planted_spectrum(rng, 40, 12, deficient),
-        "deficient-wide": planted_spectrum(rng, 12, 40, deficient),
-    }
-    for name, a in cases.items():
-        l, sig, _, _ = l_step(a, mu, surrogate)
-        ref = prox_matrix(a, mu, surrogate)
-        assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), name
-        assert np.count_nonzero(sig) == np.linalg.matrix_rank(ref), name
-    assert svd_calls == []
-
-
-@pytest.mark.parametrize("surrogate", SURROGATES)
-def test_l_step_falls_back_when_kept_values_are_uncertified(surrogate, svd_calls):
-    # at mu = 1e11 both keep-thresholds fall below sqrt(delta) of this
-    # twelve-decade spectrum, so the Gram spectrum cannot certify the step
-    a = planted_spectrum(np.random.default_rng(32), 30, 20, np.logspace(0, -12, 20))
-    l, _, _, _ = l_step(a, 1e11, surrogate)
-    assert np.array_equal(l, prox_matrix(a, 1e11, surrogate))
-    assert svd_calls == [a.shape]
-
-
-def test_l_step_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
-    def fail(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    surrogate = gamma_surrogate()
-    a = planted_spectrum(np.random.default_rng(33), 20, 15, np.linspace(20.0, 1.0, 15))
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    assert np.array_equal(l_step(a, 0.02, surrogate)[0], prox_matrix(a, 0.02, surrogate))
-    assert svd_calls == [a.shape]
-
-
-def test_low_rank_route_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
-    def fail(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    surrogate = gamma_surrogate()
-    a = planted_spectrum(np.random.default_rng(33), 40, 30, np.linspace(20.0, 1.0, 30))
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    l, _, route, _ = l_step(a, 0.02, surrogate)
-    assert route == "svd"
-    assert np.array_equal(l, prox_matrix(a, 0.02, surrogate))
-    assert svd_calls == [a.shape]
-
-
-SPEC_200 = SyntheticSpec(m=200, n=200, rank=5, sparsity=0.05, magnitude_low=1.0, magnitude_high=10.0)
-
-
 @pytest.mark.parametrize("build", [
     lambda: SolverConfig(lam=True),
     lambda: RankSurrogate("gamma", True),
@@ -549,17 +466,6 @@ def test_settings_keep_a_numpy_scalar_as_a_float(settings, name, value):
     got = cfg.surrogate.gamma if name == "gamma" else getattr(cfg, name)
     assert type(got) is float and got == float(value)
     assert config_from_params(json.loads(json.dumps(config_to_params(cfg)))) == cfg
-
-
-def planted_200(seed):
-    return generate_synthetic(SPEC_200, seed)[0]
-
-
-def wide_injected_columns(seed):
-    rng = np.random.default_rng(seed)
-    u1 = np.linalg.qr(rng.standard_normal((100, 3)))[0]
-    u2 = np.linalg.qr(rng.standard_normal((100, 3)))[0]
-    return np.hstack([u1 @ rng.standard_normal((3, 190)), u2 @ rng.standard_normal((3, 10))])
 
 
 # The acceptance instances: the C05 planted 200x200 runs (gamma, l1), the
@@ -640,308 +546,6 @@ def test_record_lagrangian_matches_the_reference_along_the_acceptance_solves(mak
             prev = state
 
         solve(x, cfg, callback=check)
-
-
-@pytest.fixture
-def ritz_calls(monkeypatch):
-    """Count the Gram-free L-step's attempts, power steps and Cholesky tail checks.
-
-    ``events`` lists them in call order: ``("attempt",)``, ``("step", r)``
-    for each Ritz iterate ``r`` and ``("tail", r, k, certified)``.
-    """
-    calls = {"attempts": 0, "steps": 0, "tails": 0, "events": []}
-    iterations, tail_below = rpca.spectral.ritz_iterations, rpca.spectral.gram_tail_below
-
-    def counted_iterations(a, basis=rpca.spectral.COLD):
-        calls["attempts"] += 1
-        calls["events"].append(("attempt",))
-        for r in iterations(a, basis):
-            calls["steps"] += 1
-            calls["events"].append(("step", r))
-            yield r
-
-    def counted_tail(a, r, k, c):
-        certified = tail_below(a, r, k, c)
-        calls["tails"] += 1
-        calls["events"].append(("tail", r, k, certified))
-        return certified
-
-    monkeypatch.setattr(rpca.spectral, "ritz_iterations", counted_iterations)
-    monkeypatch.setattr(rpca.spectral, "gram_tail_below", counted_tail)
-    return calls
-
-
-def counts(calls):
-    return calls["attempts"], calls["steps"], calls["tails"]
-
-
-@pytest.mark.parametrize("surrogate", SURROGATES)
-@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
-def test_low_rank_route_matches_full_svd_prox(surrogate, tall, svd_calls):
-    # rank 3 plus ten columns from a second rank-3 subspace: singular values
-    # near 14 and near 3, and keep-thresholds sqrt(2/mu) (gamma) and 1/mu
-    # (nuclear) near 8, between the two groups
-    mu = 0.03 if surrogate.kind == "gamma" else 0.125
-    for seed in range(3):
-        a = wide_injected_columns(seed)
-        a = a.T if tall else a
-        l, sig, route, _ = l_step(a, mu, surrogate)
-        ref = prox_matrix(a, mu, surrogate)
-        assert route == "low_rank", seed
-        assert np.count_nonzero(sig) == 3, seed
-        assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), seed
-    assert svd_calls == []
-
-
-def test_low_rank_route_certifies_an_entrywise_bulk(ritz_calls):
-    # 5% entrywise corruption spreads its energy over all 200 directions, far
-    # above the keep-threshold's square, so the trace outside the block
-    # bounds nothing. The power steps converge on the five planted values
-    # (the residual falls about 25x per step) and the Cholesky tail bound
-    # certifies the step
-    cfg = SolverConfig()
-    a = planted_200(0)
-    l, sig, route, basis = l_step(a, cfg.mu0, cfg.surrogate)
-    ref = prox_matrix(a, cfg.mu0, cfg.surrogate)
-    assert route == "low_rank"
-    assert ritz_calls["attempts"] == 1 and ritz_calls["tails"] == 1
-    assert np.count_nonzero(sig) == 5 and basis.shape == (200, 5)
-    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def flat_bulk():
-    return planted_spectrum(np.random.default_rng(36), 60, 120, np.r_[10.0, 9.9, 9.8, np.full(57, 9.6)])
-
-
-@pytest.mark.parametrize(
-    "target, mu, surrogate, route",
-    [
-        pytest.param(
-            lambda: planted_200(0), SolverConfig().mu0, SolverConfig().surrogate, "low_rank", id="cholesky"
-        ),
-        pytest.param(flat_bulk, 1.0 / 9.7, nuclear_surrogate(), "gram", id="gram-after-two-steps"),
-    ],
-)
-def test_the_gram_matrix_is_released_before_l_is_rebuilt(monkeypatch, target, mu, surrogate, route):
-    # every G the power steps form is dead by the step's last product with
-    # the target, the rebuild's B W_k: held only by the route walk, whether
-    # the Cholesky tail check or a following gram step used it. The wrapper
-    # keeps no spectra, so only the step itself can keep G alive
-    grams, alive = [], []
-    iterations, times = rpca.spectral.ritz_iterations, rpca.spectral._times
-
-    def watched_iterations(b, basis=rpca.spectral.COLD):
-        for r in iterations(b, basis):
-            if r.gram is not None:
-                grams.append(weakref.ref(r.gram))
-            yield r
-
-    def watched_times(m, y):
-        alive.append(sum(ref() is not None for ref in grams))
-        return times(m, y)
-
-    monkeypatch.setattr(rpca.spectral, "ritz_iterations", watched_iterations)
-    monkeypatch.setattr(rpca.spectral, "_times", watched_times)
-    assert l_step(target(), mu, surrogate).route == route
-    assert grams and alive[-1] == 0
-
-
-def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
-    # three values over 57 at 9.6, and the nuclear keep-threshold 1/mu = 9.7
-    # just above that bulk: the kept block's residual falls by a few percent
-    # per power step, so the attempt gives up after two steps (the second
-    # taken with the formed G), and the Gram path gives its own result
-    # unchanged
-    nuclear = nuclear_surrogate()
-    a = planted_spectrum(np.random.default_rng(36), 60, 120, np.r_[10.0, 9.9, 9.8, np.full(57, 9.6)])
-    mu = 1.0 / 9.7
-    l, sig, route, _ = l_step(a, mu, nuclear)
-    assert route == "gram" and np.count_nonzero(sig) == 3
-    assert np.array_equal(l, l_step(a, mu, nuclear, basis=None).l)
-    assert counts(ritz_calls) == (1, 2, 0)
-
-
-def test_low_rank_route_gate_and_the_cost_of_failed_attempts(ritz_calls):
-    # a step tries the route on the first iteration, after a certified step
-    # or after a step that kept at most p/20 values, and nowhere else. An
-    # attempt takes at most RITZ_STEPS power steps and at most one Cholesky,
-    # and only once the kept block's residual meets KEPT_REL_ERROR. With 20%
-    # corruption the kept rank climbs to about 70 and back, past p/20 = 15
-    x = generate_synthetic(SyntheticSpec(m=300, n=300, rank=10, sparsity=0.2), 0)[0]
-    events = ritz_calls["events"]
-    marks = [0]
-    r = solve(x, callback=lambda st, rec: marks.append(len(events)))
-    prev = None
-    tried = failed = 0
-    for rec, start, stop in zip(r.history, marks, marks[1:]):
-        attempt = events[start:stop]
-        gate = prev is None or prev.l_route == "low_rank" or prev.rank_estimate * WARM_RANK_DIVISOR <= 300
-        assert (attempt[:1] == [("attempt",)]) == gate, rec.iter
-        steps = [e[1] for e in attempt if e[0] == "step"]
-        tails = [e for e in attempt if e[0] == "tail"]
-        assert len(steps) <= RITZ_STEPS and len(tails) <= 1, rec.iter
-        for _, it, k, _ in tails:
-            assert it is steps[-1], rec.iter
-            assert np.linalg.norm(it.residuals[:k]) + it.slack <= KEPT_REL_ERROR * it.theta[k - 1]
-        tried += gate
-        failed += gate and rec.l_route != "low_rank"
-        prev = rec
-    certified = sum(rec.l_route == "low_rank" for rec in r.history)
-    assert certified >= 2 and failed >= 1 and tried < r.iterations
-    assert ritz_calls["attempts"] == tried
-
-
-def test_low_rank_route_solves_are_bit_identical(ritz_calls):
-    cfg = SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21)
-    x = wide_injected_columns(0)
-    first, second = solve(x, cfg), solve(x, cfg)
-    assert all(rec.l_route == "low_rank" for rec in first.history)
-    assert np.array_equal(first.l, second.l) and np.array_equal(first.s, second.s)
-    assert first.history == second.history
-    # every step is certified by the trace bound at its first power step,
-    # which forms no G
-    assert ritz_calls["steps"] == ritz_calls["attempts"] and ritz_calls["tails"] == 0
-    assert all(e[1].gram is None for e in ritz_calls["events"] if e[0] == "step")
-
-
-def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
-    # l_step hands both Gram routes the target or its transpose, whichever
-    # is tall: the l2,1 solve certifies low_rank steps, the entrywise one
-    # takes gram steps and Cholesky tail checks
-    shapes = {"gram_spectrum": [], "ritz_iterations": [], "gram_tail_below": []}
-    for name, calls in shapes.items():
-        def recorded(b, *args, original=getattr(rpca.spectral, name), calls=calls):
-            calls.append(b.shape)
-            return original(b, *args)
-
-        monkeypatch.setattr(rpca.spectral, name, recorded)
-    solve(wide_injected_columns(0), SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21))
-    solve(generate_synthetic(SyntheticSpec(m=100, n=200, rank=5, sparsity=0.2), 0)[0])
-    for name, calls in shapes.items():
-        assert calls and all(rows >= cols for rows, cols in calls), name
-
-
-@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
-def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
-    # three values of order 1e6 over 57 unit values: the first power step's
-    # bound on the fourth eigenvalue of the Gram matrix, max(theta_4, rest)
-    # + rho, lies far above every single unit value. The nuclear prox keeps
-    # sigma exactly when sigma > 1/mu, so putting 1/mu just above the bound
-    # (plus its rounding slack) certifies the route after one power step,
-    # and just below it takes a second step, whose smaller residual
-    # certifies; neither forms G, and both give the prox of the full spectrum
-    nuclear = nuclear_surrogate()
-    a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e6, 2e6, 1e6, np.ones(57)])
-    r = next(rpca.spectral.ritz_iterations(a.T))
-    tail = max(r.theta[3], r.frob2 - r.theta.sum()) + np.linalg.norm(r.residuals) + r.slack
-    assert tail > 20.0
-    mu = 1.0 / (np.sqrt(tail) * (1.0 - side * 1e-3))
-    l, sig, route, _ = l_step(a, mu, nuclear)
-    ref = prox_matrix(a, mu, nuclear)
-    assert route == "low_rank"
-    assert counts(ritz_calls) == (2, 1 + (1 if side < 0 else 2), 0)
-    assert np.count_nonzero(sig) == 3
-    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_low_rank_route_needs_accurate_kept_values(ritz_calls):
-    # the boundary instance with its top values 1000x smaller: 1/mu at twice
-    # the first step's tail bound certifies the keep/drop decision, but rho
-    # (about 3.4) is far above 1e-8 of the smallest kept theta (1e6), so the
-    # route takes a second power step, where the residual has fallen by
-    # about lambda_4/lambda_3 = 1e-6, before it certifies
-    nuclear = nuclear_surrogate()
-    a = planted_spectrum(np.random.default_rng(34), 60, 120, np.r_[3e3, 2e3, 1e3, np.ones(57)])
-    r = next(rpca.spectral.ritz_iterations(a.T))
-    rho = np.linalg.norm(r.residuals)
-    tail = max(r.theta[3], r.frob2 - r.theta.sum()) + rho + r.slack
-    assert rho > 1e-6 * r.theta[2]
-    mu = 1.0 / (2.0 * np.sqrt(tail))
-    l, sig, route, _ = l_step(a, mu, nuclear)
-    assert route == "low_rank"
-    assert counts(ritz_calls) == (2, 3, 0)
-    assert np.count_nonzero(sig) == 3
-    ref = prox_matrix(a, mu, nuclear)
-    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-# three values over lambda_4 = 1 and 56 values of 0.25 in the Gram matrix
-# (singular values 0.5): the trace outside a converged block, about 15,
-# bounds nothing near 1, so only the Cholesky bound can certify the tail
-CHOLESKY_SPECTRUM = np.r_[30.0, 20.0, 10.0, 1.0, np.full(56, 0.5)]
-
-
-@pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
-def test_cholesky_certificate_boundary_on_the_tail(side, ritz_calls):
-    # with c = lambda_4 * (1 + side*1e-3) and the top three Ritz pairs after
-    # four power steps, the factorization succeeds exactly when c is above
-    # lambda_4, as the full eigh says. The nuclear prox at 1/mu = sqrt(c)
-    # then keeps three values above the boundary, certified by the
-    # Cholesky, and four below it, where the residual of a block holding
-    # lambda_4 falls only 4x per step (lambda_17/lambda_4), so the route
-    # gives up and the Gram path takes the step
-    nuclear = nuclear_surrogate()
-    a = planted_spectrum(np.random.default_rng(35), 60, 120, CHOLESKY_SPECTRUM)
-    c = 1.0 + side * 1e-3
-    r = list(itertools.islice(rpca.spectral.ritz_iterations(a.T), 4))[-1]
-    assert rpca.spectral.gram_tail_below(a.T, r, 3, c) is (side > 0)
-    assert tail_reference(a, 3, c) is (side > 0)
-    before = counts(ritz_calls)
-    mu = 1.0 / np.sqrt(c)
-    l, sig, route, _ = l_step(a, mu, nuclear)
-    ref = prox_matrix(a, mu, nuclear)
-    assert route == ("low_rank" if side > 0 else "gram")
-    assert np.count_nonzero(sig) == (3 if side > 0 else 4)
-    assert counts(ritz_calls)[2] - before[2] == (1 if side > 0 else 0)
-    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_cholesky_tail_fails_over_when_the_block_misses_a_value(ritz_calls):
-    # a singular value of 2 whose left vector is orthogonal to the fixed
-    # Gaussian start block, so no power step sees it: the block converges on
-    # 30, 20 and 10 over a bulk of ones, and the nuclear prox at 1/mu = 1.5
-    # keeps three Ritz values. lambda_4 = 4 lies above c = 2.25, so the
-    # Cholesky fails and the Gram path keeps all four values
-    nuclear = nuclear_surrogate()
-    rng = np.random.default_rng(37)
-    omega = np.random.default_rng(0).standard_normal((60, rpca.spectral.RITZ_BLOCK))
-    q = np.linalg.qr(omega)[0]
-    hidden = rng.standard_normal(60)
-    hidden -= q @ (q.T @ hidden)
-    hidden /= np.linalg.norm(hidden)
-    rest = rng.standard_normal((60, 59))
-    rest -= np.outer(hidden, hidden @ rest)
-    u = np.column_stack([np.linalg.qr(rest)[0][:, :3], hidden, np.linalg.qr(rest)[0][:, 3:]])
-    v = np.linalg.qr(rng.standard_normal((120, 60)))[0]
-    a = (u * np.r_[30.0, 20.0, 10.0, 2.0, np.ones(56)]) @ v.T
-    mu = 1.0 / 1.5
-    l, sig, route, _ = l_step(a, mu, nuclear)
-    tails = [e for e in ritz_calls["events"] if e[0] == "tail"]
-    assert [(k, certified) for _, _, k, certified in tails] == [(3, False)]
-    assert not tail_reference(a, 3, 2.25)
-    assert route == "gram" and np.count_nonzero(sig) == 4
-    ref = prox_matrix(a, mu, nuclear)
-    assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
-def test_cholesky_tail_agrees_with_the_full_eigh(tall):
-    # on planted spectra with a flat bulk, each attempt's c between
-    # lambda_(k+1) and well above it: the certificate never claims a tail
-    # bound that the full eigh refutes, and it holds once c clears
-    # lambda_(k+1) by 1e-6
-    for seed in range(4):
-        rng = np.random.default_rng(40 + seed)
-        spectrum = np.r_[rng.uniform(5.0, 20.0, 4), rng.uniform(0.5, 1.0, 40)]
-        a = planted_spectrum(rng, 44, 90, spectrum)
-        # a row-major tall copy, or the transposed view that l_step passes for a wide target
-        a = np.ascontiguousarray(a.T) if tall else a.T
-        r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 6))[-1]
-        lam5 = np.sort(spectrum)[::-1][4] ** 2
-        for c in lam5 * np.r_[0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]:
-            certified = rpca.spectral.gram_tail_below(a, r, 4, c)
-            assert certified <= tail_reference(a, 4, c), (seed, c)
-            assert certified is bool(c > lam5), (seed, c)
 
 
 def bits(a):

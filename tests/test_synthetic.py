@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,28 @@ def test_spec_validation():
         SyntheticSpec(m=0, n=3, rank=1, sparsity=0.1)
     with pytest.raises(ValueError, match="magnitude_high must be finite"):
         SyntheticSpec(m=10, n=10, rank=2, sparsity=0.1, magnitude_high=np.inf)
+
+
+@pytest.mark.parametrize("name, value, error", [
+    ("m", 100.0, "m must be an integer"),
+    ("rank", 2.5, "rank must be an integer"),
+    ("sparsity", True, "sparsity must be a real number"),
+    ("magnitude_low", np.float32(1), None),
+    ("n", np.int64(50), None),
+], ids=["float-m", "float-rank", "bool-sparsity", "float32-magnitude", "int64-n"])
+def test_spec_checks_its_types(name, value, error):
+    # a float size or rank used to construct and then fail in
+    # generate_synthetic, and a numpy float made the spec's JSON echo raise.
+    # A numpy scalar of the right kind is kept as a Python int or float
+    fields = {"m": 100, "n": 50, "rank": 3, "sparsity": 0.05, name: value}
+    if error is not None:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            SyntheticSpec(**fields)
+        return
+    spec = SyntheticSpec(**fields)
+    assert type(getattr(spec, name)) is type(value.item()) and getattr(spec, name) == value
+    assert json.loads(json.dumps(dataclasses.asdict(spec)))[name] == value
+    assert generate_synthetic(spec, 0)[0].shape == (100, 50)
 
 
 def test_generate_exact_counts_and_magnitudes():
