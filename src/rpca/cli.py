@@ -22,13 +22,13 @@ import numpy as np
 from .matrixio import (
     MatrixIoError,
     build_report,
+    config_from_params,
     read_matrix_csv,
     read_pgm,
     write_json,
     write_matrix_csv,
 )
 from .solver import SolverConfig, scaled_lambda, solve
-from .sparse import SparsePenalty
 from .surrogates import GAMMA, NUCLEAR, RankSurrogate, gamma_surrogate, nuclear_surrogate, scalar_penalty
 from .synthetic import (
     COLUMNWISE,
@@ -83,17 +83,9 @@ def _build_config(args, shape: tuple[int, int]) -> SolverConfig:
         lam = scaled_lambda(*shape)
     else:
         lam = _DEFAULTS.lam
-    return SolverConfig(
-        lam=lam,
-        mu0=args.mu0,
-        rho=args.rho,
-        mu_max=args.mu_max,
-        tol=args.tol,
-        max_outer=args.max_outer,
-        surrogate=_surrogate(args.surrogate, args.gamma),
-        penalty=SparsePenalty(args.penalty),
-        auto_scale=args.auto_scale,
-    )
+    # the other flags carry the params echo's names; the rest of args is ignored
+    surrogate = dataclasses.asdict(_surrogate(args.surrogate, args.gamma))
+    return config_from_params({**vars(args), "lambda": lam, "surrogate": surrogate})
 
 
 @contextlib.contextmanager
@@ -186,6 +178,8 @@ def _curve_grid(args) -> np.ndarray:
 
 
 def cmd_curve(args) -> int:
+    # curve.json echoes gamma whatever --surrogate is, so it is always checked
+    gamma_surrogate(args.gamma)
     grid = _curve_grid(args)
     kinds = ["gamma", "nuclear"] if args.surrogate == "both" else [args.surrogate]
     columns = [grid]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +24,20 @@ def numerical_rank(singulars) -> int:
     """Count singular values above ``RANK_REL_THRESHOLD`` times the largest one."""
     top = float(singulars.max()) if singulars.size else 0.0
     return int(np.count_nonzero(singulars > RANK_REL_THRESHOLD * top)) if top > 0.0 else 0
+
+
+def real_number(name: str, value) -> float:
+    """``value`` as a Python float, which JSON can write; a bool or a non-number raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number")
+    return float(value)
+
+
+def integer(name: str, value) -> int:
+    """``value`` as a Python int, which JSON can write; a bool or a non-integer raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
 
 
 def require_finite(a: np.ndarray) -> None:

@@ -12,14 +12,13 @@ geometrically. The loop stops when the relative residual
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, require_finite
+from .linalg import as_matrix, integer, real_number, require_finite
 from .sparse import (
     ENTRYWISE_L1,
     L21,
@@ -77,13 +76,13 @@ class SolverConfig:
     auto_scale: bool = False
 
     def __post_init__(self):
-        # a bool is not a number here, and a numpy scalar is kept as a float,
-        # which the JSON echo can write
+        # an infinite setting would pass the comparisons below, then give NaN
+        # Lagrangians, an overflowing mu, or a report that is not valid JSON
         for name in _FLOAT_SETTINGS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number")
-            object.__setattr__(self, name, float(value))
+            value = real_number(name, getattr(self, name))
+            if math.isinf(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if not self.lam > 0.0:
             raise ValueError("lam must be positive")
         if not self.mu0 > 0.0:
@@ -94,19 +93,15 @@ class SolverConfig:
             raise ValueError("mu_max must be >= mu0")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if isinstance(self.max_outer, bool) or not isinstance(self.max_outer, numbers.Integral):
-            raise ValueError("max_outer must be an integer")
-        # a numpy integer is kept as an int, which the JSON echo can write
-        object.__setattr__(self, "max_outer", int(self.max_outer))
+        object.__setattr__(self, "max_outer", integer("max_outer", self.max_outer))
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
         if not isinstance(self.auto_scale, bool):
             raise ValueError("auto_scale must be True or False")
-        # an infinite setting passes the comparisons above, then gives NaN
-        # Lagrangians, an overflowing mu, or a report that is not valid JSON
-        for name in _FLOAT_SETTINGS:
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not isinstance(self.surrogate, RankSurrogate):
+            raise ValueError("surrogate must be a RankSurrogate")
+        if not isinstance(self.penalty, SparsePenalty):
+            raise ValueError("penalty must be a SparsePenalty")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ collapsing the component to zero.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import real_number
 
 GAMMA = "gamma"
 NUCLEAR = "nuclear"
@@ -36,11 +37,10 @@ class RankSurrogate:
         if self.kind not in (GAMMA, NUCLEAR):
             raise ValueError(f"unknown surrogate kind {self.kind!r}")
         if self.kind == GAMMA:
-            g = self.gamma
-            if isinstance(g, bool) or not isinstance(g, numbers.Real) or not 0.0 < g < np.inf:
+            g = real_number("gamma", self.gamma)
+            if not 0.0 < g < np.inf:
                 raise ValueError("gamma surrogate requires a finite gamma > 0")
-            # a numpy scalar is kept as a float, which the JSON echo can write
-            object.__setattr__(self, "gamma", float(g))
+            object.__setattr__(self, "gamma", g)
         elif self.gamma is not None:
             raise ValueError("nuclear surrogate takes no gamma")
 

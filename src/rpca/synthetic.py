@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, numerical_rank
+from .linalg import as_matrix, integer, numerical_rank, real_number
 
 ENTRYWISE = "entrywise"
 COLUMNWISE = "columnwise"
@@ -34,18 +33,10 @@ class SyntheticSpec:
     corruption: str = ENTRYWISE
 
     def __post_init__(self):
-        # a bool is not a number here, and a numpy scalar is kept as a Python
-        # int or float, which the JSON echo can write
         for name in ("m", "n", "rank"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in ("sparsity", "magnitude_low", "magnitude_high"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real_number(name, getattr(self, name)))
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix dimensions must be positive")
         if not 1 <= self.rank <= min(self.m, self.n):

@@ -20,6 +20,7 @@ from rpca.cli import main
 from rpca.matrixio import config_from_params, read_matrix_csv, write_matrix_csv
 from rpca.solver import SolverConfig, solve
 from rpca.sparse import COLUMNWISE_L21
+from rpca.surrogates import gamma_surrogate, nuclear_surrogate
 from rpca.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -62,6 +63,20 @@ def test_every_public_name_has_a_caller_or_is_documented():
     named = set(re.findall(r"\w+", (root / "README.md").read_text()))
     public = {name for name in rpca.__all__ if not name.startswith("__")}
     assert sorted(public - loaded - named) == []
+
+
+def test_only_linalg_imports_numbers():
+    # linalg.real_number and linalg.integer hold the one rule for a
+    # setting's number type; a module that imports numbers is writing
+    # another copy of it. Parsed, not imported
+    importers = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "rpca").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "numbers" in names:
+                importers.append(path.name)
+    assert [name for name in importers if name != "linalg.py"] == []
 
 
 def test_the_tracer_wraps_no_more_gone_names():
@@ -109,7 +124,16 @@ def test_synth_infinite_magnitude_is_usage_error(tmp_path, capsys):
     (["anomaly", "X.csv"], SolverConfig(penalty=COLUMNWISE_L21)),
     (["decompose", "X.csv", "--lambda-policy", "scale"], SolverConfig(lam=1.0 / np.sqrt(30), auto_scale=True)),
     (["decompose", "X.csv", "--lambda", "0.5", "--lambda-policy", "scale"], SolverConfig(lam=0.5, auto_scale=True)),
-], ids=["decompose", "bench", "anomaly", "lambda-policy-scale", "lambda-over-policy"])
+    (["decompose", "X.csv", "--mu0", "0.01", "--rho", "1.5", "--mu-max", "1e6", "--tol", "1e-5",
+      "--max-outer", "20", "--gamma", "0.5"],
+     SolverConfig(mu0=0.01, rho=1.5, mu_max=1e6, tol=1e-5, max_outer=20,
+                  surrogate=gamma_surrogate(0.5), auto_scale=True)),
+    (["bench", "--penalty", "l21"], SolverConfig(penalty=COLUMNWISE_L21)),
+    (["anomaly", "X.csv", "--penalty", "l1"], SolverConfig()),
+    # gamma is ignored by the nuclear surrogate, even when it is not a number
+    (["bench", "--surrogate", "nuclear", "--gamma", "nan"], SolverConfig(surrogate=nuclear_surrogate())),
+], ids=["decompose", "bench", "anomaly", "lambda-policy-scale", "lambda-over-policy", "plain-flags",
+        "penalty-l21", "penalty-l1", "nuclear-nan-gamma"])
 def test_stock_solver_flags_give_the_default_config(argv, expected):
     args = rpca.cli.build_parser().parse_args(argv)
     assert rpca.cli._build_config(args, (30, 20)) == expected
@@ -460,6 +484,18 @@ def test_curve_bad_grid_is_usage_error(tmp_path, capsys, recwarn, flag, value, m
     assert run("curve", flag, value, "--outdir", out) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert len(recwarn) == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("surrogate, gamma", [
+    ("nuclear", "nan"), ("nuclear", "-1"), ("nuclear", "inf"), ("gamma", "0"), ("both", "nan"),
+])
+def test_curve_bad_gamma_is_usage_error(tmp_path, capsys, surrogate, gamma):
+    # curve.json echoes gamma whatever --surrogate is: NaN there is not JSON
+    # and -1 is no gamma, so it is checked before the directory is made
+    out = tmp_path / "run"
+    assert run("curve", "--surrogate", surrogate, "--gamma", gamma, "--outdir", out) == 2
+    assert capsys.readouterr().err == "error: gamma surrogate requires a finite gamma > 0\n"
     assert not out.exists()
 
 

@@ -88,6 +88,25 @@ def test_config_rejects_infinite_settings(settings):
         SolverConfig(**settings)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SolverConfig(lam=-np.inf), "lam must be finite"),
+    (lambda: SolverConfig(rho=-np.inf), "rho must be finite"),
+    (lambda: SolverConfig(mu_max=-np.inf), "mu_max must be finite"),
+    (lambda: RankSurrogate("gamma", "0.01"), "gamma must be a real number"),
+    (lambda: RankSurrogate("gamma", None), "gamma must be a real number"),
+    (lambda: RankSurrogate("gamma", True), "gamma must be a real number"),
+    (lambda: SolverConfig(penalty="l21"), "penalty must be a SparsePenalty"),
+    (lambda: SolverConfig(surrogate="nuclear"), "surrogate must be a RankSurrogate"),
+], ids=["-inf-lam", "-inf-rho", "-inf-mu_max", "str-gamma", "None-gamma", "bool-gamma",
+        "str-penalty", "str-surrogate"])
+def test_settings_messages(build, message):
+    # an infinite setting is named before the range checks; a setting of the
+    # wrong type is refused when it is made, not when the solve first uses it
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("max_outer", [float("inf"), 2.5, True], ids=["inf", "2.5", "True"])
 def test_config_rejects_a_non_integer_max_outer(max_outer):
     # each passes the ">= 1" check; an infinite budget is echoed as
