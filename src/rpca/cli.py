@@ -50,7 +50,8 @@ _DEFAULTS = SolverConfig()
 
 
 def _add_solver_flags(
-    p: argparse.ArgumentParser, penalty_default: str = "l1", auto_scale: bool = False
+    p: argparse.ArgumentParser, penalty_default: str = "l1", auto_scale: bool = False,
+    surrogate_flag: bool = True,
 ) -> None:
     d = _DEFAULTS
     p.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -65,8 +66,11 @@ def _add_solver_flags(
     p.add_argument("--max-outer", type=int, default=d.max_outer, help="outer iteration cap")
     p.add_argument("--penalty", choices=["l1", "l21"], default=penalty_default,
                    help="sparsity penalty on S")
-    p.add_argument("--surrogate", choices=["gamma", "nuclear"], default=d.surrogate.kind,
-                   help="rank penalty on L")
+    if surrogate_flag:
+        p.add_argument("--surrogate", choices=["gamma", "nuclear"], default=d.surrogate.kind,
+                       help="rank penalty on L")
+    else:
+        p.set_defaults(surrogate=GAMMA)  # bench runs the nuclear baseline itself
     # fixed per subcommand, not a flag: decompose solves at the working
     # scale, while anomaly's documented mu0 is tuned for X as given
     p.set_defaults(auto_scale=auto_scale)
@@ -300,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nuclear-lambda", type=float, default=None,
                    help="sparsity weight for the nuclear run (default 1/sqrt(max(m, n)))")
     p.add_argument("--outdir", default=".", help="output directory")
-    _add_solver_flags(p)
+    _add_solver_flags(p, surrogate_flag=False)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stack", help="stack a directory of PGM frames into one CSV matrix")

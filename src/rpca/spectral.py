@@ -1,18 +1,20 @@
 """The L-step: the spectral prox of the ALM loop's target, with a certified keep/drop decision.
 
-Two routes give candidate values ``theta`` (squared singular values of the
-target's tall view ``B``, the target or its transpose, and eigenvalues of
-the smaller Gram matrix ``G = B^T B``), an error ``err`` on each kept one
-and a bound ``tail`` on the dropped ones, and one certificate
-(``_certified``) decides for both. The ``low_rank`` route takes power steps
-with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
-arXiv:0909.4061), each applying ``G``, formed after the first step; the
-``gram`` route eigendecomposes ``G``. One function, ``_certified_route``,
-tries them in that order and owns ``G``: the ``gram`` route reuses the one
-a failed ``low_rank`` attempt formed, and ``G`` is released when the
-function returns. L is rebuilt from their kept vectors ``W`` and ``B W``,
-or from the thin SVD (``linalg.svd``, route ``svd``) when neither
-certifies.
+Two routes give candidate values ``theta``, estimates of the eigenvalues of
+the smaller Gram matrix ``G = B^T B`` of the target's tall view ``B`` (the
+target or its transpose), so the squared singular values of the target,
+plus an error ``err`` on each kept one and a bound ``tail`` on the dropped
+ones. One certificate (``_certified``) decides on those ``theta`` for both,
+and the prox acts on their square roots. The ``low_rank`` route takes power
+steps with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
+arXiv:0909.4061), each applying ``G``, formed after the first step: its
+``theta`` are the Ritz values. The ``gram`` route eigendecomposes ``G``:
+its ``theta`` are the eigenvalues, clipped at 0. One function,
+``_certified_route``, holds both routes, tries them in that order and owns
+``G``: the ``gram`` route reuses the one a failed ``low_rank`` attempt
+formed, and ``G`` is released when the function returns. L is rebuilt from
+their kept vectors ``W`` and ``B W``, or from the thin SVD (``linalg.svd``,
+route ``svd``) when neither certifies.
 """
 
 from __future__ import annotations
@@ -52,18 +54,6 @@ COLD = np.empty((0, 0))
 COLD.flags.writeable = False
 
 
-class GramSpectrum(NamedTuple):
-    """Singular values and right singular vectors (columns) of a tall ``B``, from ``B^T B``.
-
-    Each eigenvalue ``singulars[i]**2`` of the Gram matrix is accurate to
-    ``delta`` in absolute terms.
-    """
-
-    singulars: np.ndarray
-    vectors: np.ndarray
-    delta: float
-
-
 class RitzSpectrum(NamedTuple):
     """Rayleigh–Ritz pairs of ``G = B^T B`` on a power step of a tall ``B``.
 
@@ -88,32 +78,9 @@ class LStep(NamedTuple):
     and the next attempt's start (see :func:`l_step`)."""
 
     l: np.ndarray
-    singulars: np.ndarray
+    proxed: np.ndarray
     route: str
     basis: np.ndarray | None
-
-
-def gram_spectrum(b: np.ndarray, gram: np.ndarray | None = None) -> GramSpectrum:
-    """Spectrum of ``B`` from an eigendecomposition of ``B^T B``.
-
-    ``b`` must be a finite 2-D float array with at least as many rows as
-    columns, so the eigenproblem has the smaller size. ``gram``, when given,
-    is ``b.T @ b`` as :func:`ritz_iterations` formed it. Returns
-    ``sqrt(max(lambda, 0))`` in nonincreasing order with the matching
-    eigenvectors, and the error bound ``delta`` on each eigenvalue. Values
-    with ``lambda`` of the order of ``delta`` are known only to
-    ``sqrt(delta)``; callers that need them exactly use ``linalg.svd``.
-    Raises ``LinAlgError`` when the eigensolver fails or the Gram matrix
-    overflows.
-    """
-    rows, cols = b.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        lam, vecs = np.linalg.eigh(b.T @ b if gram is None else gram)
-    if not np.isfinite(lam).all():
-        raise np.linalg.LinAlgError(f"Gram matrix of a {rows}x{cols} matrix is not finite")
-    eps = np.finfo(np.float64).eps
-    delta = GRAM_ERROR_FACTOR * rows * eps * float(np.max(lam, initial=0.0))
-    return GramSpectrum(np.sqrt(np.maximum(lam[::-1], 0.0)), vecs[:, ::-1], delta)
 
 
 def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
@@ -247,6 +214,17 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
     return lo
 
 
+def _roots_and_prox(theta, mu: float, surrogate: RankSurrogate) -> tuple[np.ndarray, np.ndarray, int]:
+    """The square roots of ``theta`` clipped at 0, their prox and the number ``k`` of values it keeps.
+
+    The prox is monotone, so it keeps the first ``k`` of a nonincreasing
+    ``theta``.
+    """
+    singulars = np.sqrt(np.maximum(theta, 0.0))
+    sig = prox_vector(singulars, mu, surrogate)
+    return singulars, sig, int(np.count_nonzero(sig))
+
+
 # A certified route's kept vectors W and the singular values before and after
 # the prox.
 _Kept = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -257,17 +235,21 @@ def _certified_route(
 ) -> tuple[_Kept | None, str]:
     """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, and its name.
 
-    They are ``None``, with the name ``svd``, when neither certifies.
+    They are ``None``, with the name ``svd``, when neither certifies. Both
+    routes give eigenvalue estimates ``theta`` of ``G = B^T B``,
+    nonincreasing, and hand them to :func:`_certified` with the route's
+    error and tail bound; only the prox and the rebuild take their roots.
+
     Unless ``basis`` is ``None``, the ``low_rank`` route is tried first,
     from the start block ``basis``: at most ``RITZ_STEPS`` power steps of
-    :func:`ritz_iterations`, whose Ritz values' square roots the prox keeps
-    ``k`` of. With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W,
-    W_perp]``, ``||E||_2 <= rho = ||G W - W Theta||_F`` and
-    ``lambda_max(C) <= rest = ||B||_F^2 - sum(theta)``, so by Weyl's
-    inequality ``lambda_(k+1)(G) <= max(theta_(k+1), rest) + rho`` and
-    ``|lambda_i(G) - theta_i| <= rho`` for the kept values. Each step is
-    certified at once by that trace bound, both figures widened by the
-    rounding ``slack``: it needs no ``G``.
+    :func:`ritz_iterations`, whose Ritz values are its ``theta``. With ``G
+    = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``, ``||E||_2 <=
+    rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest = ||B||_F^2 -
+    sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
+    max(theta_(k+1), rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho``
+    for the kept values. Each step is certified at once by that trace
+    bound, both figures widened by the rounding ``slack``: it needs no
+    ``G``.
 
     Otherwise the steps go on while the kept block's residual ``rho_k =
     ||G W_k - W_k Theta_k||_F`` falls at least ``RITZ_FALL`` times per step,
@@ -277,20 +259,23 @@ def _certified_route(
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
     :func:`gram_tail_below` shows ``lambda_(k+1)(G) < c``, ``c`` the square
     of the largest value the prox drops. Then exactly ``k`` values are kept,
-    each known as well as on the Gram path. ``G`` is formed from the second
-    power step on (see :func:`ritz_iterations`): the trace bound at the
-    first needs none, and the Cholesky is never reached there, as a finite
-    ``rho_k`` goes on and an infinite one fails.
+    each known as well as on the ``gram`` route. ``G`` is formed from the
+    second power step on (see :func:`ritz_iterations`): the trace bound at
+    the first needs none, and the Cholesky is never reached there, as a
+    finite ``rho_k`` goes on and an infinite one fails.
 
     An attempt fails when the block keeps every Ritz value, which leaves
     the rest unbounded, when the residual stalls or the steps run out
     without a certificate, when the eigensolver fails or a product
     overflows, and when the block spans everything, so no step is taken.
-    Every failure then takes the ``gram`` route, with the ``G`` the attempt
-    formed, if any, whose eigenvalues are known to ``delta``: every dropped
-    one lies below ``theta_(k+1) + delta`` (nothing, when all are kept).
-    ``G`` lives only in this function's frame, so it is released before the
-    caller rebuilds L.
+    Every failure then takes the ``gram`` route, the eigendecomposition of
+    the ``G`` the attempt formed, or of ``B^T B`` when none was. Its
+    ``theta`` are the eigenvalues clipped at 0, each known to ``delta =
+    GRAM_ERROR_FACTOR * rows * eps * theta_1``, so every dropped one lies
+    below ``theta_(k+1) + delta`` (nothing, when all are kept). A decision
+    that needs values of the order of ``delta``, a failed eigensolver and a
+    non-finite spectrum name ``svd``. ``G`` lives only in this function's
+    frame, so it is released before the caller rebuilds L.
     """
     gram = None
     if basis is not None:
@@ -298,39 +283,40 @@ def _certified_route(
             prev = np.inf
             for steps, r in enumerate(ritz_iterations(b, basis), start=1):
                 gram = r.gram
-                singulars = np.sqrt(np.maximum(r.theta, 0.0))
-                sig = prox_vector(singulars, mu, surrogate)
-                k = int(np.count_nonzero(sig))  # the prox is monotone, so it keeps a prefix
+                singulars, sig, k = _roots_and_prox(r.theta, mu, surrogate)
                 if k == r.theta.size:
                     break  # no dropped Ritz value, so no bound on the rest
                 rho = float(np.linalg.norm(r.residuals))
                 tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
-                if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
-                    return (r.vectors[:, :k], singulars, sig), "low_rank"
                 rho_k = float(np.linalg.norm(r.residuals[:k]))
-                if steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev:
-                    if k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
-                        c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
-                        if gram_tail_below(b, r, k, c):
-                            return (r.vectors[:, :k], singulars, sig), "low_rank"
+                last = steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev
+                certified = _certified(r.theta, k, rho + r.slack, tail, mu, surrogate)
+                if not certified and last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
+                    c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
+                    certified = gram_tail_below(b, r, k, c)
+                if certified:
+                    return (r.vectors[:, :k], singulars, sig), "low_rank"
+                if last:
                     break
                 prev = rho_k
         except np.linalg.LinAlgError:
             pass
     try:
-        g = gram_spectrum(b, gram)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves lam non-finite
+            lam, vecs = np.linalg.eigh(b.T @ b if gram is None else gram)
     except np.linalg.LinAlgError:
         return None, "svd"
-    sig = prox_vector(g.singulars, mu, surrogate)
-    keep = sig > 0.0
-    theta = g.singulars**2
-    k = int(np.count_nonzero(keep))  # a prefix, as on the low-rank route
-    tail = theta[k] + g.delta if k < theta.size else 0.0
-    if not _certified(theta, k, g.delta, tail, mu, surrogate):
+    if not np.isfinite(lam).all():
+        return None, "svd"
+    theta = np.maximum(lam[::-1], 0.0)
+    delta = GRAM_ERROR_FACTOR * b.shape[0] * np.finfo(np.float64).eps * float(np.max(theta, initial=0.0))
+    singulars, sig, k = _roots_and_prox(theta, mu, surrogate)
+    tail = theta[k] + delta if k < theta.size else 0.0
+    if not _certified(theta, k, delta, tail, mu, surrogate):
         return None, "svd"
     # boolean indexing: a slice view or a C-ordered copy of these columns
     # rounds B V differently in the last bits
-    return (g.vectors[:, keep], g.singulars, sig), "gram"
+    return (vecs[:, ::-1][:, sig > 0.0], singulars, sig), "gram"
 
 
 def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray | None = COLD) -> LStep:

@@ -65,6 +65,26 @@ def test_every_public_name_has_a_caller_or_is_documented():
     assert sorted(public - loaded - named) == []
 
 
+def test_every_module_level_public_name_has_a_caller_or_is_documented():
+    # the rule above for every public name, not only rpca.__all__: each
+    # module-level def or class of src/rpca without a leading underscore is
+    # loaded by some package module, its own included, or README.md names
+    # it. Parsed, not imported
+    root = Path(__file__).parents[1]
+    defined, loaded = set(), set()
+    for path in (root / "src" / "rpca").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined |= {node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    named = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    assert sorted(defined - loaded - named) == []
+
+
 def test_only_linalg_imports_numbers():
     # linalg.real_number and linalg.integer hold the one rule for a
     # setting's number type; a module that imports numbers is writing
@@ -131,7 +151,8 @@ def test_synth_infinite_magnitude_is_usage_error(tmp_path, capsys):
     (["bench", "--penalty", "l21"], SolverConfig(penalty=COLUMNWISE_L21)),
     (["anomaly", "X.csv", "--penalty", "l1"], SolverConfig()),
     # gamma is ignored by the nuclear surrogate, even when it is not a number
-    (["bench", "--surrogate", "nuclear", "--gamma", "nan"], SolverConfig(surrogate=nuclear_surrogate())),
+    (["anomaly", "X.csv", "--surrogate", "nuclear", "--gamma", "nan"],
+     SolverConfig(penalty=COLUMNWISE_L21, surrogate=nuclear_surrogate())),
 ], ids=["decompose", "bench", "anomaly", "lambda-policy-scale", "lambda-over-policy", "plain-flags",
         "penalty-l21", "penalty-l1", "nuclear-nan-gamma"])
 def test_stock_solver_flags_give_the_default_config(argv, expected):
@@ -238,6 +259,17 @@ def test_bench_rank_comparison(tmp_path):
     assert runs["gamma"]["converged"] and runs["nuclear"]["converged"]
     assert runs["nuclear"]["params"]["surrogate"] == {"kind": "nuclear"}
     assert runs["gamma"]["params"]["surrogate"]["gamma"] == 0.01
+
+
+def test_bench_takes_no_surrogate_flag(tmp_path, capsys):
+    # bench runs the gamma and the nuclear penalty itself, so a --surrogate
+    # there could only relabel the nuclear run as "gamma"
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run("bench", "--m", 60, "--n", 60, "--rank", 2, "--surrogate", "nuclear", "--outdir", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --surrogate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_accepts_input_file(tmp_path):

@@ -17,11 +17,12 @@ from rpca.linalg import svd
 from rpca.solver import SolverConfig, solve
 from rpca.sparse import COLUMNWISE_L21
 from rpca.spectral import (
+    GRAM_ERROR_FACTOR,
     KEPT_REL_ERROR,
     RITZ_STEPS,
     WARM_RANK_DIVISOR,
+    _certified_route,
     _largest_dropped,
-    gram_spectrum,
     gram_tail_below,
     l_step,
     ritz_iterations,
@@ -31,22 +32,35 @@ from rpca.synthetic import SyntheticSpec, generate_synthetic
 
 
 def test_gram_spectrum_matches_svd():
+    # without a basis the walk takes the gram route. The nuclear prox at mu
+    # = 1e6 keeps every value above 1e-6, so all of these: the square roots
+    # of its theta match the singular values to delta in theta, and its
+    # kept vectors are orthonormal
     rng = np.random.default_rng(9)
+    nuclear = nuclear_surrogate()
+    eps = np.finfo(np.float64).eps
     for shape in [(7, 4), (4, 7), (5, 5), (0, 3)]:
         m = rng.standard_normal(shape)
         b = m if shape[0] >= shape[1] else m.T
-        g = gram_spectrum(b)
+        (w, singulars, _), route = _certified_route(b, 1e6, nuclear, None)
         k = min(shape)
-        assert g.vectors.shape == (b.shape[1], k)
-        assert np.all(np.diff(g.singulars) <= 0) and np.all(g.singulars >= 0)
-        assert np.abs(g.singulars**2 - svd(m).singulars**2).max(initial=0.0) <= g.delta
-        assert np.abs(g.vectors.T @ g.vectors - np.eye(k)).max(initial=0.0) <= 1e-12
-    assert gram_spectrum(np.zeros((3, 2))).delta == 0.0
+        assert route == "gram"
+        assert w.shape == (b.shape[1], k) and singulars.shape == (k,)
+        assert np.all(np.diff(singulars) <= 0) and np.all(singulars >= 0)
+        delta = GRAM_ERROR_FACTOR * b.shape[0] * eps * singulars.max(initial=0.0) ** 2
+        assert np.abs(singulars**2 - svd(m).singulars**2).max(initial=0.0) <= delta
+        assert np.abs(w.T @ w - np.eye(k)).max(initial=0.0) <= 1e-12
+    # delta is 0 on the zero matrix: a tail of any positive double has a
+    # square root above 1e-300, which the prox at mu = 1e300 keeps, so only
+    # delta = 0 certifies dropping both values
+    (w, singulars, sig), route = _certified_route(np.zeros((3, 2)), 1e300, nuclear, None)
+    assert route == "gram" and w.shape == (2, 0)
+    assert not singulars.any() and not sig.any()
 
 
-def test_gram_spectrum_overflow_is_linalg_error():
-    with pytest.raises(np.linalg.LinAlgError):
-        gram_spectrum(np.full((3, 2), 1e200))
+def test_gram_spectrum_overflow_falls_to_svd():
+    # B^T B overflows, so the spectrum is not finite and the walk names svd
+    assert _certified_route(np.full((3, 2), 1e200), 1.0, gamma_surrogate(), None) == (None, "svd")
 
 
 def test_ritz_overflow_is_linalg_error():
@@ -92,9 +106,10 @@ def test_gram_certificate_boundary(value, offset):
     # Gram spectrum is certified
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(38), 40, 12, np.linspace(20.0, 1.0, 12))
-    g = gram_spectrum(a)
+    lam = np.linalg.eigh(a.T @ a)[0][::-1]  # the walk's theta: a is tall, and none is negative
+    delta = GRAM_ERROR_FACTOR * a.shape[0] * np.finfo(np.float64).eps * lam[0]
     sign = 1.0 if value == "dropped" else -1.0
-    mu = 1.0 / np.sqrt(g.singulars[5] ** 2 + sign * offset * g.delta)
+    mu = 1.0 / np.sqrt(lam[5] + sign * offset * delta)
     l, sig, route, _ = l_step(a, mu, nuclear, basis=None)
     ref = prox_matrix(a, mu, nuclear)
     assert route == ("svd" if offset < 1.0 else "gram")
@@ -311,10 +326,10 @@ def test_low_rank_route_solves_are_bit_identical(ritz_calls):
 
 
 def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
-    # l_step hands both Gram routes the target or its transpose, whichever
-    # is tall: the l2,1 solve certifies low_rank steps, the entrywise one
-    # takes gram steps and Cholesky tail checks
-    shapes = {"gram_spectrum": [], "ritz_iterations": [], "gram_tail_below": []}
+    # l_step hands the route walk, and so both Gram routes, the target or
+    # its transpose, whichever is tall: the l2,1 solve certifies low_rank
+    # steps, the entrywise one takes gram steps and Cholesky tail checks
+    shapes = {"_certified_route": [], "ritz_iterations": [], "gram_tail_below": []}
     for name, calls in shapes.items():
         def recorded(b, *args, original=getattr(rpca.spectral, name), calls=calls):
             calls.append(b.shape)
