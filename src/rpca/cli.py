@@ -58,7 +58,10 @@ def _add_solver_flags(
                    help="sparsity weight (overrides --lambda-policy)")
     p.add_argument("--lambda-policy", choices=["fixed", "scale"], default="fixed",
                    help=f"fixed: {d.lam:g}; scale: 1/sqrt(max(m, n))")
-    p.add_argument("--mu0", type=float, default=d.mu0, help="initial penalty weight")
+    p.add_argument("--mu0", type=float, default=d.mu0,
+                   help=("start penalty weight; with the gamma and l1 penalties its floor, "
+                         "the weight being read off X's spectrum" if auto_scale
+                         else "initial penalty weight"))
     p.add_argument("--rho", type=float, default=d.rho, help="penalty growth factor (> 1)")
     p.add_argument("--mu-max", type=float, default=d.mu_max, help="penalty weight cap")
     p.add_argument("--gamma", type=float, default=d.surrogate.gamma, help="rank-penalty scale")

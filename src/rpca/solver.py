@@ -21,13 +21,14 @@ import numpy as np
 from .linalg import as_matrix, integer, real_number, require_finite
 from .sparse import (
     ENTRYWISE_L1,
+    L1,
     L21,
     SparsePenalty,
     check_tau,
     column_scale,
     soft_threshold,
 )
-from .surrogates import RankSurrogate, gamma_surrogate, surrogate_value
+from .surrogates import GAMMA, RankSurrogate, gamma_surrogate, surrogate_value
 from . import linalg, spectral
 
 # Bytes of one row block in the step's elementwise passes. The passes are
@@ -42,6 +43,13 @@ BLOCK_BYTES = 256 * 1024
 # value: inside the band of sigma_1 where the default settings recover the
 # planted split across the shapes measured (60x60 up to 4000x1000).
 SCALE_REF = 236.0
+
+# Under ``auto_scale`` with the gamma and l1 penalties the first
+# keep-threshold, about sqrt(2(1+gamma)/mu), is this multiple of the
+# estimated spectral edge of c * X's sparse part (see ``working_start``).
+# The measured rungs recover from 1.7 (60x60) or below and from there up to
+# the mu0 floor, so this sits 1.75x inside every one.
+START_KAPPA = 3.0
 
 
 def scaled_lambda(m: int, n: int) -> float:
@@ -61,8 +69,9 @@ class SolverConfig:
     the stopping rule, not overflow, ends the run). ``tol`` is the relative
     residual at which the loop stops, ``max_outer`` the iteration budget.
     With ``auto_scale`` the solve runs on ``c * X``, ``c`` from
-    :func:`working_scale`, and its L and S are divided by ``c``; every other
-    setting then acts on ``c * X``.
+    :func:`working_start`, and its L and S are divided by ``c``; every other
+    setting then acts on ``c * X``, and with the gamma and l1 penalties
+    ``mu0`` is the floor of a start weight read off ``X``'s spectrum.
     """
 
     lam: float = 1e-3
@@ -321,17 +330,31 @@ def kkt_residuals(
     return primal, dual
 
 
-def working_scale(x: np.ndarray) -> float:
-    """The power of two ``c`` nearest ``SCALE_REF / sigma_1(X)`` on a log scale.
+def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
+    """The working scale ``c`` and the start weight mu of an auto solve of ``x``.
 
-    ``x`` must be a finite 2-D float array. ``sigma_1`` is estimated by the
-    top Ritz value of one power step of the fixed-seed
+    ``x`` must be a finite 2-D float array. ``c`` is the power of two
+    nearest ``SCALE_REF / sigma_1(X)`` on a log scale. ``sigma_1`` is
+    estimated by the top Ritz value of one power step of the fixed-seed
     ``spectral.ritz_iterations`` on the tall view of ``x``, or by the 2-norm
     when that block would span every column, or its products overflow or
-    underflow to 0. A power of two times ``x`` and the result divided by it
-    are exact, and ``c`` depends only on the binary mantissa of ``SCALE_REF
-    / sigma_1``, so the scale of ``2^j * X`` is ``2^-j`` times this one.
-    Returns 1 for a zero ``x``.
+    underflow to 0. Returns ``(1, cfg.mu0)`` for a zero ``x``.
+
+    With the gamma penalty, the entrywise l1 penalty and a Ritz estimate,
+    the same step's energy outside the block, ``tail = ||X||_F^2 -
+    sum(theta)``, read as a Bai–Yin edge ``edge = c * sqrt(tail / (m n)) *
+    (sqrt(m) + sqrt(n))``, estimates the 2-norm of ``c * X``'s sparse part.
+    mu is then the weight whose first keep-threshold is ``START_KAPPA *
+    edge``, ``2(1+gamma) / (START_KAPPA * edge)^2``, clipped to
+    ``[cfg.mu0, cfg.mu_max]``: ``cfg.mu0`` stays a floor, and a zero tail
+    gives ``cfg.mu_max``. Otherwise mu is ``cfg.mu0``: the rule is mapped
+    for the gamma penalty, and a few outlier columns of low rank can lie
+    inside the power step's block, leaving no tail to read.
+
+    A power of two times ``x`` and the result divided by it are exact. ``c``
+    depends only on the binary mantissa of ``SCALE_REF / sigma_1``, and the
+    edge of ``2^j * X`` is ``2^j`` times its edge, so the scale of ``2^j *
+    X`` is ``2^-j`` times this one and its mu is this mu.
     """
     b = x if x.shape[0] >= x.shape[1] else x.T
     try:
@@ -339,14 +362,24 @@ def working_scale(x: np.ndarray) -> float:
     except np.linalg.LinAlgError:
         r = None
     top = math.sqrt(max(float(r.theta[0]), 0.0)) if r is not None else 0.0
-    if not top > 0.0 and x.size:
+    ritz = top > 0.0
+    if not ritz and x.size:
         top = float(np.linalg.norm(x, 2))
     if not (top > 0.0 and SCALE_REF / top < np.inf):
-        return 1.0
+        return 1.0, cfg.mu0
     # SCALE_REF / top = mantissa * 2^exp with mantissa in [1/2, 1): its log2
     # rounds to exp when log2(mantissa) >= -1/2
     mantissa, exp = math.frexp(SCALE_REF / top)
-    return math.ldexp(1.0, exp if mantissa >= math.sqrt(0.5) else exp - 1)
+    c = math.ldexp(1.0, exp if mantissa >= math.sqrt(0.5) else exp - 1)
+    if not ritz or cfg.surrogate.kind != GAMMA or cfg.penalty.kind != L1:
+        return c, cfg.mu0
+    m, n = x.shape
+    tail = max(r.frob2 - float(r.theta.sum()), 0.0)
+    edge = c * math.sqrt(tail / (m * n)) * (math.sqrt(m) + math.sqrt(n))
+    if not edge > 0.0:
+        return c, cfg.mu_max
+    mu = 2.0 * (1.0 + cfg.surrogate.gamma) / (START_KAPPA * edge) ** 2
+    return c, min(max(cfg.mu0, mu), cfg.mu_max)
 
 
 ProgressCallback = Callable[[SolverState, IterationRecord], None]
@@ -368,8 +401,8 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         step reads, so a callback that keeps a state keeps its arrays alive
         too.
 
-    With ``cfg.auto_scale`` the loop runs on ``c * X`` (see
-    :func:`working_scale`), and the callback sees that loop's states.
+    With ``cfg.auto_scale`` the loop runs on ``c * X`` from the start weight
+    of :func:`working_start`, and the callback sees that loop's states.
 
     Returns
     -------
@@ -386,11 +419,11 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    c = working_scale(x) if cfg.auto_scale else 1.0
+    c, mu0 = working_start(x, cfg) if cfg.auto_scale else (1.0, cfg.mu0)
     if c != 1.0:
         x = x * c
     zero = np.zeros_like(x)
-    state = SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)
+    state = SolverState(l=zero, s=zero, y=zero, mu=mu0)
     del zero
     norm_x = float(np.linalg.norm(x))
     history: list[IterationRecord] = []

@@ -8,6 +8,7 @@ once.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from helpers import (
 )
 from rpca.cli import main as cli_main
 from rpca.matrixio import write_matrix_csv
-from rpca.solver import SolverConfig, scaled_lambda, solve
+from rpca.solver import SolverConfig, scaled_lambda, solve, working_start
 from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, shrink
 from rpca.surrogates import (
     gamma_surrogate,
@@ -304,3 +305,37 @@ def test_auto_scale_keeps_the_exact_rank_4_product():
     assert rank_estimate(r.l) == 4
     assert np.linalg.norm(r.l - x) <= 1e-6 * np.linalg.norm(x)
     assert not r.s.any()
+
+
+def rank_4_product():
+    """The uncorrupted rank-4 20x20 product of the test above."""
+    rng = np.random.default_rng(3)
+    return (rng.standard_normal((20, 4)) @ rng.standard_normal((4, 20)),)
+
+
+START_CASES = {**AUTO_LADDER, "zero": lambda: (np.zeros((40, 30)),), "rank-4-product": rank_4_product}
+
+
+@pytest.mark.parametrize("name", list(START_CASES))
+def test_auto_start_weight_lies_between_mu0_and_mu_max(name):
+    """The start weight an auto solve reads off the first power step is
+    never below mu0 (so the first keep-threshold is never above the raw
+    one) nor above mu_max, and the solve starts from it. The exact product
+    leaves no energy outside the power step's block: mu_max."""
+    x = START_CASES[name]()[0]
+    cfg = SolverConfig(auto_scale=True)
+    mu = working_start(x, cfg)[1]
+    assert cfg.mu0 <= mu <= cfg.mu_max
+    assert (mu == cfg.mu_max) == (name == "rank-4-product")
+    assert solve(x, replace(cfg, max_outer=1)).history[0].mu == mu
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_auto_start_recovers_2000x400_in_at_most_10_iterations(seed):
+    """The 2000x400 rank-5 rungs at auto: recovered as in the ladder gate,
+    in at most 10 iterations (19 from the fixed start mu0 = 1e-4)."""
+    x, l_star, s_star = generate_synthetic(SyntheticSpec(m=2000, n=400, rank=5, sparsity=0.05), seed)
+    r = solve(x, SolverConfig(auto_scale=True))
+    l_err, _, f1 = recovery_errors(r.l, l_star, r.s, s_star)
+    assert r.converged and r.iterations <= 10, f"{r.iterations} iterations"
+    assert rank_estimate(r.l) == 5 and l_err <= 1e-2 and f1 >= 0.99

@@ -27,7 +27,7 @@ from rpca.solver import (
     scaled_lambda,
     solve,
     step,
-    working_scale,
+    working_start,
 )
 from rpca.sparse import COLUMNWISE_L21, ENTRYWISE_L1, SparsePenalty
 from rpca.surrogates import (
@@ -137,21 +137,50 @@ def test_working_scale_is_the_nearest_power_of_two(shape):
     rng = np.random.default_rng(sum(shape))
     for size in (1e-200, 1e-3, 1.0, 1e4, 1e200):
         x = size * (rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1])))
-        c = working_scale(x)
+        c = working_start(x, SolverConfig())[0]
         assert c == 2.0 ** round(np.log2(c))
         assert 236.0 / np.sqrt(2.0) <= c * np.linalg.norm(x, 2) <= 236.0 * np.sqrt(2.0) * (1.0 + 1e-9)
-    assert working_scale(np.zeros(shape)) == 1.0
+    assert working_start(np.zeros(shape), SolverConfig()) == (1.0, SolverConfig().mu0)
+
+
+@pytest.mark.parametrize("shape", [(150, 90), (90, 150), (400, 60)])
+def test_working_start_of_a_power_of_two_multiple(shape):
+    # 2^j * X gets 2^-j times the scale of X and the same start weight, bit
+    # for bit: the power step, the edge and the weight all commute with it.
+    # The floor mu0 = 1e-8 lies below the rule's weight on these shapes.
+    x = generate_synthetic(SyntheticSpec(m=shape[0], n=shape[1], rank=4, sparsity=0.05), 5)[0]
+    cfg = SolverConfig(mu0=1e-8, auto_scale=True)
+    c, mu = working_start(x, cfg)
+    assert cfg.mu0 < mu < cfg.mu_max
+    for j in (-10, -3, 1, 10):
+        assert working_start(2.0**j * x, cfg) == (c * 2.0**-j, mu)
+
+
+def test_the_start_weight_is_mu0_unless_auto_with_gamma_and_l1():
+    # only an auto solve with the gamma and l1 penalties reads its start
+    # weight off the spectrum; a raw solve, and a nuclear or l2,1 solve at
+    # auto, start at mu0
+    x = generate_synthetic(SyntheticSpec(m=150, n=90, rank=4, sparsity=0.05), 5)[0]
+    mu0 = 1e-8
+    auto = solve(x, SolverConfig(mu0=mu0, max_outer=1, auto_scale=True))
+    assert auto.history[0].mu == working_start(x, SolverConfig(mu0=mu0))[1] > mu0
+    for cfg in (SolverConfig(mu0=mu0, max_outer=1),
+                SolverConfig(mu0=mu0, max_outer=1, surrogate=nuclear_surrogate()),
+                SolverConfig(mu0=mu0, max_outer=1, surrogate=nuclear_surrogate(), auto_scale=True),
+                SolverConfig(mu0=mu0, max_outer=1, penalty=COLUMNWISE_L21, auto_scale=True)):
+        assert solve(x, cfg).history[0].mu == mu0
 
 
 @pytest.mark.parametrize("c", [2.0**-10, 1.0, 2.0**10], ids=["2^-10", "1", "2^10"])
 def test_auto_scale_commutes_with_a_power_of_two(c):
     # the auto solve of c*X is c times the auto solve of X, bit for bit:
-    # both loops run on the same matrix, and scaling by a power of two is exact
+    # both loops run on the same matrix from the same start weight, and
+    # scaling by a power of two is exact
     x = generate_synthetic(SyntheticSpec(m=150, n=90, rank=4, sparsity=0.05), 5)[0]
     cfg = SolverConfig(auto_scale=True)
     base = solve(x, cfg)
     assert base.scale == 2.0
-    raw = solve(base.scale * x)
+    raw = solve(base.scale * x, SolverConfig(mu0=base.history[0].mu))
     assert np.array_equal(base.l, raw.l / base.scale) and np.array_equal(base.s, raw.s / base.scale)
     assert base.history == raw.history
     r = solve(c * x, cfg)
