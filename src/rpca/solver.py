@@ -47,8 +47,8 @@ SCALE_REF = 236.0
 # Under ``auto_scale`` with the gamma and l1 penalties the first
 # keep-threshold, about sqrt(2(1+gamma)/mu), is this multiple of the
 # estimated spectral edge of c * X's sparse part (see ``working_start``).
-# The measured rungs recover from 1.7 (60x60) or below and from there up to
-# the mu0 floor, so this sits 1.75x inside every one.
+# With 5% corruption every measured rung recovers from 1.5 or below up to
+# the mu0 floor; with 8 spikes on 2000x400 every seed measured needs 2.5.
 START_KAPPA = 3.0
 
 
@@ -341,15 +341,18 @@ def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
     underflow to 0. Returns ``(1, cfg.mu0)`` for a zero ``x``.
 
     With the gamma penalty, the entrywise l1 penalty and a Ritz estimate,
-    the same step's energy outside the block, ``tail = ||X||_F^2 -
-    sum(theta)``, read as a Bai–Yin edge ``edge = c * sqrt(tail / (m n)) *
-    (sqrt(m) + sqrt(n))``, estimates the 2-norm of ``c * X``'s sparse part.
-    mu is then the weight whose first keep-threshold is ``START_KAPPA *
-    edge``, ``2(1+gamma) / (START_KAPPA * edge)^2``, clipped to
-    ``[cfg.mu0, cfg.mu_max]``: ``cfg.mu0`` stays a floor, and a zero tail
-    gives ``cfg.mu_max``. Otherwise mu is ``cfg.mu0``: the rule is mapped
-    for the gamma penalty, and a few outlier columns of low rank can lie
-    inside the power step's block, leaving no tail to read.
+    ``edge`` estimates the 2-norm of ``c * X``'s sparse part. It is ``c``
+    times the larger of two readings: the same step's energy outside the
+    block, ``tail = ||X||_F^2 - sum(theta)``, read as a Bai–Yin edge
+    ``sqrt(tail / (m n)) * (sqrt(m) + sqrt(n))`` of a dense bulk, and the
+    largest ``|x_ij|``, the 2-norm of a lone spike. The second covers
+    corruption too sparse to form a bulk, whose spikes can lie inside the
+    block and leave no tail. mu is then the weight whose first
+    keep-threshold is ``START_KAPPA * edge``, ``2(1+gamma) / (START_KAPPA *
+    edge)^2``, clipped to ``[cfg.mu0, cfg.mu_max]``: ``cfg.mu0`` stays a
+    floor. Otherwise mu is ``cfg.mu0``: the rule is mapped for the gamma
+    penalty, and a few outlier columns of low rank can lie inside the power
+    step's block, leaving no tail to read.
 
     A power of two times ``x`` and the result divided by it are exact. ``c``
     depends only on the binary mantissa of ``SCALE_REF / sigma_1``, and the
@@ -375,9 +378,8 @@ def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
         return c, cfg.mu0
     m, n = x.shape
     tail = max(r.frob2 - float(r.theta.sum()), 0.0)
-    edge = c * math.sqrt(tail / (m * n)) * (math.sqrt(m) + math.sqrt(n))
-    if not edge > 0.0:
-        return c, cfg.mu_max
+    peak = max(float(x.max()), -float(x.min()))
+    edge = c * max(math.sqrt(tail / (m * n)) * (math.sqrt(m) + math.sqrt(n)), peak)
     mu = 2.0 * (1.0 + cfg.surrogate.gamma) / (START_KAPPA * edge) ** 2
     return c, min(max(cfg.mu0, mu), cfg.mu_max)
 
