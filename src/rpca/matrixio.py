@@ -322,4 +322,10 @@ def build_report(cfg: SolverConfig, result: SolverResult) -> dict:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON; a NaN or an infinity in it, which JSON cannot hold, raises
+    ``MatrixIoError`` before ``path`` is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise MatrixIoError(f"{path}: not written: {exc}") from None
+    Path(path).write_text(text + "\n")

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, integer, real_number, require_finite
+from .linalg import as_matrix, integer, real_number
 from .sparse import (
     ENTRYWISE_L1,
     L1,
@@ -115,17 +115,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Iterate: primal pair, multiplier, penalty weight, iteration count."""
+    """Iterate: primal pair, multiplier, penalty weight, iteration count, warm basis."""
 
     l: np.ndarray
     s: np.ndarray
     y: np.ndarray
     mu: float
     iter: int = 0
-    # the start of the next L-step's low-rank attempt (see
-    # ``spectral.l_step``): no columns at the start, then the last step's kept
-    # vectors on the smaller side, or None to skip the attempt
-    warm_basis: np.ndarray | None = field(default_factory=lambda: spectral.COLD)
+    # the next L-step's start basis (see ``spectral.l_step``): no columns at
+    # the start, then the last step's kept vectors on the smaller side. The
+    # low-rank route steps it only when it has at most p / WARM_RANK_DIVISOR
+    # columns
+    warm_basis: np.ndarray = field(default_factory=lambda: spectral.COLD)
 
 
 @dataclass(frozen=True)
@@ -202,6 +203,15 @@ def _target(x, a, y, mu: float, out: np.ndarray, scratch: np.ndarray) -> np.ndar
     return np.subtract(out, scratch, out=out)
 
 
+def _require_finite_iterate(a: np.ndarray) -> None:
+    """Raise ``ValueError`` when ``a``, part of an iterate, holds a NaN or an infinity."""
+    if not np.isfinite(a).all():
+        raise ValueError(
+            "an iterate is not finite (NaN/Inf): the solve overflowed at the scale of X; "
+            "auto_scale=True, which rpca decompose uses, solves at the working scale"
+        )
+
+
 def step(
     x, state: SolverState, cfg: SolverConfig, norm_x: float
 ) -> tuple[SolverState, IterationRecord]:
@@ -211,11 +221,11 @@ def step(
     ``spectral.l_step``), S the shrink of ``X - L - Y/mu`` at threshold
     lambda/mu, then ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
-    Frobenius norm. The L-step tries the low-rank route from
-    ``state.warm_basis`` unless it is ``None``, and the next state carries
-    the basis the L-step returns. ``state.l`` is not read. Returns the next
-    state and the iteration's record, whose Lagrangian is evaluated at the
-    new pair and the old multiplier and mu.
+    Frobenius norm. The L-step starts its low-rank route from
+    ``state.warm_basis``, and the next state carries the basis the L-step
+    returns. ``state.l`` is not read. Returns the next state and the
+    iteration's record, whose Lagrangian is evaluated at the new pair and
+    the old multiplier and mu.
 
     The elementwise work runs in row blocks of ``BLOCK_BYTES``: one pass
     forms the L-step's target, and one pass after it forms the shrink's
@@ -243,7 +253,7 @@ def step(
 
     t = np.empty((m, n))
     for b in blocks:
-        require_finite(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
+        _require_finite_iterate(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
     l, sig, route, basis = spectral.l_step(t, mu, cfg.surrogate, state.warm_basis)
 
     tau = cfg.lam / mu
@@ -253,7 +263,7 @@ def step(
         q_sums = np.zeros(n)
         for b in blocks:
             q = t[b]
-            require_finite(_target(x[b], l[b], y[b], mu, q, w[: b.stop - b.start]))
+            _require_finite_iterate(_target(x[b], l[b], y[b], mu, q, w[: b.stop - b.start]))
             _add_column_squares(q_sums, q, buf, b.start == 0)
         q_norms = np.sqrt(q_sums)
         scale = column_scale(q_norms, tau)
@@ -266,7 +276,7 @@ def step(
             np.multiply(r, scale, out=sb)
         else:
             _target(x[b], l[b], y[b], mu, r, wb)
-            require_finite(r)
+            _require_finite_iterate(r)
             soft_threshold(r, tau, sb, wb)
         np.add(l[b], sb, out=r)
         np.subtract(r, x[b], out=r)

@@ -36,8 +36,8 @@ KEPT_REL_ERROR = 1e-8
 RITZ_STEPS = 10
 RITZ_FALL = 10.0
 
-# The next L-step tries the low-rank route after a step that kept at most
-# p / WARM_RANK_DIVISOR values, p = min(m, n), or that took the route.
+# The route walk tries the low-rank route from a basis of at most
+# p / WARM_RANK_DIVISOR columns, p = min(m, n): the last step's kept vectors.
 WARM_RANK_DIVISOR = 20
 
 # Multiplier c in the eigenvalue error bound c * max(m, n) * eps * lambda_max:
@@ -80,7 +80,7 @@ class LStep(NamedTuple):
     l: np.ndarray
     proxed: np.ndarray
     route: str
-    basis: np.ndarray | None
+    basis: np.ndarray
 
 
 def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
@@ -231,7 +231,7 @@ _Kept = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _certified_route(
-    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray | None
+    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
 ) -> tuple[_Kept | None, str]:
     """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, and its name.
 
@@ -240,12 +240,13 @@ def _certified_route(
     nonincreasing, and hand them to :func:`_certified` with the route's
     error and tail bound; only the prox and the rebuild take their roots.
 
-    Unless ``basis`` is ``None``, the ``low_rank`` route is tried first,
-    from the start block ``basis``: at most ``RITZ_STEPS`` power steps of
-    :func:`ritz_iterations`, whose Ritz values are its ``theta``. With ``G
-    = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``, ``||E||_2 <=
-    rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest = ||B||_F^2 -
-    sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
+    When ``basis`` has at most ``p / WARM_RANK_DIVISOR`` columns, ``p``
+    those of ``b`` (none at a cold start), the ``low_rank`` route is tried
+    first, from the start block ``basis``: at most ``RITZ_STEPS`` power
+    steps of :func:`ritz_iterations`, whose Ritz values are its ``theta``.
+    With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``,
+    ``||E||_2 <= rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest =
+    ||B||_F^2 - sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
     max(theta_(k+1), rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho``
     for the kept values. Each step is certified at once by that trace
     bound, both figures widened by the rounding ``slack``: it needs no
@@ -278,7 +279,7 @@ def _certified_route(
     frame, so it is released before the caller rebuilds L.
     """
     gram = None
-    if basis is not None:
+    if basis.shape[1] * WARM_RANK_DIVISOR <= b.shape[1]:
         try:
             prev = np.inf
             for steps, r in enumerate(ritz_iterations(b, basis), start=1):
@@ -319,23 +320,20 @@ def _certified_route(
     return (vecs[:, ::-1][:, sig > 0.0], singulars, sig), "gram"
 
 
-def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray | None = COLD) -> LStep:
+def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray = COLD) -> LStep:
     """Spectral prox of the finite 2-D float array ``a`` at weight mu, which it does not check.
 
     Three routes, each used only when its result is the exact prox with a
     certified keep/drop decision. :func:`_certified_route` tries the two
     that work on ``a`` or its transposed view ``B``, whichever is tall, and
     the smaller Gram matrix: ``low_rank``, power steps from ``basis`` (the
-    kept vectors of a previous step; no columns for a cold start, ``None``
-    to skip the route), and then ``gram``, an eigendecomposition, a
-    fraction of the cost of a thin SVD. L is rebuilt from their kept
-    vectors ``W`` and ``B W``. When neither certifies, the step takes the
-    thin SVD of ``a``.
+    kept vectors of a previous step, no columns for a cold start), and then
+    ``gram``, an eigendecomposition, a fraction of the cost of a thin SVD.
+    L is rebuilt from their kept vectors ``W`` and ``B W``. When neither
+    certifies, the step takes the thin SVD of ``a``.
 
     The result's ``basis`` is the next step's start: the kept singular
-    vectors on the smaller side, a new array, after a step that took the
-    low-rank route or kept at most ``p / WARM_RANK_DIVISOR`` values, and
-    ``None`` otherwise.
+    vectors on the smaller side, a new array.
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
@@ -352,5 +350,4 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
         bw = _times(b, w)
         scale = sig[:k] / singulars[:k]
         l = (bw * scale) @ w.T if tall else (w * scale) @ bw.T
-    warm = route == "low_rank" or k * WARM_RANK_DIVISOR <= w.shape[0]
-    return LStep(l, sig, route, w.copy() if warm else None)
+    return LStep(l, sig, route, w.copy())

@@ -282,6 +282,23 @@ def test_bench_accepts_input_file(tmp_path):
     assert bench["runs"]["gamma"]["rank_estimate"] <= bench["runs"]["nuclear"]["rank_estimate"]
 
 
+def test_a_raw_solve_that_overflows_writes_no_invalid_json(tmp_path, capsys):
+    # every entry is finite, but at this scale the raw solve's figures are
+    # not: bench's report would hold Infinity, which JSON has no word for,
+    # and anomaly's iterate overflows
+    x = np.random.default_rng(0).standard_normal((60, 40)) * 1e200
+    np.savetxt(tmp_path / "X.csv", x, fmt="%.17g", delimiter=",")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("bench", tmp_path / "X.csv", "--outdir", tmp_path / "bench") == 3
+        assert run("anomaly", tmp_path / "X.csv", "--outdir", tmp_path / "anomaly") == 2
+    err = capsys.readouterr().err.splitlines()
+    report = tmp_path / "bench" / "bench.json"
+    assert err[-2].startswith(f"error: {report}: not written: ")
+    assert not report.exists()
+    assert err[-1].startswith("error: an iterate is not finite")
+    assert "auto_scale" in err[-1] and not (tmp_path / "anomaly").exists()
+
+
 def test_anomaly_flags_injected_columns(tmp_path):
     rng = np.random.default_rng(0)
     u1 = np.linalg.qr(rng.standard_normal((100, 3)))[0]

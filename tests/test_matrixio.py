@@ -594,3 +594,10 @@ def test_report_fields_and_rerun(tmp_path):
     out = tmp_path / "report.json"
     write_json(out, report)
     assert json.loads(out.read_text())["iterations"] == result.iterations
+
+
+def test_usable_cpus_counts_the_cpus_this_process_may_run_on():
+    count = rpca.matrixio._usable_cpus()
+    assert 1 <= count <= os.cpu_count()
+    if hasattr(os, "sched_getaffinity"):
+        assert count == len(os.sched_getaffinity(0))

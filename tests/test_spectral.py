@@ -20,6 +20,7 @@ from rpca.spectral import (
     GRAM_ERROR_FACTOR,
     KEPT_REL_ERROR,
     RITZ_STEPS,
+    COLD,
     WARM_RANK_DIVISOR,
     _certified_route,
     _largest_dropped,
@@ -32,7 +33,8 @@ from rpca.synthetic import SyntheticSpec, generate_synthetic
 
 
 def test_gram_spectrum_matches_svd():
-    # without a basis the walk takes the gram route. The nuclear prox at mu
+    # p <= 16, so a cold start takes no power step and the walk takes the
+    # gram route. The nuclear prox at mu
     # = 1e6 keeps every value above 1e-6, so all of these: the square roots
     # of its theta match the singular values to delta in theta, and its
     # kept vectors are orthonormal
@@ -42,7 +44,7 @@ def test_gram_spectrum_matches_svd():
     for shape in [(7, 4), (4, 7), (5, 5), (0, 3)]:
         m = rng.standard_normal(shape)
         b = m if shape[0] >= shape[1] else m.T
-        (w, singulars, _), route = _certified_route(b, 1e6, nuclear, None)
+        (w, singulars, _), route = _certified_route(b, 1e6, nuclear, COLD)
         k = min(shape)
         assert route == "gram"
         assert w.shape == (b.shape[1], k) and singulars.shape == (k,)
@@ -53,14 +55,14 @@ def test_gram_spectrum_matches_svd():
     # delta is 0 on the zero matrix: a tail of any positive double has a
     # square root above 1e-300, which the prox at mu = 1e300 keeps, so only
     # delta = 0 certifies dropping both values
-    (w, singulars, sig), route = _certified_route(np.zeros((3, 2)), 1e300, nuclear, None)
+    (w, singulars, sig), route = _certified_route(np.zeros((3, 2)), 1e300, nuclear, COLD)
     assert route == "gram" and w.shape == (2, 0)
     assert not singulars.any() and not sig.any()
 
 
 def test_gram_spectrum_overflow_falls_to_svd():
     # B^T B overflows, so the spectrum is not finite and the walk names svd
-    assert _certified_route(np.full((3, 2), 1e200), 1.0, gamma_surrogate(), None) == (None, "svd")
+    assert _certified_route(np.full((3, 2), 1e200), 1.0, gamma_surrogate(), COLD) == (None, "svd")
 
 
 def test_ritz_overflow_is_linalg_error():
@@ -110,7 +112,7 @@ def test_gram_certificate_boundary(value, offset):
     delta = GRAM_ERROR_FACTOR * a.shape[0] * np.finfo(np.float64).eps * lam[0]
     sign = 1.0 if value == "dropped" else -1.0
     mu = 1.0 / np.sqrt(lam[5] + sign * offset * delta)
-    l, sig, route, _ = l_step(a, mu, nuclear, basis=None)
+    l, sig, route, _ = l_step(a, mu, nuclear)  # p = 12: a cold start takes no power step
     ref = prox_matrix(a, mu, nuclear)
     assert route == ("svd" if offset < 1.0 else "gram")
     if route == "gram":
@@ -118,19 +120,24 @@ def test_gram_certificate_boundary(value, offset):
     assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_warm_basis_rule():
+def test_warm_basis_rule(ritz_calls):
     # five values of order 1e6 kept over 55 unit values, p = 60: more than
-    # p / WARM_RANK_DIVISOR = 3, so a gram step hands no basis on, but a
-    # certified Gram-free step hands on its kept vectors whatever their number
+    # p / WARM_RANK_DIVISOR = 3. A certified step hands on its five kept
+    # vectors, and the walk never steps a basis of more than three columns:
+    # the next step from them, like one from a p-column basis, takes gram
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(39), 60, 120, np.r_[5e6, 4e6, 3e6, 2e6, 1e6, np.ones(55)])
     assert 5 * WARM_RANK_DIVISOR > 60
     low = l_step(a, 1e-3, nuclear)
-    gram = l_step(a, 1e-3, nuclear, basis=None)
     assert (low.route, low.basis.shape) == ("low_rank", (60, 5))
-    assert (gram.route, gram.basis) == ("gram", None)
+    steps = ritz_calls["steps"]
+    warm = l_step(a, 1e-3, nuclear, low.basis)
+    full = l_step(a, 1e-3, nuclear, np.eye(60))
+    assert ritz_calls["steps"] == steps
+    assert (warm.route, warm.basis.shape) == (full.route, full.basis.shape) == ("gram", (60, 5))
+    assert np.array_equal(warm.l, full.l)
     ref = prox_matrix(a, 1e-3, nuclear)
-    for step in (low, gram):
+    for step in (low, warm):
         assert np.linalg.norm(step.l - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -278,13 +285,13 @@ def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
     mu = 1.0 / 9.7
     l, sig, route, _ = l_step(a, mu, nuclear)
     assert route == "gram" and np.count_nonzero(sig) == 3
-    assert np.array_equal(l, l_step(a, mu, nuclear, basis=None).l)
+    assert np.array_equal(l, l_step(a, mu, nuclear, np.eye(60)).l)  # a p-column basis is never stepped
     assert counts(ritz_calls) == (1, 2, 0)
 
 
 def test_low_rank_route_gate_and_the_cost_of_failed_attempts(ritz_calls):
-    # a step tries the route on the first iteration, after a certified step
-    # or after a step that kept at most p/20 values, and nowhere else. An
+    # a step tries the route on the first iteration or after a step that
+    # kept at most p/20 values, and nowhere else. An
     # attempt takes at most RITZ_STEPS power steps and at most one Cholesky,
     # and only once the kept block's residual meets KEPT_REL_ERROR. With 20%
     # corruption the kept rank climbs to about 70 and back, past p/20 = 15
@@ -296,7 +303,7 @@ def test_low_rank_route_gate_and_the_cost_of_failed_attempts(ritz_calls):
     tried = failed = 0
     for rec, start, stop in zip(r.history, marks, marks[1:]):
         attempt = events[start:stop]
-        gate = prev is None or prev.l_route == "low_rank" or prev.rank_estimate * WARM_RANK_DIVISOR <= 300
+        gate = prev is None or prev.rank_estimate * WARM_RANK_DIVISOR <= 300
         assert (attempt[:1] == [("attempt",)]) == gate, rec.iter
         steps = [e[1] for e in attempt if e[0] == "step"]
         tails = [e for e in attempt if e[0] == "tail"]
