@@ -5,13 +5,16 @@ to the split, where F is a spectral penalty (see ``surrogates``) and
 ``penalty`` an entrywise or columnwise sparsity norm (see ``sparse``). Each
 outer iteration proxes L against the current residual target, shrinks S, then
 takes the standard multiplier step and grows the quadratic penalty weight mu
-geometrically. The loop stops when the relative residual
-``||X - L - S||_F / ||X||_F`` drops to the configured tolerance.
+geometrically. A solve that starts the gamma penalty above its configured
+gamma halves gamma every step down to it (see ``working_start``). The loop
+stops when the relative residual ``||X - L - S||_F / ||X||_F`` drops to the
+configured tolerance on a step taken at the configured gamma.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -51,6 +54,10 @@ SCALE_REF = 236.0
 # the mu0 floor; with 8 spikes on 2000x400 every seed measured needs 2.5.
 START_KAPPA = 3.0
 
+# A walked gamma (see ``working_start``) is multiplied by this every step,
+# down to the configured gamma.
+GAMMA_RATIO = 0.5
+
 
 def scaled_lambda(m: int, n: int) -> float:
     """Dimension-scaled sparsity weight, ``1/sqrt(max(m, n))``."""
@@ -71,7 +78,9 @@ class SolverConfig:
     With ``auto_scale`` the solve runs on ``c * X``, ``c`` from
     :func:`working_start`, and its L and S are divided by ``c``; every other
     setting then acts on ``c * X``, and with the gamma and l1 penalties
-    ``mu0`` is the floor of a start weight read off ``X``'s spectrum.
+    ``mu0`` is the floor of a start weight read off ``X``'s spectrum. With
+    those penalties a solve can also start at a larger gamma than the
+    surrogate's (see :func:`working_start`).
     """
 
     lam: float = 1e-3
@@ -115,7 +124,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverState:
-    """Iterate: primal pair, multiplier, penalty weight, iteration count, warm basis."""
+    """Iterate: primal pair, multiplier, the next step's weights, iteration count, warm basis.
+
+    ``gamma`` is the gamma of the next step's penalty, ``None`` for the
+    configured surrogate (always with the nuclear penalty).
+    """
 
     l: np.ndarray
     s: np.ndarray
@@ -127,6 +140,7 @@ class SolverState:
     # low-rank route steps it only when it has at most p / WARM_RANK_DIVISOR
     # columns
     warm_basis: np.ndarray = field(default_factory=lambda: spectral.COLD)
+    gamma: float | None = None
 
 
 @dataclass(frozen=True)
@@ -134,7 +148,8 @@ class IterationRecord:
     """Per-iteration diagnostics appended to the solve history.
 
     ``l_route`` names the path the L-step took: ``"low_rank"``, ``"gram"`` or
-    ``"svd"`` (see ``spectral.l_step``).
+    ``"svd"`` (see ``spectral.l_step``). ``mu`` and ``gamma`` are the step's
+    weights; ``gamma`` is ``None`` with the nuclear penalty.
     """
 
     iter: int
@@ -145,6 +160,7 @@ class IterationRecord:
     mu: float
     mu_s_change: float
     l_route: str
+    gamma: float | None
 
 
 @dataclass
@@ -192,8 +208,9 @@ def _add_column_squares(sums: np.ndarray, a: np.ndarray, buf: np.ndarray, first:
     lead = 0 if first else 1
     k = a.shape[0]
     buf[0] = sums
-    np.multiply(a, a, out=buf[lead : lead + k])
-    np.add.reduce(buf[: lead + k], axis=0, out=sums)
+    with np.errstate(over="ignore"):  # an infinite sum is reported by ``step``
+        np.multiply(a, a, out=buf[lead : lead + k])
+        np.add.reduce(buf[: lead + k], axis=0, out=sums)
 
 
 def _target(x, a, y, mu: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -219,13 +236,15 @@ def step(
 
     L is the spectral prox of ``X - S - Y/mu`` at weight mu (see
     ``spectral.l_step``), S the shrink of ``X - L - Y/mu`` at threshold
-    lambda/mu, then ``Y + mu*(L + S - X)`` and ``min(rho*mu, mu_max)``. ``x`` must be a
+    lambda/mu, then ``Y + mu*(L + S - X)`` and the next weights of
+    :func:`next_weights`. The prox and the Lagrangian take the penalty at
+    ``state.gamma``. ``x`` must be a
     finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
     Frobenius norm. The L-step starts its low-rank route from
     ``state.warm_basis``, and the next state carries the basis the L-step
     returns. ``state.l`` is not read. Returns the next state and the
     iteration's record, whose Lagrangian is evaluated at the new pair and
-    the old multiplier and mu.
+    the old multiplier and weights.
 
     The elementwise work runs in row blocks of ``BLOCK_BYTES``: one pass
     forms the L-step's target, and one pass after it forms the shrink's
@@ -245,6 +264,7 @@ def step(
     are only read.
     """
     y, s_prev, mu = state.y, state.s, state.mu
+    surrogate = cfg.surrogate if state.gamma is None else replace(cfg.surrogate, gamma=state.gamma)
     m, n = x.shape
     blocks = _row_blocks(m, n)
     rows = blocks[0].stop if blocks else 0
@@ -254,7 +274,7 @@ def step(
     t = np.empty((m, n))
     for b in blocks:
         _require_finite_iterate(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
-    l, sig, route, basis = spectral.l_step(t, mu, cfg.surrogate, state.warm_basis)
+    l, sig, route, basis = spectral.l_step(t, mu, surrogate, state.warm_basis)
 
     tau = cfg.lam / mu
     check_tau(tau)
@@ -266,6 +286,7 @@ def step(
             _require_finite_iterate(_target(x[b], l[b], y[b], mu, q, w[: b.stop - b.start]))
             _add_column_squares(q_sums, q, buf, b.start == 0)
         q_norms = np.sqrt(q_sums)
+        _require_finite_iterate(q_norms)
         scale = column_scale(q_norms, tau)
     s = np.empty((m, n))
     y_next = np.empty((m, n))
@@ -295,28 +316,46 @@ def step(
         penalty = float(np.maximum(q_norms - tau, 0.0).sum())
     else:
         penalty = float(np.abs(s, out=t).sum())
-    s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=t)))
+    with np.errstate(over="ignore"):
+        # a sum of squares overflows above about 1e154; the record then holds
+        # an infinity, which write_json refuses
+        s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=t)))
     record = IterationRecord(
         iter=state.iter + 1,
         residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
         lagrangian=(
-            surrogate_value(sig, cfg.surrogate) + cfg.lam * penalty + y_dot_r + 0.5 * mu * r_dot_r
+            surrogate_value(sig, surrogate) + cfg.lam * penalty + y_dot_r + 0.5 * mu * r_dot_r
         ),
         rank_estimate=linalg.numerical_rank(sig),
         y_inf_norm=float(np.max(y_max)) if y_max else 0.0,
         mu=mu,
         mu_s_change=mu * s_change,
         l_route=route,
+        gamma=surrogate.gamma,
     )
+    mu_next, gamma_next = next_weights(cfg, mu, state.gamma)
     next_state = SolverState(
         l=l,
         s=s,
         y=y_next,
-        mu=min(cfg.rho * mu, cfg.mu_max),
+        mu=mu_next,
         iter=state.iter + 1,
         warm_basis=basis,
+        gamma=gamma_next,
     )
     return next_state, record
+
+
+def next_weights(cfg: SolverConfig, mu: float, gamma: float | None) -> tuple[float, float | None]:
+    """The weights of the step after one taken at ``mu`` and ``gamma``.
+
+    mu grows to ``min(rho * mu, mu_max)``. A gamma above the configured one
+    (see :func:`working_start`) is multiplied by ``GAMMA_RATIO``, and never
+    falls below the configured gamma; ``None`` stays ``None``.
+    """
+    if gamma is not None:
+        gamma = max(GAMMA_RATIO * gamma, cfg.surrogate.gamma)
+    return min(cfg.rho * mu, cfg.mu_max), gamma
 
 
 def kkt_residuals(
@@ -340,35 +379,55 @@ def kkt_residuals(
     return primal, dual
 
 
-def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
-    """The working scale ``c`` and the start weight mu of an auto solve of ``x``.
+def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float, float | None]:
+    """The working scale ``c``, the start weight mu and the start gamma of a solve of ``x``.
 
-    ``x`` must be a finite 2-D float array. ``c`` is the power of two
+    ``x`` must be a finite 2-D float array. Without ``cfg.auto_scale``,
+    ``c`` is 1 and mu is ``cfg.mu0``. With it, ``c`` is the power of two
     nearest ``SCALE_REF / sigma_1(X)`` on a log scale. ``sigma_1`` is
     estimated by the top Ritz value of one power step of the fixed-seed
     ``spectral.ritz_iterations`` on the tall view of ``x``, or by the 2-norm
     when that block would span every column, or its products overflow or
-    underflow to 0. Returns ``(1, cfg.mu0)`` for a zero ``x``.
+    underflow to 0. Returns ``(1, cfg.mu0, gamma)`` for a zero ``x``,
+    ``gamma`` the configured one (``None`` for the nuclear penalty).
 
     With the gamma penalty, the entrywise l1 penalty and a Ritz estimate,
-    ``edge`` estimates the 2-norm of ``c * X``'s sparse part. It is ``c``
-    times the larger of two readings: the same step's energy outside the
+    the same step reads the spectral edge of ``c * X``'s sparse part; raw
+    solves take it too, at ``c = 1``, and raw nuclear and l2,1 solves take
+    no power step. ``bulk`` is ``c`` times the step's energy outside the
     block, ``tail = ||X||_F^2 - sum(theta)``, read as a Bai–Yin edge
-    ``sqrt(tail / (m n)) * (sqrt(m) + sqrt(n))`` of a dense bulk, and the
-    largest ``|x_ij|``, the 2-norm of a lone spike. The second covers
-    corruption too sparse to form a bulk, whose spikes can lie inside the
-    block and leave no tail. mu is then the weight whose first
-    keep-threshold is ``START_KAPPA * edge``, ``2(1+gamma) / (START_KAPPA *
-    edge)^2``, clipped to ``[cfg.mu0, cfg.mu_max]``: ``cfg.mu0`` stays a
-    floor. Otherwise mu is ``cfg.mu0``: the rule is mapped for the gamma
-    penalty, and a few outlier columns of low rank can lie inside the power
-    step's block, leaving no tail to read.
+    ``sqrt(tail / (m n)) * (sqrt(m) + sqrt(n))`` of a dense bulk. Under
+    ``auto_scale`` the edge is the larger of ``bulk`` and ``c`` times the
+    largest ``|x_ij|``, the 2-norm of a lone spike, which covers corruption
+    too sparse to form a bulk, whose spikes can lie inside the block and
+    leave no tail. mu is then the weight whose first keep-threshold, about
+    ``sqrt(2(1+gamma)/mu)``, is ``START_KAPPA * edge``, ``2(1+gamma) /
+    (START_KAPPA * edge)^2``, clipped to ``[cfg.mu0, cfg.mu_max]``:
+    ``cfg.mu0`` stays a floor. Otherwise mu is ``cfg.mu0``: the rule is
+    mapped for the gamma penalty, and a few outlier columns of low rank can
+    lie inside the power step's block, leaving no tail to read.
+
+    When mu lies above ``mu_bulk = 2(1+gamma) / (START_KAPPA * bulk)^2``,
+    the weight read off the bulk alone (always for a raw solve whose first
+    threshold lies below ``START_KAPPA * bulk``, and at auto only when the
+    ``cfg.mu0`` floor binds), the solve starts at ``(1+gamma) mu / mu_bulk -
+    1``, the gamma that puts mu's first threshold there, and
+    :func:`next_weights` walks it down to the configured gamma. The walk
+    starts only below the estimate ``c * sigma_1``: the penalty weighs
+    values far below gamma like the nuclear norm, whose threshold is about
+    ``1/mu``, so a larger start reads no threshold (a raw ``X`` far above
+    the defaults' band). The largest entry is not read here: a start gamma
+    read off it keeps planted directions below it out of L.
 
     A power of two times ``x`` and the result divided by it are exact. ``c``
     depends only on the binary mantissa of ``SCALE_REF / sigma_1``, and the
     edge of ``2^j * X`` is ``2^j`` times its edge, so the scale of ``2^j *
-    X`` is ``2^-j`` times this one and its mu is this mu.
+    X`` is ``2^-j`` times this one and its mu and gamma are these.
     """
+    gamma = cfg.surrogate.gamma
+    rule = cfg.surrogate.kind == GAMMA and cfg.penalty.kind == L1
+    if not (cfg.auto_scale or rule):
+        return 1.0, cfg.mu0, gamma
     b = x if x.shape[0] >= x.shape[1] else x.T
     try:
         r = next(spectral.ritz_iterations(b), None)
@@ -376,22 +435,35 @@ def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float]:
         r = None
     top = math.sqrt(max(float(r.theta[0]), 0.0)) if r is not None else 0.0
     ritz = top > 0.0
-    if not ritz and x.size:
-        top = float(np.linalg.norm(x, 2))
-    if not (top > 0.0 and SCALE_REF / top < np.inf):
-        return 1.0, cfg.mu0
-    # SCALE_REF / top = mantissa * 2^exp with mantissa in [1/2, 1): its log2
-    # rounds to exp when log2(mantissa) >= -1/2
-    mantissa, exp = math.frexp(SCALE_REF / top)
-    c = math.ldexp(1.0, exp if mantissa >= math.sqrt(0.5) else exp - 1)
-    if not ritz or cfg.surrogate.kind != GAMMA or cfg.penalty.kind != L1:
-        return c, cfg.mu0
+    c = 1.0
+    if cfg.auto_scale:
+        if not ritz and x.size:
+            top = float(np.linalg.norm(x, 2))
+        if not (top > 0.0 and SCALE_REF / top < np.inf):
+            return 1.0, cfg.mu0, gamma
+        # SCALE_REF / top = mantissa * 2^exp with mantissa in [1/2, 1): its log2
+        # rounds to exp when log2(mantissa) >= -1/2
+        mantissa, exp = math.frexp(SCALE_REF / top)
+        c = math.ldexp(1.0, exp if mantissa >= math.sqrt(0.5) else exp - 1)
+    if not (ritz and rule):
+        return c, cfg.mu0, gamma
     m, n = x.shape
     tail = max(r.frob2 - float(r.theta.sum()), 0.0)
-    peak = max(float(x.max()), -float(x.min()))
-    edge = c * max(math.sqrt(tail / (m * n)) * (math.sqrt(m) + math.sqrt(n)), peak)
-    mu = 2.0 * (1.0 + cfg.surrogate.gamma) / (START_KAPPA * edge) ** 2
-    return c, min(max(cfg.mu0, mu), cfg.mu_max)
+    bulk = math.sqrt(tail / (m * n)) * (math.sqrt(m) + math.sqrt(n))
+    mu = cfg.mu0
+    if cfg.auto_scale:
+        peak = max(float(x.max()), -float(x.min()))
+        edge = c * max(bulk, peak)
+        mu = min(max(cfg.mu0, 2.0 * (1.0 + gamma) / (START_KAPPA * edge) ** 2), cfg.mu_max)
+    # the weight whose first threshold is START_KAPPA times the bulk reading
+    # alone, by the rule's own expression: at auto it is at least mu unless
+    # the floor binds, and a raw solve started at a rule weight does not walk
+    reach = START_KAPPA * (c * bulk)
+    if not 0.0 < reach < math.sqrt(sys.float_info.max):
+        return c, mu, gamma
+    mu_bulk = 2.0 * (1.0 + gamma) / reach**2
+    start = (1.0 + gamma) * mu / mu_bulk - 1.0
+    return c, mu, start if mu_bulk < mu and gamma < start < c * top else gamma
 
 
 ProgressCallback = Callable[[SolverState, IterationRecord], None]
@@ -413,8 +485,10 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         step reads, so a callback that keeps a state keeps its arrays alive
         too.
 
-    With ``cfg.auto_scale`` the loop runs on ``c * X`` from the start weight
-    of :func:`working_start`, and the callback sees that loop's states.
+    With ``cfg.auto_scale`` the loop runs on ``c * X``, and the callback
+    sees that loop's states. The loop starts at the weights of
+    :func:`working_start`; when its gamma lies above the configured one, the
+    loop stops only on a step taken at the configured gamma.
 
     Returns
     -------
@@ -431,13 +505,14 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     if cfg is None:
         cfg = SolverConfig()
     t0 = time.perf_counter()
-    c, mu0 = working_start(x, cfg) if cfg.auto_scale else (1.0, cfg.mu0)
+    c, mu0, gamma0 = working_start(x, cfg)
     if c != 1.0:
         x = x * c
     zero = np.zeros_like(x)
-    state = SolverState(l=zero, s=zero, y=zero, mu=mu0)
+    state = SolverState(l=zero, s=zero, y=zero, mu=mu0, gamma=gamma0)
     del zero
-    norm_x = float(np.linalg.norm(x))
+    with np.errstate(over="ignore"):  # an X this large leaves a record figure infinite (see ``step``)
+        norm_x = float(np.linalg.norm(x))
     history: list[IterationRecord] = []
     converged = False
     while state.iter < cfg.max_outer:
@@ -447,7 +522,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         history.append(record)
         if callback is not None:
             callback(state, record)
-        if record.residual <= cfg.tol:
+        if record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma:
             converged = True
             break
 

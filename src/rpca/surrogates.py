@@ -123,5 +123,6 @@ def prox_vector(sigma_a, mu: float, s: RankSurrogate) -> np.ndarray:
     root = np.maximum(sig_a - 4.0 * h * np.sin(0.5 * theta) ** 2, 0.0)
     sig = np.where(r < 1.0, root, 0.0)
     keep = scalar_penalty(sig, s) + 0.5 * mu * (sig - sig_a) ** 2
-    drop = 0.5 * mu * sig_a**2
+    with np.errstate(over="ignore"):  # an infinite cost of dropping a value keeps it
+        drop = 0.5 * mu * sig_a**2
     return np.where(drop < keep, 0.0, sig)

@@ -221,12 +221,20 @@ def random_orthonormal(rng, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def reference_solve(x, cfg):
+def step_surrogate(cfg, gamma):
+    """The surrogate of a step taken at ``gamma``: ``cfg``'s, or the gamma
+    penalty at that gamma."""
+    return cfg.surrogate if gamma is None else gamma_surrogate(gamma)
+
+
+def reference_solve(x, cfg, gammas):
     """The ALM loop with a full ``np.linalg.svd`` in every L-step.
 
-    Same updates and stopping rule as ``rpca.solve``, independent of
-    ``rpca.linalg``. Returns ``(L, S, history)`` where history lists each
-    iteration's rank estimate.
+    Same updates and stopping rule as a raw ``rpca.solve``, independent of
+    ``rpca.linalg``, with the penalty of iteration ``k`` at ``gammas[k]``
+    (the ``gamma`` of the solver's records) and at ``cfg``'s past their
+    end. Returns ``(L, S, history)`` where history lists each iteration's
+    rank estimate.
     """
     from rpca.linalg import RANK_REL_THRESHOLD
     from rpca.sparse import shrink
@@ -237,9 +245,10 @@ def reference_solve(x, cfg):
     mu = cfg.mu0
     norm_x = float(np.linalg.norm(x))
     history = []
-    for _ in range(cfg.max_outer):
+    for k in range(cfg.max_outer):
+        gamma = gammas[k] if k < len(gammas) else cfg.surrogate.gamma
         u, sv, vt = np.linalg.svd(x - s - y / mu, full_matrices=False)
-        sig = prox_vector(sv, mu, cfg.surrogate)
+        sig = prox_vector(sv, mu, step_surrogate(cfg, gamma))
         l = (u * sig) @ vt
         s = shrink(x - l - y / mu, cfg.lam / mu, cfg.penalty)
         resid = l + s - x
@@ -248,7 +257,8 @@ def reference_solve(x, cfg):
         top = float(sig.max()) if sig.size else 0.0
         history.append(int(np.count_nonzero(sig > RANK_REL_THRESHOLD * top)))
         resid_norm = float(np.linalg.norm(resid))
-        if (resid_norm / norm_x if norm_x > 0.0 else resid_norm) <= cfg.tol:
+        residual = resid_norm / norm_x if norm_x > 0.0 else resid_norm
+        if gamma == cfg.surrogate.gamma and residual <= cfg.tol:
             break
     return l, s, history
 
@@ -262,12 +272,13 @@ def penalty_value(s, p) -> float:
     return float(np.linalg.norm(a, axis=0).sum())
 
 
-def reference_lagrangian(x, l, s, y, mu: float, cfg) -> float:
+def reference_lagrangian(x, l, s, y, mu: float, cfg, gamma=None) -> float:
     """``F(L) + lam*penalty(S) + <Y, L+S-X> + (mu/2)*||L+S-X||_F^2``, with
-    F on the singular values from ``np.linalg.svd``."""
+    F on the singular values from ``np.linalg.svd``, at ``gamma`` when one
+    is given (see ``step_surrogate``)."""
     resid = l + s - x
     return (
-        surrogate_value(np.linalg.svd(l, compute_uv=False), cfg.surrogate)
+        surrogate_value(np.linalg.svd(l, compute_uv=False), step_surrogate(cfg, gamma))
         + cfg.lam * penalty_value(s, cfg.penalty)
         + float(np.sum(y * resid))
         + 0.5 * mu * float(np.sum(resid * resid))
@@ -285,7 +296,7 @@ def reference_step(x, state, cfg, norm_x):
     sums are scheduled, which must not change a bit.
     """
     from rpca import linalg, spectral
-    from rpca.solver import IterationRecord, SolverState
+    from rpca.solver import GAMMA_RATIO, IterationRecord, SolverState
 
     def shrink(q, tau, p):
         if not tau > 0.0:
@@ -298,7 +309,7 @@ def reference_step(x, state, cfg, norm_x):
         scale = np.where(norms > tau, (norms - tau) / safe, 0.0)
         return a * scale
 
-    def _lagrangian(sig, s, q, y, mu, resid, cfg):
+    def _lagrangian(sig, s, q, y, mu, resid, cfg, surrogate):
         # a shrunk column of norm n has norm n - tau: the l2,1 penalty of S
         # in exact arithmetic, from the shrink target's column norms
         if cfg.penalty.kind == "l1":
@@ -306,16 +317,17 @@ def reference_step(x, state, cfg, norm_x):
         else:
             penalty = float(np.maximum(np.linalg.norm(q, axis=0) - cfg.lam / mu, 0.0).sum())
         return (
-            surrogate_value(sig, cfg.surrogate)
+            surrogate_value(sig, surrogate)
             + cfg.lam * penalty
             + float(np.vdot(y, resid))
             + 0.5 * mu * float(np.vdot(resid, resid))
         )
 
     y, mu = state.y, state.mu
+    surrogate = step_surrogate(cfg, state.gamma)
     target = x - state.s - y / mu
     linalg.require_finite(target)
-    l, sig, route, basis = spectral.l_step(target, mu, cfg.surrogate, state.warm_basis)
+    l, sig, route, basis = spectral.l_step(target, mu, surrogate, state.warm_basis)
     s = shrink(q := x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))
@@ -323,12 +335,13 @@ def reference_step(x, state, cfg, norm_x):
     record = IterationRecord(
         iter=state.iter + 1,
         residual=resid_norm / norm_x if norm_x > 0.0 else resid_norm,
-        lagrangian=_lagrangian(sig, s, q, y, mu, resid, cfg),
+        lagrangian=_lagrangian(sig, s, q, y, mu, resid, cfg, surrogate),
         rank_estimate=linalg.numerical_rank(sig),
         y_inf_norm=float(np.max(np.abs(y_next))) if y_next.size else 0.0,
         mu=mu,
         mu_s_change=mu * float(np.linalg.norm(s - state.s)),
         l_route=route,
+        gamma=surrogate.gamma,
     )
     next_state = SolverState(
         l=l,
@@ -337,6 +350,7 @@ def reference_step(x, state, cfg, norm_x):
         mu=min(cfg.rho * mu, cfg.mu_max),
         iter=state.iter + 1,
         warm_basis=basis,
+        gamma=None if state.gamma is None else max(GAMMA_RATIO * state.gamma, cfg.surrogate.gamma),
     )
     return next_state, record
 
@@ -345,7 +359,9 @@ class IterationAuditor:
     """Solve callback that replays the iterate sequence against the
     per-iteration guarantees: multiplier bounds, half-step descent of the
     augmented Lagrangian at frozen duals, and the residual/multiplier
-    identity."""
+    identity. Each step's three Lagrangians take the penalty at that step's
+    record's gamma, so a walked gamma compares each step with its own
+    objective."""
 
     def __init__(self, x, cfg):
         from rpca.solver import SolverState
@@ -363,10 +379,10 @@ class IterationAuditor:
         self.max_iterate_norm = 0.0
 
     def __call__(self, state, rec):
-        p = self.prev
-        lag_prev = reference_lagrangian(self.x, p.l, p.s, p.y, p.mu, self.cfg)
-        lag_l = reference_lagrangian(self.x, state.l, p.s, p.y, p.mu, self.cfg)
-        lag_s = reference_lagrangian(self.x, state.l, state.s, p.y, p.mu, self.cfg)
+        p, g = self.prev, rec.gamma
+        lag_prev = reference_lagrangian(self.x, p.l, p.s, p.y, p.mu, self.cfg, g)
+        lag_l = reference_lagrangian(self.x, state.l, p.s, p.y, p.mu, self.cfg, g)
+        lag_s = reference_lagrangian(self.x, state.l, state.s, p.y, p.mu, self.cfg, g)
         self.worst_l_step = max(self.worst_l_step, lag_l - lag_prev)
         self.worst_s_step = max(self.worst_s_step, lag_s - lag_l)
         ident = np.abs((state.l + state.s - self.x) - (state.y - p.y) / p.mu).max()

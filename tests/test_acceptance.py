@@ -293,6 +293,36 @@ def test_auto_scale_ladder_recovers(make):
     assert "svd" not in {rec.l_route for rec in r.history}
 
 
+# raw default solves whose first keep-threshold sqrt(2(1+gamma)/mu0), about
+# 142, lies below START_KAPPA times the sparse part's bulk edge (about 85
+# here): without the gamma walk the first dual steps push the bulk into L, and
+# the 2000x400 solves end at rank 81 and 79 with converged=True, while the
+# 1000x1000 one recovers in 15 steps, 10 of them on the gram route
+RAW_WALKS = {
+    "2000x400-seed0": (SyntheticSpec(m=2000, n=400, rank=5, sparsity=0.05), 0),
+    "2000x400-seed1": (SyntheticSpec(m=2000, n=400, rank=5, sparsity=0.05), 1),
+    "1000x1000-seed1000": (SyntheticSpec(m=1000, n=1000, rank=10, sparsity=0.05), 1000),
+}
+
+
+@pytest.mark.parametrize("name", list(RAW_WALKS))
+def test_raw_gamma_walk_recovers_in_at_most_10_low_rank_steps(name):
+    """Raw solves at the default settings, recovered as in the ladder gate,
+    in at most 10 iterations, each on the low_rank route, while the records'
+    gamma halves from above 0.01 down to exactly 0.01 on the last step."""
+    spec, seed = RAW_WALKS[name]
+    x, l_star, s_star = generate_synthetic(spec, seed)
+    r = solve(x)
+    l_err, _, f1 = recovery_errors(r.l, l_star, r.s, s_star)
+    assert r.converged and r.iterations <= 10, f"{r.iterations} iterations"
+    assert rank_estimate(r.l) == spec.rank, f"rank {rank_estimate(r.l)}"
+    assert l_err <= 1e-2 and f1 >= 0.99, f"l_err {l_err:.3e}, F1 {f1:.4f}"
+    assert [rec.l_route for rec in r.history] == ["low_rank"] * r.iterations
+    gammas = [rec.gamma for rec in r.history]
+    assert gammas[0] > 0.01 and gammas[-1] == 0.01, gammas
+    assert all(b == max(a / 2, 0.01) for a, b in zip(gammas, gammas[1:])), gammas
+
+
 def test_auto_scale_keeps_the_exact_rank_4_product():
     """The uncorrupted rank-4 20x20 product at mu0=1e-2: raw, sigma_4 = 12.5
     falls below the first keep-threshold sqrt(2/mu0) = 14.1 and the run

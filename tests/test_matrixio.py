@@ -585,7 +585,7 @@ def test_report_fields_and_rerun(tmp_path):
     assert len(report["history"]) == report["iterations"]
     for rec in report["history"]:
         assert {"iter", "residual", "lagrangian", "rank_estimate",
-                "y_inf_norm", "mu", "mu_s_change", "l_route"} == set(rec)
+                "y_inf_norm", "mu", "mu_s_change", "l_route", "gamma"} == set(rec)
         assert rec["l_route"] in {"low_rank", "gram", "svd"}
     # the params echo is enough to reproduce the run
     rerun = solve(x, config_from_params(report["params"]))

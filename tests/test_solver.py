@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rpca.solver
+import rpca.spectral
 from helpers import (
     SURROGATES,
     penalty_value,
@@ -135,12 +136,13 @@ def test_working_scale_is_the_nearest_power_of_two(shape):
     # every column (9x6, 2x40) or its Gram products overflow (1e200) or
     # underflow (1e-200)
     rng = np.random.default_rng(sum(shape))
+    cfg = SolverConfig(auto_scale=True)
     for size in (1e-200, 1e-3, 1.0, 1e4, 1e200):
         x = size * (rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1])))
-        c = working_start(x, SolverConfig())[0]
+        c = working_start(x, cfg)[0]
         assert c == 2.0 ** round(np.log2(c))
         assert 236.0 / np.sqrt(2.0) <= c * np.linalg.norm(x, 2) <= 236.0 * np.sqrt(2.0) * (1.0 + 1e-9)
-    assert working_start(np.zeros(shape), SolverConfig()) == (1.0, SolverConfig().mu0)
+    assert working_start(np.zeros(shape), cfg) == (1.0, cfg.mu0, cfg.surrogate.gamma)
 
 
 def test_the_start_weight_is_mu0_unless_auto_with_gamma_and_l1():
@@ -154,6 +156,48 @@ def test_the_start_weight_is_mu0_unless_auto_with_gamma_and_l1():
                 SolverConfig(mu0=mu0, max_outer=1, surrogate=nuclear_surrogate(), auto_scale=True),
                 SolverConfig(mu0=mu0, max_outer=1, penalty=COLUMNWISE_L21, auto_scale=True)):
         assert solve(x, cfg).history[0].mu == mu0
+
+
+@pytest.mark.parametrize("cfg, power_steps", [
+    (SolverConfig(), 1),
+    (SolverConfig(surrogate=nuclear_surrogate()), 0),
+    (SolverConfig(penalty=COLUMNWISE_L21), 0),
+], ids=["gamma-l1", "nuclear", "l21"])
+def test_only_a_raw_gamma_l1_solve_takes_a_power_step_before_its_first_l_step(
+    cfg, power_steps, monkeypatch, ritz_calls
+):
+    # a raw solve reads its start gamma off one power step of X with the
+    # gamma and l1 penalties, the ones the walk is mapped for
+    seen = []
+    l_step = rpca.spectral.l_step
+
+    def watched(*args):
+        seen.append(ritz_calls["attempts"])
+        return l_step(*args)
+
+    monkeypatch.setattr(rpca.spectral, "l_step", watched)
+    solve(planted_200(0), dataclasses.replace(cfg, max_outer=1))
+    assert seen == [power_steps]
+
+
+def test_a_walked_solve_stops_only_on_a_step_at_the_configured_gamma():
+    # at 4 times the C05 scale the raw solve starts at gamma 7.7, and its
+    # residual meets tol while gamma is still 0.12: the solve goes on to the
+    # first step at the configured gamma that meets tol
+    r = solve(4.0 * planted_200(0))
+    tol, gamma = SolverConfig().tol, SolverConfig().surrogate.gamma
+    assert r.converged and r.history[0].gamma > 1.0
+    assert any(rec.residual <= tol and rec.gamma > gamma for rec in r.history)
+    assert r.history[-1].residual <= tol and r.history[-1].gamma == gamma
+    assert all(rec.residual > tol for rec in r.history[:-1] if rec.gamma == gamma)
+
+
+def test_a_raw_solve_far_above_the_band_does_not_walk():
+    # at 1e100 times the C05 scale the bulk asks for a start gamma near
+    # 1e199, far above sigma_1: the penalty would weigh every value like the
+    # nuclear norm, and the halving would outlast max_outer
+    r = solve(1e100 * planted_200(0))
+    assert [rec.gamma for rec in r.history] == [SolverConfig().surrogate.gamma] * r.iterations
 
 
 @pytest.mark.parametrize("c", [2.0**-10, 1.0, 2.0**10], ids=["2^-10", "1", "2^10"])
@@ -397,7 +441,7 @@ def test_kkt_residuals_initial_state():
     # the zero start has no previous S, so nothing has changed yet
     record = IterationRecord(
         iter=0, residual=1.0, lagrangian=0.0, rank_estimate=0, y_inf_norm=0.0,
-        mu=cfg.mu0, mu_s_change=0.0, l_route="gram",
+        mu=cfg.mu0, mu_s_change=0.0, l_route="gram", gamma=cfg.surrogate.gamma,
     )
     nx = float(np.linalg.norm(x))
     primal, dual = kkt_residuals(state, record, nx)
@@ -503,9 +547,14 @@ def test_settings_keep_a_numpy_scalar_as_a_float(settings, name, value):
     assert config_from_params(json.loads(json.dumps(config_to_params(cfg)))) == cfg
 
 
+def planted_300_walked(seed):
+    return generate_synthetic(SyntheticSpec(300, 300, rank=10, sparsity=0.2), seed)[0]
+
+
 # The acceptance instances: the C05 planted 200x200 runs (gamma, l1), the
-# C06 nuclear baseline and the C07 l2,1 config on the same instances, and the
-# C09 wide injected-column runs.
+# C06 nuclear baseline and the C07 l2,1 config on the same instances, the
+# C09 wide injected-column runs, and a raw 300x300 instance with 20%
+# corruption whose gamma walks down from about 2.8.
 EQUIVALENCE_CASES = [
     pytest.param(planted_200, SolverConfig(), id="c05-gamma-l1"),
     pytest.param(
@@ -515,6 +564,7 @@ EQUIVALENCE_CASES = [
     ),
     pytest.param(planted_200, SolverConfig(penalty=COLUMNWISE_L21), id="c07-l21"),
     pytest.param(wide_injected_columns, SolverConfig(mu0=0.05, penalty=COLUMNWISE_L21), id="c09-wide"),
+    pytest.param(planted_300_walked, SolverConfig(), id="300x300-walked"),
 ]
 
 
@@ -524,7 +574,7 @@ def test_solve_matches_full_svd_reference_loop(make_x, cfg, svd_calls):
         x = make_x(seed)
         r = solve(x, cfg)
         assert svd_calls == [], seed
-        l_ref, s_ref, history_ref = reference_solve(x, cfg)
+        l_ref, s_ref, history_ref = reference_solve(x, cfg, [rec.gamma for rec in r.history])
         assert [rec.rank_estimate for rec in r.history] == history_ref, seed
         assert r.history[-1].rank_estimate == rank_estimate(r.l), seed
         assert np.linalg.norm(r.l - l_ref) <= 1e-10 * np.linalg.norm(l_ref), seed
@@ -576,7 +626,7 @@ def test_record_lagrangian_matches_the_reference_along_the_acceptance_solves(mak
 
         def check(state, rec):
             nonlocal prev
-            ref = reference_lagrangian(x, state.l, state.s, prev.y, prev.mu, cfg)
+            ref = reference_lagrangian(x, state.l, state.s, prev.y, prev.mu, cfg, rec.gamma)
             assert abs(rec.lagrangian - ref) <= 1e-9 * max(1.0, abs(ref)), (seed, rec.iter)
             prev = state
 
@@ -639,8 +689,9 @@ def test_step_is_bit_identical_along_the_acceptance_solves(make_x, cfg):
     for seed in range(5):
         x = make_x(seed)
         zero = np.zeros_like(x)
-        states = [SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0)]
-        solve(x, cfg, callback=lambda st, rec: states.append(st))
+        states = []
+        r = solve(x, cfg, callback=lambda st, rec: states.append(st))
+        states.insert(0, SolverState(l=zero, s=zero, y=zero, mu=cfg.mu0, gamma=r.history[0].gamma))
         for state, after in zip(states, states[1:]):
             got = assert_step_matches_reference(x, state, cfg)
             assert bits(got.l) == bits(after.l) and bits(got.s) == bits(after.s), seed
@@ -704,8 +755,8 @@ def test_step_rejects_a_nonfinite_shrink_target(penalty):
             take(x, state, cfg, 1e308)
 
 
-# 2000x400, the CLI's tall benchmark shape: the default solve takes about 30
-# steps, most on the Gram route, whose p x p products are small next to X
+# 2000x400, the CLI's tall benchmark shape: the default solve walks its
+# gamma down in 10 steps, on the low-rank route
 TALL_SPEC = SyntheticSpec(2000, 400, rank=5, sparsity=0.05)
 
 
@@ -713,7 +764,7 @@ def test_solve_holds_at_most_six_and_a_half_full_size_arrays():
     # S_prev, Y_prev, the target/R buffer, L, S and Y_next while a step runs
     x = generate_synthetic(TALL_SPEC, 0)[0]
     r, peak = traced_peak(solve, x)
-    assert r.iterations > 10
+    assert r.iterations >= 10
     assert peak <= 6.5 * x.nbytes, peak / x.nbytes
 
 
