@@ -8,7 +8,8 @@ takes the standard multiplier step and grows the quadratic penalty weight mu
 geometrically. A solve that starts the gamma penalty above its configured
 gamma halves gamma every step down to it (see ``working_start``). The loop
 stops when the relative residual ``||X - L - S||_F / ||X||_F`` drops to the
-configured tolerance on a step taken at the configured gamma.
+configured tolerance on a step taken at the configured gamma. Inner steps
+take their L-step uncertified; the step the loop ends on is certified.
 """
 
 from __future__ import annotations
@@ -127,7 +128,10 @@ class SolverState:
     """Iterate: primal pair, multiplier, the next step's weights, iteration count, warm basis.
 
     ``gamma`` is the gamma of the next step's penalty, ``None`` for the
-    configured surrogate (always with the nuclear penalty).
+    configured surrogate (always with the nuclear penalty). ``certified``
+    tells whether the L-step that made ``l`` certified its keep/drop
+    decision; only a step taken with ``certify=False`` can leave it false
+    (see :func:`step`).
     """
 
     l: np.ndarray
@@ -141,6 +145,7 @@ class SolverState:
     # columns
     warm_basis: np.ndarray = field(default_factory=lambda: spectral.COLD)
     gamma: float | None = None
+    certified: bool = True
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,7 @@ def _require_finite_iterate(a: np.ndarray) -> None:
 
 
 def step(
-    x, state: SolverState, cfg: SolverConfig, norm_x: float
+    x, state: SolverState, cfg: SolverConfig, norm_x: float, certify: bool = True
 ) -> tuple[SolverState, IterationRecord]:
     """One multiplier iteration from ``state``: L-step, S-step, dual step.
 
@@ -244,7 +249,9 @@ def step(
     ``state.warm_basis``, and the next state carries the basis the L-step
     returns. ``state.l`` is not read. Returns the next state and the
     iteration's record, whose Lagrangian is evaluated at the new pair and
-    the old multiplier and weights.
+    the old multiplier and weights. ``certify`` goes to the L-step: when it
+    is false a ``low_rank`` L-step may be accepted without the bound on the
+    values it drops, and the next state's ``certified`` is then false.
 
     The elementwise work runs in row blocks of ``BLOCK_BYTES``: one pass
     forms the L-step's target, and one pass after it forms the shrink's
@@ -274,7 +281,8 @@ def step(
     t = np.empty((m, n))
     for b in blocks:
         _require_finite_iterate(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
-    l, sig, route, basis = spectral.l_step(t, mu, surrogate, state.warm_basis)
+    prox = spectral.l_step(t, mu, surrogate, state.warm_basis, certify)
+    l, sig, route, basis = prox
 
     tau = cfg.lam / mu
     check_tau(tau)
@@ -342,6 +350,7 @@ def step(
         iter=state.iter + 1,
         warm_basis=basis,
         gamma=gamma_next,
+        certified=prox.certified,
     )
     return next_state, record
 
@@ -469,6 +478,26 @@ def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float, float
 ProgressCallback = Callable[[SolverState, IterationRecord], None]
 
 
+def _loop_step(
+    x, prev: SolverState, cfg: SolverConfig, norm_x: float
+) -> tuple[SolverState, IterationRecord, bool]:
+    """The step :func:`solve` goes on from, after ``prev``, and whether it meets the stop rule.
+
+    The step is taken uncertified, and taken again with ``certify=True``
+    when it was not certified and the loop would end on it. Its L, S and Y
+    are released before the second step allocates its own.
+    """
+    def stops(record: IterationRecord) -> bool:
+        return record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
+
+    state, record = step(x, prev, cfg, norm_x, certify=False)
+    if state.certified or not (stops(record) or state.iter == cfg.max_outer):
+        return state, record, stops(record)
+    del state
+    state, record = step(x, prev, cfg, norm_x)
+    return state, record, stops(record)
+
+
 def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None = None) -> SolverResult:
     """Run the multiplier loop from ``S = 0, Y = 0`` until the residual tolerance.
 
@@ -489,6 +518,15 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     sees that loop's states. The loop starts at the weights of
     :func:`working_start`; when its gamma lies above the configured one, the
     loop stops only on a step taken at the configured gamma.
+
+    Every step is taken with ``certify=False`` (see :func:`step`), so the
+    ``low_rank`` L-step proves no tail bound on a step the next one
+    replaces. A step the loop would end on, by the stop rule or at
+    ``max_outer``, is released when it was not certified and taken again
+    from the same state with its L-step certified; the loop stops only if
+    that step meets the stop rule too, and otherwise goes on from it. The
+    callback and the history see only the step the loop goes on from, so
+    the returned L and ``kkt_dual`` rest on a certified L-step.
 
     Returns
     -------
@@ -518,12 +556,11 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     while state.iter < cfg.max_outer:
         # the step does not read L: drop it, unless the callback kept it
         state = replace(state, l=None)
-        state, record = step(x, state, cfg, norm_x)
+        state, record, converged = _loop_step(x, state, cfg, norm_x)
         history.append(record)
         if callback is not None:
             callback(state, record)
-        if record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma:
-            converged = True
+        if converged:
             break
 
     kkt_primal, kkt_dual = kkt_residuals(state, record, norm_x)

@@ -14,7 +14,9 @@ its ``theta`` are the eigenvalues, clipped at 0. One function,
 ``G``: the ``gram`` route reuses the one a failed ``low_rank`` attempt
 formed, and ``G`` is released when the function returns. L is rebuilt from
 their kept vectors ``W`` and ``B W``, or from the thin SVD (``linalg.svd``,
-route ``svd``) when neither certifies.
+route ``svd``) when neither certifies. A step taken with ``certify=False``
+(the ALM loop's inner steps) skips the ``low_rank`` route's Cholesky tail
+bound, the one part of a certificate that needs ``G``.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class RitzSpectrum(NamedTuple):
     ``G W - W diag(theta)``. ``frob2 = ||B||_F^2`` is the trace of ``G``, so
     ``frob2 - sum(theta)`` bounds every eigenvalue of ``G`` compressed to the
     complement of ``W``. ``slack`` bounds the rounding in those figures.
-    ``gram`` is the formed ``G``, ``None`` on the first step.
+    ``gram`` is the formed ``G``, ``None`` on the first step and on every
+    step of an iteration that forms none.
     """
 
     theta: np.ndarray
@@ -75,15 +78,31 @@ class RitzSpectrum(NamedTuple):
 
 class LStep(NamedTuple):
     """An L-step's result: L, the proxed singular values, the route that produced them
-    and the next attempt's start (see :func:`l_step`)."""
+    and the next attempt's start (see :func:`l_step`).
+
+    ``certified`` tells whether the keep/drop decision is certified. It is a
+    class attribute, not a field, so the result unpacks as its four fields:
+    ``True`` here, ``False`` on :class:`UncertifiedLStep`.
+    """
 
     l: np.ndarray
     proxed: np.ndarray
     route: str
     basis: np.ndarray
+    certified = True
 
 
-def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
+class UncertifiedLStep(LStep):
+    """A ``low_rank`` step that :func:`l_step`, asked not to certify, accepted
+    without a certified bound on the values it drops."""
+
+    __slots__ = ()
+    certified = False
+
+
+def ritz_iterations(
+    b: np.ndarray, basis: np.ndarray = COLD, form_gram: bool = True
+) -> Iterator[RitzSpectrum]:
     """Ritz pairs of ``G = B^T B`` on successive power steps of a block.
 
     ``b`` must be a finite 2-D float array with at least as many rows as its
@@ -98,7 +117,10 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     that asks for a second step then usually needs ``G`` anyway (for
     :func:`gram_tail_below` or the ``gram`` route), so ``G`` is formed once,
     handed on in each later spectrum and applied as it is: ``p^2`` flops
-    per column instead of ``2 m p``. ``slack`` covers the rounding of either
+    per column instead of ``2 m p``. With ``form_gram`` false ``G`` is never
+    formed, and every step takes ``B^T (B Q)``: a caller that needs ``G``
+    only to speed up the steps asks for that where ``G`` costs more than it
+    saves (see :func:`_gram_pays`). ``slack`` covers the rounding of either
     form (see below). The caller stops the iteration. Yields nothing when
     the block has ``p`` or more columns, where it spans everything. Raises
     ``LinAlgError`` when the eigensolver fails or a product overflows.
@@ -133,8 +155,20 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
             gy = gq @ e
             residuals = np.linalg.norm(gy - w * theta, axis=0)
         yield RitzSpectrum(theta, w, residuals, frob2, slack, gram)
-        if gram is None:
+        if gram is None and form_gram:
             gram = b.T @ b  # finite: each entry is at most ||B||_F^2 in magnitude
+
+
+def _gram_pays(rows: int, p: int) -> bool:
+    """Whether forming ``G`` for the power steps of a ``rows x p`` tall ``B`` is predicted to pay.
+
+    Forming ``G = B^T B`` takes ``rows * p^2`` flops. Each later step then
+    takes ``G Q``, ``2 p^2`` flops per block column, instead of ``B^T (B
+    Q)``, ``4 rows p``. The prediction counts an attempt's budget of
+    ``RITZ_STEPS`` steps of the ``RITZ_BLOCK`` Gaussian columns: for a
+    square ``B``, ``G`` pays below ``p = 2 * RITZ_STEPS * RITZ_BLOCK = 320``.
+    """
+    return rows * p * p < RITZ_STEPS * RITZ_BLOCK * (4 * rows * p - 2 * p * p)
 
 
 def _times(m: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -231,9 +265,10 @@ _Kept = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _certified_route(
-    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
-) -> tuple[_Kept | None, str]:
-    """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, and its name.
+    b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray, certify: bool = True
+) -> tuple[_Kept | None, str, bool]:
+    """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, its name
+    and whether it is certified.
 
     They are ``None``, with the name ``svd``, when neither certifies. Both
     routes give eigenvalue estimates ``theta`` of ``G = B^T B``,
@@ -265,6 +300,15 @@ def _certified_route(
     the first needs none, and the Cholesky is never reached there, as a
     finite ``rho_k`` goes on and an infinite one fails.
 
+    With ``certify`` false the attempt takes the same steps and accepts
+    its last one once the kept values are accurate, without
+    :func:`gram_tail_below`: the kept values are then known as well, but a
+    value the block missed may lie above the largest one the prox drops.
+    Such a step is the only one returned uncertified; the trace bound,
+    ``gram`` and ``svd`` are certified as with ``certify``. ``G`` then only
+    speeds up the power steps, so it is formed only where
+    :func:`_gram_pays`, and the ``gram`` route forms ``B^T B`` when none was.
+
     An attempt fails when the block keeps every Ritz value, which leaves
     the rest unbounded, when the residual stalls or the steps run out
     without a certificate, when the eigensolver fails or a product
@@ -282,21 +326,25 @@ def _certified_route(
     if basis.shape[1] * WARM_RANK_DIVISOR <= b.shape[1]:
         try:
             prev = np.inf
-            for steps, r in enumerate(ritz_iterations(b, basis), start=1):
+            form_gram = certify or _gram_pays(*b.shape)
+            for steps, r in enumerate(ritz_iterations(b, basis, form_gram), start=1):
                 gram = r.gram
                 singulars, sig, k = _roots_and_prox(r.theta, mu, surrogate)
                 if k == r.theta.size:
                     break  # no dropped Ritz value, so no bound on the rest
+                kept = r.vectors[:, :k], singulars, sig
                 rho = float(np.linalg.norm(r.residuals))
                 tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
+                if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
+                    return kept, "low_rank", True
                 rho_k = float(np.linalg.norm(r.residuals[:k]))
                 last = steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev
-                certified = _certified(r.theta, k, rho + r.slack, tail, mu, surrogate)
-                if not certified and last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
+                if last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
+                    if not certify:
+                        return kept, "low_rank", False
                     c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
-                    certified = gram_tail_below(b, r, k, c)
-                if certified:
-                    return (r.vectors[:, :k], singulars, sig), "low_rank"
+                    if gram_tail_below(b, r, k, c):
+                        return kept, "low_rank", True
                 if last:
                     break
                 prev = rho_k
@@ -306,21 +354,23 @@ def _certified_route(
         with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves lam non-finite
             lam, vecs = np.linalg.eigh(b.T @ b if gram is None else gram)
     except np.linalg.LinAlgError:
-        return None, "svd"
+        return None, "svd", True
     if not np.isfinite(lam).all():
-        return None, "svd"
+        return None, "svd", True
     theta = np.maximum(lam[::-1], 0.0)
     delta = GRAM_ERROR_FACTOR * b.shape[0] * np.finfo(np.float64).eps * float(np.max(theta, initial=0.0))
     singulars, sig, k = _roots_and_prox(theta, mu, surrogate)
     tail = theta[k] + delta if k < theta.size else 0.0
     if not _certified(theta, k, delta, tail, mu, surrogate):
-        return None, "svd"
+        return None, "svd", True
     # boolean indexing: a slice view or a C-ordered copy of these columns
     # rounds B V differently in the last bits
-    return (vecs[:, ::-1][:, sig > 0.0], singulars, sig), "gram"
+    return (vecs[:, ::-1][:, sig > 0.0], singulars, sig), "gram", True
 
 
-def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray = COLD) -> LStep:
+def l_step(
+    a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray = COLD, certify: bool = True
+) -> LStep:
     """Spectral prox of the finite 2-D float array ``a`` at weight mu, which it does not check.
 
     Three routes, each used only when its result is the exact prox with a
@@ -334,10 +384,17 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
 
     The result's ``basis`` is the next step's start: the kept singular
     vectors on the smaller side, a new array.
+
+    With ``certify`` false a ``low_rank`` step whose kept values are
+    accurate is accepted without the Cholesky bound on the values it drops
+    (see :func:`_certified_route`) and returned as an
+    :class:`UncertifiedLStep`: each kept value is still known to
+    ``KEPT_REL_ERROR``, but the step may keep too few. Its ``route`` still
+    reads ``low_rank``.
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
-    kept, route = _certified_route(b, mu, surrogate, basis)
+    kept, route, certified = _certified_route(b, mu, surrogate, basis, certify)
     if kept is None:
         f = linalg.svd(a)
         sig = prox_vector(f.singulars, mu, surrogate)
@@ -350,4 +407,4 @@ def l_step(a: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray
         bw = _times(b, w)
         scale = sig[:k] / singulars[:k]
         l = (bw * scale) @ w.T if tall else (w * scale) @ bw.T
-    return LStep(l, sig, route, w.copy())
+    return (LStep if certified else UncertifiedLStep)(l, sig, route, w.copy())

@@ -53,10 +53,10 @@ def ritz_calls(monkeypatch):
     calls = {"attempts": 0, "steps": 0, "tails": 0, "events": []}
     iterations, tail_below = rpca.spectral.ritz_iterations, rpca.spectral.gram_tail_below
 
-    def counted_iterations(a, basis=rpca.spectral.COLD):
+    def counted_iterations(a, basis=rpca.spectral.COLD, form_gram=True):
         calls["attempts"] += 1
         calls["events"].append(("attempt",))
-        for r in iterations(a, basis):
+        for r in iterations(a, basis, form_gram):
             calls["steps"] += 1
             calls["events"].append(("step", r))
             yield r

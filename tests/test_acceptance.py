@@ -323,6 +323,25 @@ def test_raw_gamma_walk_recovers_in_at_most_10_low_rank_steps(name):
     assert all(b == max(a / 2, 0.01) for a, b in zip(gammas, gammas[1:])), gammas
 
 
+@pytest.mark.parametrize("name", ["2000x400-seed0", "1000x1000-seed1000"])
+def test_raw_walk_factors_one_cholesky_per_solve(name, ritz_calls):
+    """Two raw-walk instances, recovered as in the gate: the solve's inner
+    L-steps accept their accurate kept values without the Cholesky tail
+    bound, so one Cholesky runs per solve, on the step the solve returns
+    (ten, one per step, when every step was certified)."""
+    spec, seed = RAW_WALKS[name]
+    x, l_star, s_star = generate_synthetic(spec, seed)
+    events = ritz_calls["events"]
+    marks = [0]
+    r = solve(x, callback=lambda state, rec: marks.append(len(events)))
+    l_err, _, f1 = recovery_errors(r.l, l_star, r.s, s_star)
+    assert r.converged and rank_estimate(r.l) == spec.rank, f"rank {rank_estimate(r.l)}"
+    assert l_err <= 1e-2 and f1 >= 0.99, f"l_err {l_err:.3e}, F1 {f1:.4f}"
+    tails = [i for i, e in enumerate(events) if e[0] == "tail"]
+    assert len(tails) == 1, f"{len(tails)} Cholesky tail checks"
+    assert marks[-2] <= tails[0] < marks[-1] and events[tails[0]][3]
+
+
 def test_auto_scale_keeps_the_exact_rank_4_product():
     """The uncorrupted rank-4 20x20 product at mu0=1e-2: raw, sigma_4 = 12.5
     falls below the first keep-threshold sqrt(2/mu0) = 14.1 and the run

@@ -167,7 +167,9 @@ def test_only_a_raw_gamma_l1_solve_takes_a_power_step_before_its_first_l_step(
     cfg, power_steps, monkeypatch, ritz_calls
 ):
     # a raw solve reads its start gamma off one power step of X with the
-    # gamma and l1 penalties, the ones the walk is mapped for
+    # gamma and l1 penalties, the ones the walk is mapped for. At max_outer
+    # = 1 the one step may be taken again, certified: only the first
+    # L-step counts here
     seen = []
     l_step = rpca.spectral.l_step
 
@@ -177,7 +179,7 @@ def test_only_a_raw_gamma_l1_solve_takes_a_power_step_before_its_first_l_step(
 
     monkeypatch.setattr(rpca.spectral, "l_step", watched)
     solve(planted_200(0), dataclasses.replace(cfg, max_outer=1))
-    assert seen == [power_steps]
+    assert seen[:1] == [power_steps]
 
 
 def test_a_walked_solve_stops_only_on_a_step_at_the_configured_gamma():
@@ -457,6 +459,58 @@ def test_kkt_primal_small_after_convergence():
     assert rank_estimate(r.l) == 3
     assert r.kkt_primal <= 1e-3
     assert np.isfinite(r.kkt_dual)
+
+
+def test_a_step_that_meets_tol_uncertified_is_taken_again_certified(monkeypatch):
+    # the solve's steps skip the Cholesky tail bound. The first one it asks
+    # for, on the re-take of the step that met tol uncertified, is refused
+    # here: the re-take then takes the gram route, and the solve returns
+    # that certified step, or goes on from it, never the uncertified one.
+    # The C07 and C08 per-iteration checks hold along the run
+    from helpers import IterationAuditor
+
+    x = planted_200(0)
+    cfg = SolverConfig()
+    tail_below, real_step = rpca.spectral.gram_tail_below, rpca.solver.step
+    refused, taken = [], []
+
+    def refuse_once(b, r, k, c):
+        if refused:
+            return tail_below(b, r, k, c)
+        refused.append(len(taken))
+        return False
+
+    def watched(x, state, cfg, norm_x, certify=True):
+        nxt, rec = real_step(x, state, cfg, norm_x, certify)
+        taken.append((rec.iter, certify, nxt.certified, rec.l_route, rec.residual <= cfg.tol))
+        return nxt, rec
+
+    monkeypatch.setattr(rpca.spectral, "gram_tail_below", refuse_once)
+    monkeypatch.setattr(rpca.solver, "step", watched)
+    auditor = IterationAuditor(x, cfg)
+    states = []
+    r = solve(x, cfg, callback=lambda state, rec: (auditor(state, rec), states.append(state)))
+    assert r.converged and len(refused) == 1
+    j, certify, proved, route, _ = taken[refused[0]]
+    assert taken[refused[0] - 1] == (j, False, False, "low_rank", True)
+    assert (certify, proved, route) == (True, True, "gram")
+    assert r.history[j - 1].l_route == "gram" and states[j - 1].certified
+    assert [rec.iter for rec in r.history] == list(range(1, r.iterations + 1))
+    assert states[-1].certified and states[-1].l is r.l
+    assert r.history[-1].residual <= cfg.tol and r.kkt_primal <= cfg.tol and np.isfinite(r.kkt_dual)
+    assert auditor.max_y_inf <= cfg.lam + 1e-12
+    assert auditor.worst_l_step <= 1e-8 and auditor.worst_s_step <= 1e-8
+    assert auditor.worst_identity <= 1e-12
+
+
+def test_a_solve_that_uses_up_max_outer_ends_on_a_certified_step(ritz_calls):
+    # the budget's last step is taken again, certified, like a step that
+    # meets tol: the returned L and kkt_dual rest on a certified L-step
+    states = []
+    r = solve(planted_200(0), SolverConfig(max_outer=2), callback=lambda st, rec: states.append(st))
+    assert not r.converged and r.iterations == 2
+    assert [st.certified for st in states] == [False, True] and states[-1].l is r.l
+    assert [rec.l_route for rec in r.history] == ["low_rank"] * 2 and ritz_calls["tails"] == 1
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 0.0])
@@ -780,24 +834,29 @@ def test_step_holds_at_most_four_and_a_half_full_size_arrays(penalty):
 @pytest.mark.parametrize("keep_records", [False, True], ids=["no-callback", "records-only"])
 def test_solve_lets_go_of_the_arrays_no_step_reads(monkeypatch, keep_records):
     # while step k+1 runs, step k's L and the all-zero start are collected
-    # when nothing outside the loop keeps them
+    # when nothing outside the loop keeps them. The last step meets tol
+    # uncertified, and is taken again certified from the same state: by
+    # then the uncertified step's L, S and Y are collected too
     x = planted_200(0)
     real_step = rpca.solver.step
     refs = {}
     alive = []
 
-    def watched(x, state, cfg, norm_x):
+    def watched(x, state, cfg, norm_x, certify=True):
         if state.iter == 0:
             refs["start"] = weakref.ref(state.s)
         else:
-            alive.append((state.iter, refs["l"]() is not None, refs["start"]() is not None))
-        nxt, rec = real_step(x, state, cfg, norm_x)
-        refs["l"] = weakref.ref(nxt.l)
+            taken = tuple(ref() is not None for ref in refs["taken"])
+            alive.append((state.iter, certify, taken, refs["start"]() is not None))
+        nxt, rec = real_step(x, state, cfg, norm_x, certify)
+        refs["taken"] = [weakref.ref(a) for a in (nxt.l, nxt.s, nxt.y)]
         return nxt, rec
 
     monkeypatch.setattr(rpca.solver, "step", watched)
     records = []
     r = solve(x, callback=(lambda state, rec: records.append(rec)) if keep_records else None)
-    assert r.iterations > 3
-    assert alive == [(k, False, False) for k in range(1, r.iterations)]
-    assert refs["l"]() is r.l
+    n = r.iterations
+    assert n > 3
+    inner = [(k, False, (False, True, True), False) for k in range(1, n)]
+    assert alive == inner + [(n - 1, True, (False, False, False), False)]
+    assert refs["taken"][0]() is r.l

@@ -14,7 +14,7 @@ from helpers import (
     wide_injected_columns,
 )
 from rpca.linalg import svd
-from rpca.solver import SolverConfig, scaled_lambda, solve
+from rpca.solver import SolverConfig, scaled_lambda, solve, working_start
 from rpca.sparse import COLUMNWISE_L21
 from rpca.spectral import (
     GRAM_ERROR_FACTOR,
@@ -23,6 +23,7 @@ from rpca.spectral import (
     COLD,
     WARM_RANK_DIVISOR,
     _certified_route,
+    _gram_pays,
     _largest_dropped,
     gram_tail_below,
     l_step,
@@ -44,9 +45,9 @@ def test_gram_spectrum_matches_svd():
     for shape in [(7, 4), (4, 7), (5, 5), (0, 3)]:
         m = rng.standard_normal(shape)
         b = m if shape[0] >= shape[1] else m.T
-        (w, singulars, _), route = _certified_route(b, 1e6, nuclear, COLD)
+        (w, singulars, _), route, certified = _certified_route(b, 1e6, nuclear, COLD)
         k = min(shape)
-        assert route == "gram"
+        assert route == "gram" and certified
         assert w.shape == (b.shape[1], k) and singulars.shape == (k,)
         assert np.all(np.diff(singulars) <= 0) and np.all(singulars >= 0)
         delta = GRAM_ERROR_FACTOR * b.shape[0] * eps * singulars.max(initial=0.0) ** 2
@@ -55,14 +56,14 @@ def test_gram_spectrum_matches_svd():
     # delta is 0 on the zero matrix: a tail of any positive double has a
     # square root above 1e-300, which the prox at mu = 1e300 keeps, so only
     # delta = 0 certifies dropping both values
-    (w, singulars, sig), route = _certified_route(np.zeros((3, 2)), 1e300, nuclear, COLD)
-    assert route == "gram" and w.shape == (2, 0)
+    (w, singulars, sig), route, certified = _certified_route(np.zeros((3, 2)), 1e300, nuclear, COLD)
+    assert route == "gram" and certified and w.shape == (2, 0)
     assert not singulars.any() and not sig.any()
 
 
 def test_gram_spectrum_overflow_falls_to_svd():
     # B^T B overflows, so the spectrum is not finite and the walk names svd
-    assert _certified_route(np.full((3, 2), 1e200), 1.0, gamma_surrogate(), COLD) == (None, "svd")
+    assert _certified_route(np.full((3, 2), 1e200), 1.0, gamma_surrogate(), COLD) == (None, "svd", True)
 
 
 def test_ritz_overflow_is_linalg_error():
@@ -258,8 +259,8 @@ def test_the_gram_matrix_is_released_before_l_is_rebuilt(monkeypatch, target, mu
     grams, alive = [], []
     iterations, times = rpca.spectral.ritz_iterations, rpca.spectral._times
 
-    def watched_iterations(b, basis=rpca.spectral.COLD):
-        for r in iterations(b, basis):
+    def watched_iterations(b, basis=rpca.spectral.COLD, form_gram=True):
+        for r in iterations(b, basis, form_gram):
             if r.gram is not None:
                 grams.append(weakref.ref(r.gram))
             yield r
@@ -296,30 +297,36 @@ def test_low_rank_route_gate_and_the_cost_of_failed_attempts(ritz_calls):
     # and only once the kept block's residual meets KEPT_REL_ERROR. With 20%
     # corruption the nuclear baseline's kept rank climbs to 83 and back,
     # past p/20 = 15; a raw nuclear solve takes no power step before its
-    # first L-step
+    # first L-step. Only the step the solve ends on can be taken twice, the
+    # second time certified, so its window can hold two attempts
     x = generate_synthetic(SyntheticSpec(m=300, n=300, rank=10, sparsity=0.2), 0)[0]
     events = ritz_calls["events"]
     marks = [0]
     cfg = SolverConfig(lam=scaled_lambda(300, 300), mu0=1e-2, surrogate=nuclear_surrogate())
     r = solve(x, cfg, callback=lambda st, rec: marks.append(len(events)))
     prev = None
-    tried = failed = 0
+    tried = failed = calls = 0
     for rec, start, stop in zip(r.history, marks, marks[1:]):
-        attempt = events[start:stop]
+        window = events[start:stop]
         gate = prev is None or prev.rank_estimate * WARM_RANK_DIVISOR <= 300
-        assert (attempt[:1] == [("attempt",)]) == gate, rec.iter
-        steps = [e[1] for e in attempt if e[0] == "step"]
-        tails = [e for e in attempt if e[0] == "tail"]
-        assert len(steps) <= RITZ_STEPS and len(tails) <= 1, rec.iter
-        for _, it, k, _ in tails:
-            assert it is steps[-1], rec.iter
-            assert np.linalg.norm(it.residuals[:k]) + it.slack <= KEPT_REL_ERROR * it.theta[k - 1]
+        assert (window[:1] == [("attempt",)]) == gate, rec.iter
+        starts = [i for i, e in enumerate(window) if e[0] == "attempt"]
+        assert len(starts) <= gate * (2 if rec.iter == r.iterations else 1), rec.iter
+        for i, j in zip(starts, starts[1:] + [len(window)]):
+            attempt = window[i:j]
+            steps = [e[1] for e in attempt if e[0] == "step"]
+            tails = [e for e in attempt if e[0] == "tail"]
+            assert len(steps) <= RITZ_STEPS and len(tails) <= 1, rec.iter
+            for _, it, k, _ in tails:
+                assert it is steps[-1], rec.iter
+                assert np.linalg.norm(it.residuals[:k]) + it.slack <= KEPT_REL_ERROR * it.theta[k - 1]
         tried += gate
+        calls += len(starts)
         failed += gate and rec.l_route != "low_rank"
         prev = rec
     certified = sum(rec.l_route == "low_rank" for rec in r.history)
     assert certified >= 2 and failed >= 1 and tried < r.iterations
-    assert ritz_calls["attempts"] == tried
+    assert ritz_calls["attempts"] == calls
 
 
 def test_low_rank_route_solves_are_bit_identical(ritz_calls):
@@ -333,6 +340,42 @@ def test_low_rank_route_solves_are_bit_identical(ritz_calls):
     # which forms no G
     assert ritz_calls["steps"] == ritz_calls["attempts"] and ritz_calls["tails"] == 0
     assert all(e[1].gram is None for e in ritz_calls["events"] if e[0] == "step")
+
+
+@pytest.mark.parametrize(
+    "spec, seed, formed",
+    [
+        pytest.param(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000, False, id="1000x1000"),
+        pytest.param(SyntheticSpec(2000, 400, rank=5, sparsity=0.05), 0, True, id="2000x400"),
+    ],
+)
+def test_an_uncertified_attempt_forms_g_only_where_it_pays(spec, seed, formed, ritz_calls):
+    # G = B^T B costs rows p^2 flops and saves (4 rows p - 2 p^2) per block
+    # column on each later power step: on a square target it pays below
+    # p = 320, so at 1000x1000 an uncertified attempt takes every step as
+    # B^T (B Q), while at 2000x400 and on the smaller test shapes it forms
+    # G after the first step, as a certified attempt does, and then takes
+    # the same steps to the bit. The first L-step of a raw solve keeps the
+    # planted rank after several power steps and passes the Cholesky bound
+    assert not _gram_pays(1000, 1000)
+    assert all(_gram_pays(*shape) for shape in [(2000, 400), (300, 300), (200, 200), (60, 60)])
+    x = generate_synthetic(spec, seed)[0]
+    _, mu, gamma = working_start(x, SolverConfig())
+    surrogate = gamma_surrogate(gamma)
+    events = ritz_calls["events"]
+    start = len(events)
+    free = l_step(x, mu, surrogate, certify=False)
+    steps = [e[1] for e in events[start:] if e[0] == "step"]
+    assert (free.route, free.certified) == ("low_rank", False) and len(steps) > 1
+    assert [r.gram is not None for r in steps] == [False] + [formed] * (len(steps) - 1)
+    assert not any(e[0] == "tail" for e in events[start:])
+    proved = l_step(x, mu, surrogate)
+    assert (proved.route, proved.certified) == ("low_rank", True)
+    assert np.count_nonzero(free.proxed) == np.count_nonzero(proved.proxed) == spec.rank
+    if formed:
+        assert np.array_equal(free.l, proved.l) and np.array_equal(free.basis, proved.basis)
+    else:
+        assert np.linalg.norm(free.l - proved.l) <= 1e-12 * np.linalg.norm(proved.l)
 
 
 def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
