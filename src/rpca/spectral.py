@@ -47,8 +47,10 @@ WARM_RANK_DIVISOR = 20
 # symmetric eigensolver.
 GRAM_ERROR_FACTOR = 4.0
 
-# Width of the Gaussian block behind ritz_iterations.
+# Width of the Gaussian block behind ritz_iterations: RITZ_BLOCK columns on
+# a cold start, WARM_BLOCK next to a basis of at least one column.
 RITZ_BLOCK = 16
+WARM_BLOCK = 4
 
 # A basis with no columns: ritz_iterations then starts from the Gaussian
 # block alone.
@@ -107,8 +109,14 @@ def ritz_iterations(
 
     ``b`` must be a finite 2-D float array with at least as many rows as its
     ``p`` columns. The start block is ``basis`` (``p`` rows, such as the kept
-    vectors of a previous target) followed by a ``p x RITZ_BLOCK`` Gaussian
-    block drawn from ``default_rng(0)``. Each step orthonormalizes ``Q =
+    vectors of a previous target) followed by a Gaussian block drawn from
+    ``default_rng(0)``: ``p x RITZ_BLOCK`` on a cold start, where ``basis``
+    has no columns, and ``p x WARM_BLOCK`` on a warm one. Oversampling is
+    sized for a random start (Halko, Martinsson & Tropp, §4.2); continued
+    from converged vectors, the iteration closes in at the rate
+    ``lambda_(b+1) / lambda_k`` for a block of width ``b``, which barely
+    moves with ``b`` on a flat bulk, while every part of a step grows with
+    it. Each step orthonormalizes ``Q =
     qr(G Y)``, ``Y`` the start block and then the last step's Ritz vectors
     ``W = Q E``, and yields the eigenpairs ``Theta, E`` of ``Q^T (G Q)``
     with their residuals; ``(G Q) E`` is the next ``G Y``. The start costs
@@ -126,9 +134,10 @@ def ritz_iterations(
     ``LinAlgError`` when the eigensolver fails or a product overflows.
     """
     rows, p = b.shape
-    if basis.shape[1] + RITZ_BLOCK >= p:
+    width = WARM_BLOCK if basis.shape[1] else RITZ_BLOCK
+    if basis.shape[1] + width >= p:
         return
-    omega = np.random.default_rng(0).standard_normal((p, RITZ_BLOCK))
+    omega = np.random.default_rng(0).standard_normal((p, width))
     block = np.hstack([basis, omega]) if basis.shape[1] else omega
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
         gy = _times(b.T, _times(b, block))
@@ -165,8 +174,13 @@ def _gram_pays(rows: int, p: int) -> bool:
     Forming ``G = B^T B`` takes ``rows * p^2`` flops. Each later step then
     takes ``G Q``, ``2 p^2`` flops per block column, instead of ``B^T (B
     Q)``, ``4 rows p``. The prediction counts an attempt's budget of
-    ``RITZ_STEPS`` steps of the ``RITZ_BLOCK`` Gaussian columns: for a
+    ``RITZ_STEPS`` steps of the cold ``RITZ_BLOCK`` Gaussian columns: for a
     square ``B``, ``G`` pays below ``p = 2 * RITZ_STEPS * RITZ_BLOCK = 320``.
+    A warm attempt's block has ``k + WARM_BLOCK`` columns, so there ``G``
+    saves less than counted. The rule is kept all the same: at ``p <= 300``
+    it forms ``G``, so an uncertified attempt takes the certified one's
+    power steps to the bit, and the tests that check the solver's loop
+    against steps taken certified rely on that.
     """
     return rows * p * p < RITZ_STEPS * RITZ_BLOCK * (4 * rows * p - 2 * p * p)
 
@@ -277,7 +291,8 @@ def _certified_route(
 
     When ``basis`` has at most ``p / WARM_RANK_DIVISOR`` columns, ``p``
     those of ``b`` (none at a cold start), the ``low_rank`` route is tried
-    first, from the start block ``basis``: at most ``RITZ_STEPS`` power
+    first, from ``basis`` plus ``RITZ_BLOCK`` Gaussian columns when it is
+    empty and ``WARM_BLOCK`` when it is not: at most ``RITZ_STEPS`` power
     steps of :func:`ritz_iterations`, whose Ritz values are its ``theta``.
     With ``G = [[Theta, E^T], [E, C]]`` in the basis ``[W, W_perp]``,
     ``||E||_2 <= rho = ||G W - W Theta||_F`` and ``lambda_max(C) <= rest =

@@ -822,6 +822,15 @@ def test_solve_holds_at_most_six_and_a_half_full_size_arrays():
     assert peak <= 6.5 * x.nbytes, peak / x.nbytes
 
 
+def test_an_auto_solve_holds_at_most_seven_and_a_tenth_full_size_arrays():
+    # the raw solve's arrays plus the scaled copy c X, held while the
+    # caller still holds X: 7.05 X.nbytes on seeds 0-2
+    x = generate_synthetic(TALL_SPEC, 0)[0]
+    r, peak = traced_peak(solve, x, SolverConfig(auto_scale=True))
+    assert r.iterations >= 9 and r.scale != 1.0
+    assert peak <= 7.1 * x.nbytes, peak / x.nbytes
+
+
 @pytest.mark.parametrize("penalty", [ENTRYWISE_L1, COLUMNWISE_L21], ids=["l1", "l21"])
 def test_step_holds_at_most_four_and_a_half_full_size_arrays(penalty):
     # the target/R buffer, L, S and Y_next; the state's arrays exist before

@@ -19,8 +19,10 @@ from rpca.sparse import COLUMNWISE_L21
 from rpca.spectral import (
     GRAM_ERROR_FACTOR,
     KEPT_REL_ERROR,
+    RITZ_BLOCK,
     RITZ_STEPS,
     COLD,
+    WARM_BLOCK,
     WARM_RANK_DIVISOR,
     _certified_route,
     _gram_pays,
@@ -327,6 +329,36 @@ def test_low_rank_route_gate_and_the_cost_of_failed_attempts(ritz_calls):
     certified = sum(rec.l_route == "low_rank" for rec in r.history)
     assert certified >= 2 and failed >= 1 and tried < r.iterations
     assert ritz_calls["attempts"] == calls
+
+
+def test_a_warm_attempt_adds_warm_block_columns_to_the_kept_vectors(ritz_calls):
+    # a cold attempt, working_start's power step and the first L-step's,
+    # starts from RITZ_BLOCK Gaussian columns; every later attempt from the
+    # last step's kept vectors plus WARM_BLOCK. An attempt's first power
+    # step has as many Ritz vectors as its start block has columns. Every
+    # step of the raw 2000x400 solve takes low_rank, and the step it ends
+    # on is taken twice, both times from the same state
+    x = generate_synthetic(SyntheticSpec(2000, 400, rank=5, sparsity=0.05), 0)[0]
+    events = ritz_calls["events"]
+    marks, kept = [0], []
+
+    def seen(state, rec):
+        marks.append(len(events))
+        kept.append(state.warm_basis.shape[1])
+
+    r = solve(x, callback=seen)
+    assert r.converged and all(rec.l_route == "low_rank" for rec in r.history)
+    widths = []
+    for start, stop in zip(marks, marks[1:]):
+        window = events[start:stop]
+        widths.append([
+            window[i + 1][1].vectors.shape[1] for i, e in enumerate(window) if e[0] == "attempt"
+        ])
+    assert widths[0] == [RITZ_BLOCK, RITZ_BLOCK]
+    for prev, width in zip(kept, widths[1:]):
+        assert width and set(width) == {prev + WARM_BLOCK if prev else RITZ_BLOCK}, (prev, width)
+    assert len(widths[-1]) == 2 and sum(map(len, widths)) == ritz_calls["attempts"]
+    assert sum(k > 0 for k in kept[:-1]) >= 5
 
 
 def test_low_rank_route_solves_are_bit_identical(ritz_calls):
