@@ -7,16 +7,15 @@ plus an error ``err`` on each kept one and a bound ``tail`` on the dropped
 ones. One certificate (``_certified``) decides on those ``theta`` for both,
 and the prox acts on their square roots. The ``low_rank`` route takes power
 steps with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
-arXiv:0909.4061), each applying ``G``, formed after the first step: its
-``theta`` are the Ritz values. The ``gram`` route eigendecomposes ``G``:
-its ``theta`` are the eigenvalues, clipped at 0. One function,
-``_certified_route``, holds both routes, tries them in that order and owns
-``G``: the ``gram`` route reuses the one a failed ``low_rank`` attempt
-formed, and ``G`` is released when the function returns. L is rebuilt from
-their kept vectors ``W`` and ``B W``, or from the thin SVD (``linalg.svd``,
-route ``svd``) when neither certifies. A step taken with ``certify=False``
-(the ALM loop's inner steps) skips the ``low_rank`` route's Cholesky tail
-bound, the one part of a certificate that needs ``G``.
+arXiv:0909.4061): its ``theta`` are the Ritz values. The ``gram`` route
+eigendecomposes ``G``: its ``theta`` are the eigenvalues, clipped at 0.
+One function, ``_certified_route``, tries them in that order. Each user of
+``G`` (the power steps, the Cholesky tail bound and the ``gram`` route)
+forms its own and drops it when done, so none is alive when L is rebuilt
+from the kept vectors ``W`` and ``B W``, or from the thin SVD
+(``linalg.svd``, route ``svd``) when neither route certifies. A step taken
+with ``certify=False`` (the ALM loop's inner steps) skips the ``low_rank``
+route's Cholesky tail bound.
 """
 
 from __future__ import annotations
@@ -66,8 +65,6 @@ class RitzSpectrum(NamedTuple):
     ``G W - W diag(theta)``. ``frob2 = ||B||_F^2`` is the trace of ``G``, so
     ``frob2 - sum(theta)`` bounds every eigenvalue of ``G`` compressed to the
     complement of ``W``. ``slack`` bounds the rounding in those figures.
-    ``gram`` is the formed ``G``, ``None`` on the first step and on every
-    step of an iteration that forms none.
     """
 
     theta: np.ndarray
@@ -75,7 +72,6 @@ class RitzSpectrum(NamedTuple):
     residuals: np.ndarray
     frob2: float
     slack: float
-    gram: np.ndarray | None
 
 
 class LStep(NamedTuple):
@@ -102,9 +98,7 @@ class UncertifiedLStep(LStep):
     certified = False
 
 
-def ritz_iterations(
-    b: np.ndarray, basis: np.ndarray = COLD, form_gram: bool = True
-) -> Iterator[RitzSpectrum]:
+def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
     """Ritz pairs of ``G = B^T B`` on successive power steps of a block.
 
     ``b`` must be a finite 2-D float array with at least as many rows as its
@@ -116,21 +110,16 @@ def ritz_iterations(
     from converged vectors, the iteration closes in at the rate
     ``lambda_(b+1) / lambda_k`` for a block of width ``b``, which barely
     moves with ``b`` on a flat bulk, while every part of a step grows with
-    it. Each step orthonormalizes ``Q =
-    qr(G Y)``, ``Y`` the start block and then the last step's Ritz vectors
-    ``W = Q E``, and yields the eigenpairs ``Theta, E`` of ``Q^T (G Q)``
-    with their residuals; ``(G Q) E`` is the next ``G Y``. The start costs
-    two products with ``B`` and ``||B||_F`` one pass, and the first step
-    takes ``G Q = B^T (B Q)``, two more, without forming ``G``. A caller
-    that asks for a second step then usually needs ``G`` anyway (for
-    :func:`gram_tail_below` or the ``gram`` route), so ``G`` is formed once,
-    handed on in each later spectrum and applied as it is: ``p^2`` flops
-    per column instead of ``2 m p``. With ``form_gram`` false ``G`` is never
-    formed, and every step takes ``B^T (B Q)``: a caller that needs ``G``
-    only to speed up the steps asks for that where ``G`` costs more than it
-    saves (see :func:`_gram_pays`). ``slack`` covers the rounding of either
-    form (see below). The caller stops the iteration. Yields nothing when
-    the block has ``p`` or more columns, where it spans everything. Raises
+    it. Each step orthonormalizes ``Q = qr(G Y)``, ``Y`` the start block
+    and then the last step's Ritz vectors ``W = Q E``, and yields the
+    eigenpairs ``Theta, E`` of ``Q^T (G Q)`` with their residuals; ``(G Q)
+    E`` is the next ``G Y``. The start costs two products with ``B`` and
+    ``||B||_F`` one pass, and the first step takes ``G Q = B^T (B Q)``, two
+    more. After it, ``G`` is formed for the later steps where
+    :func:`_gram_pays`, and applied as it is; elsewhere every step takes
+    ``B^T (B Q)``. ``slack`` covers the rounding of either form (see
+    below). The caller stops the iteration. Yields nothing when the block
+    has ``p`` or more columns, where it spans everything. Raises
     ``LinAlgError`` when the eigensolver fails or a product overflows.
     """
     rows, p = b.shape
@@ -163,8 +152,8 @@ def ritz_iterations(
             w = q @ e
             gy = gq @ e
             residuals = np.linalg.norm(gy - w * theta, axis=0)
-        yield RitzSpectrum(theta, w, residuals, frob2, slack, gram)
-        if gram is None and form_gram:
+        yield RitzSpectrum(theta, w, residuals, frob2, slack)
+        if gram is None and _gram_pays(rows, p):
             gram = b.T @ b  # finite: each entry is at most ||B||_F^2 in magnitude
 
 
@@ -177,10 +166,10 @@ def _gram_pays(rows: int, p: int) -> bool:
     ``RITZ_STEPS`` steps of the cold ``RITZ_BLOCK`` Gaussian columns: for a
     square ``B``, ``G`` pays below ``p = 2 * RITZ_STEPS * RITZ_BLOCK = 320``.
     A warm attempt's block has ``k + WARM_BLOCK`` columns, so there ``G``
-    saves less than counted. The rule is kept all the same: at ``p <= 300``
-    it forms ``G``, so an uncertified attempt takes the certified one's
-    power steps to the bit, and the tests that check the solver's loop
-    against steps taken certified rely on that.
+    saves less than counted. Each side of the rule wins on a workload: the
+    2000x400 ``cli-tall`` solve spends about a fifth more time in the power
+    steps without ``G``, and the 1000x1000 ``square-1000`` one pays more to
+    form ``G`` than its few-column warm steps save.
     """
     return rows * p * p < RITZ_STEPS * RITZ_BLOCK * (4 * rows * p - 2 * p * p)
 
@@ -198,19 +187,20 @@ def _times(m: np.ndarray, y: np.ndarray) -> np.ndarray:
 def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
     """Whether ``lambda_(k+1)(G) < c`` is certified by one Cholesky factorization.
 
-    ``r`` holds Ritz pairs of ``G = B^T B`` from a power step that formed
-    ``G`` (see :func:`ritz_iterations`), ``b`` at least as tall as wide,
-    and ``W_k``, ``Theta_k`` its first ``k``. ``P = W_k Theta_k W_k^T`` is
-    positive semidefinite of rank ``k``, so ``lambda_(k+1)(G) <=
-    lambda_max(G - P)`` by Weyl's inequality, whatever ``W_k``. Factors
-    ``c' I - G + P`` with that ``G``. If that succeeds, the matrix plus the
+    ``r`` holds Ritz pairs of ``G = B^T B`` from a power step of
+    :func:`ritz_iterations`, ``b`` at least as tall as wide, and ``W_k``,
+    ``Theta_k`` its first ``k``. ``P = W_k Theta_k W_k^T`` is positive
+    semidefinite of rank ``k``, so ``lambda_(k+1)(G) <= lambda_max(G - P)``
+    by Weyl's inequality, whatever ``W_k``. Factors ``c' I - G + P``, with
+    ``G`` formed here as a temporary. If that succeeds, the matrix plus the
     factorization's backward error is positive definite (Higham, Accuracy
     and Stability of Numerical Algorithms, Thm 10.3: the error is at most
     ``(p+1) eps`` times ``||R||_F^2``, the trace of the factored matrix,
     which is at most ``p (c + ||B||_F^2)``). So ``c' = c - slack - p(p+1)
     eps (c + ||B||_F^2)`` leaves ``lambda_max(G - P) < c``; ``slack`` covers
     the rounding in ``G``, in ``P`` (at most ``k eps sum(theta)``) and in
-    their difference. ``p`` is ``b``'s number of columns; ``k < p``.
+    their difference. ``p`` is ``b``'s number of columns; ``k < p``. A
+    ``c'`` that is not positive is refused before ``G`` is formed.
     """
     p = b.shape[1]
     eps = np.finfo(np.float64).eps
@@ -220,7 +210,7 @@ def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
     w = r.vectors[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):
         m = (w * r.theta[:k]) @ w.T
-        m -= r.gram
+        m -= b.T @ b
     m[np.diag_indices(p)] += shift
     try:
         np.linalg.cholesky(m)
@@ -310,40 +300,30 @@ def _certified_route(
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
     :func:`gram_tail_below` shows ``lambda_(k+1)(G) < c``, ``c`` the square
     of the largest value the prox drops. Then exactly ``k`` values are kept,
-    each known as well as on the ``gram`` route. ``G`` is formed from the
-    second power step on (see :func:`ritz_iterations`): the trace bound at
-    the first needs none, and the Cholesky is never reached there, as a
-    finite ``rho_k`` goes on and an infinite one fails.
+    each known as well as on the ``gram`` route.
 
     With ``certify`` false the attempt takes the same steps and accepts
     its last one once the kept values are accurate, without
     :func:`gram_tail_below`: the kept values are then known as well, but a
     value the block missed may lie above the largest one the prox drops.
     Such a step is the only one returned uncertified; the trace bound,
-    ``gram`` and ``svd`` are certified as with ``certify``. ``G`` then only
-    speeds up the power steps, so it is formed only where
-    :func:`_gram_pays`, and the ``gram`` route forms ``B^T B`` when none was.
+    ``gram`` and ``svd`` are certified as with ``certify``.
 
     An attempt fails when the block keeps every Ritz value, which leaves
     the rest unbounded, when the residual stalls or the steps run out
     without a certificate, when the eigensolver fails or a product
     overflows, and when the block spans everything, so no step is taken.
     Every failure then takes the ``gram`` route, the eigendecomposition of
-    the ``G`` the attempt formed, or of ``B^T B`` when none was. Its
-    ``theta`` are the eigenvalues clipped at 0, each known to ``delta =
-    GRAM_ERROR_FACTOR * rows * eps * theta_1``, so every dropped one lies
-    below ``theta_(k+1) + delta`` (nothing, when all are kept). A decision
-    that needs values of the order of ``delta``, a failed eigensolver and a
-    non-finite spectrum name ``svd``. ``G`` lives only in this function's
-    frame, so it is released before the caller rebuilds L.
+    ``B^T B``. Its ``theta`` are the eigenvalues clipped at 0, each known
+    to ``delta = GRAM_ERROR_FACTOR * rows * eps * theta_1``, so every
+    dropped one lies below ``theta_(k+1) + delta`` (nothing, when all are
+    kept). A decision that needs values of the order of ``delta``, a failed
+    eigensolver and a non-finite spectrum name ``svd``.
     """
-    gram = None
     if basis.shape[1] * WARM_RANK_DIVISOR <= b.shape[1]:
         try:
             prev = np.inf
-            form_gram = certify or _gram_pays(*b.shape)
-            for steps, r in enumerate(ritz_iterations(b, basis, form_gram), start=1):
-                gram = r.gram
+            for steps, r in enumerate(ritz_iterations(b, basis), start=1):
                 singulars, sig, k = _roots_and_prox(r.theta, mu, surrogate)
                 if k == r.theta.size:
                     break  # no dropped Ritz value, so no bound on the rest
@@ -367,7 +347,7 @@ def _certified_route(
             pass
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves lam non-finite
-            lam, vecs = np.linalg.eigh(b.T @ b if gram is None else gram)
+            lam, vecs = np.linalg.eigh(b.T @ b)
     except np.linalg.LinAlgError:
         return None, "svd", True
     if not np.isfinite(lam).all():

@@ -45,7 +45,7 @@ def svd_calls(monkeypatch):
 
 @pytest.fixture
 def ritz_calls(monkeypatch):
-    """Count the Gram-free L-step's attempts, power steps and Cholesky tail checks.
+    """Count the ``low_rank`` route's attempts, power steps and Cholesky tail checks.
 
     ``events`` lists them in call order: ``("attempt",)``, ``("step", r)``
     for each Ritz iterate ``r`` and ``("tail", r, k, certified)``.
@@ -53,10 +53,10 @@ def ritz_calls(monkeypatch):
     calls = {"attempts": 0, "steps": 0, "tails": 0, "events": []}
     iterations, tail_below = rpca.spectral.ritz_iterations, rpca.spectral.gram_tail_below
 
-    def counted_iterations(a, basis=rpca.spectral.COLD, form_gram=True):
+    def counted_iterations(*args, **kwargs):
         calls["attempts"] += 1
         calls["events"].append(("attempt",))
-        for r in iterations(a, basis, form_gram):
+        for r in iterations(*args, **kwargs):
             calls["steps"] += 1
             calls["events"].append(("step", r))
             yield r

@@ -1,5 +1,5 @@
 import itertools
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from helpers import (
     planted_spectrum,
     prox_matrix,
     tail_reference,
+    traced_peak,
     wide_injected_columns,
 )
 from rpca.linalg import svd
@@ -78,15 +79,20 @@ def test_ritz_overflow_is_linalg_error():
 
 def test_gram_tail_below_a_tiny_bound_skips_the_factorization(monkeypatch):
     # a bound below the rounding slack is refused before anything is
-    # factored or r.gram is read; a first-step spectrum carries no G
+    # factored or B^T B is formed: the refusal holds no p x p array, while a
+    # bound that is factored holds two at once, B^T B and the matrix it is
+    # subtracted from
     b = np.random.default_rng(4).standard_normal((40, 30))
+    square = 30 * 30 * 8
     r = next(ritz_iterations(b))
-    assert r.gram is None
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
-    assert gram_tail_below(b, r, 3, 1e-300) is False
+    refused, peak = traced_peak(gram_tail_below, b, r, 3, 1e-300)
+    assert refused is False and peak < square
     assert calls == []
+    _, peak = traced_peak(gram_tail_below, b, r, 3, 1e6)
+    assert calls == [(30, 30)] and peak >= 2 * square
 
 
 @pytest.mark.parametrize("surrogate", [gamma_surrogate(), nuclear_surrogate()], ids=["gamma", "nuclear"])
@@ -254,27 +260,28 @@ def flat_bulk():
     ],
 )
 def test_the_gram_matrix_is_released_before_l_is_rebuilt(monkeypatch, target, mu, surrogate, route):
-    # every G the power steps form is dead by the step's last product with
-    # the target, the rebuild's B W_k: held only by the route walk, whether
-    # the Cholesky tail check or a following gram step used it. The wrapper
-    # keeps no spectra, so only the step itself can keep G alive
-    grams, alive = [], []
-    iterations, times = rpca.spectral.ritz_iterations, rpca.spectral._times
-
-    def watched_iterations(b, basis=rpca.spectral.COLD, form_gram=True):
-        for r in iterations(b, basis, form_gram):
-            if r.gram is not None:
-                grams.append(weakref.ref(r.gram))
-            yield r
+    # every G the step forms, in the power steps, the Cholesky tail check or
+    # the gram route, is dead by its last product with the target, the
+    # rebuild's B W_k: the memory traced from the step's start is then below
+    # one p x p array, though the step held at least one before it
+    a = target()
+    square = min(a.shape) ** 2 * 8
+    seen = []
+    times = rpca.spectral._times
 
     def watched_times(m, y):
-        alive.append(sum(ref() is not None for ref in grams))
+        seen.append(tracemalloc.get_traced_memory())
         return times(m, y)
 
-    monkeypatch.setattr(rpca.spectral, "ritz_iterations", watched_iterations)
+    def stepped():
+        seen.append(tracemalloc.get_traced_memory())
+        return l_step(a, mu, surrogate)
+
     monkeypatch.setattr(rpca.spectral, "_times", watched_times)
-    assert l_step(target(), mu, surrogate).route == route
-    assert grams and alive[-1] == 0
+    step, _ = traced_peak(stepped)
+    (start, _), (current, peak) = seen[0], seen[-1]
+    assert step.route == route
+    assert peak - start >= square and current - start < square
 
 
 def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
@@ -371,7 +378,14 @@ def test_low_rank_route_solves_are_bit_identical(ritz_calls):
     # every step is certified by the trace bound at its first power step,
     # which forms no G
     assert ritz_calls["steps"] == ritz_calls["attempts"] and ritz_calls["tails"] == 0
-    assert all(e[1].gram is None for e in ritz_calls["events"] if e[0] == "step")
+
+
+def first_l_step_weights(spec, seed):
+    """The raw instance ``(spec, seed)``, the first target of its solve, and the
+    weight and surrogate that solve's first L-step takes."""
+    x = generate_synthetic(spec, seed)[0]
+    _, mu, gamma = working_start(x, SolverConfig())
+    return x, mu, gamma_surrogate(gamma)
 
 
 @pytest.mark.parametrize(
@@ -381,33 +395,45 @@ def test_low_rank_route_solves_are_bit_identical(ritz_calls):
         pytest.param(SyntheticSpec(2000, 400, rank=5, sparsity=0.05), 0, True, id="2000x400"),
     ],
 )
-def test_an_uncertified_attempt_forms_g_only_where_it_pays(spec, seed, formed, ritz_calls):
+def test_certified_and_uncertified_attempts_take_the_same_power_steps(spec, seed, formed, ritz_calls):
     # G = B^T B costs rows p^2 flops and saves (4 rows p - 2 p^2) per block
     # column on each later power step: on a square target it pays below
-    # p = 320, so at 1000x1000 an uncertified attempt takes every step as
-    # B^T (B Q), while at 2000x400 and on the smaller test shapes it forms
-    # G after the first step, as a certified attempt does, and then takes
-    # the same steps to the bit. The first L-step of a raw solve keeps the
-    # planted rank after several power steps and passes the Cholesky bound
+    # p = 320, so ritz_iterations takes every 1000x1000 step as B^T (B Q)
+    # and forms G, a p x p array, for the second 2000x400 step. The rule is
+    # the same whether the attempt is certified or not, so on the first
+    # L-step of a raw solve, which keeps the planted rank after several
+    # power steps and passes the Cholesky bound, both take the same steps
+    # to the bit
     assert not _gram_pays(1000, 1000)
     assert all(_gram_pays(*shape) for shape in [(2000, 400), (300, 300), (200, 200), (60, 60)])
-    x = generate_synthetic(spec, seed)[0]
-    _, mu, gamma = working_start(x, SolverConfig())
-    surrogate = gamma_surrogate(gamma)
+    x, mu, surrogate = first_l_step_weights(spec, seed)
+    _, peak = traced_peak(lambda: list(itertools.islice(ritz_iterations(x), 2)))
+    assert (peak >= min(x.shape) ** 2 * 8) is formed
     events = ritz_calls["events"]
     start = len(events)
     free = l_step(x, mu, surrogate, certify=False)
-    steps = [e[1] for e in events[start:] if e[0] == "step"]
-    assert (free.route, free.certified) == ("low_rank", False) and len(steps) > 1
-    assert [r.gram is not None for r in steps] == [False] + [formed] * (len(steps) - 1)
-    assert not any(e[0] == "tail" for e in events[start:])
+    middle = len(events)
     proved = l_step(x, mu, surrogate)
+    free_steps = [e[1] for e in events[start:middle] if e[0] == "step"]
+    proved_steps = [e[1] for e in events[middle:] if e[0] == "step"]
+    assert (free.route, free.certified) == ("low_rank", False) and len(free_steps) > 1
     assert (proved.route, proved.certified) == ("low_rank", True)
+    assert not any(e[0] == "tail" for e in events[start:middle])
+    assert [e[0] for e in events[middle:]].count("tail") == 1
+    assert len(free_steps) == len(proved_steps)
+    assert all(np.array_equal(f.theta, p.theta) for f, p in zip(free_steps, proved_steps))
     assert np.count_nonzero(free.proxed) == np.count_nonzero(proved.proxed) == spec.rank
-    if formed:
-        assert np.array_equal(free.l, proved.l) and np.array_equal(free.basis, proved.basis)
-    else:
-        assert np.linalg.norm(free.l - proved.l) <= 1e-12 * np.linalg.norm(proved.l)
+    assert np.array_equal(free.l, proved.l) and np.array_equal(free.basis, proved.basis)
+
+
+def test_a_certified_l_step_holds_at_most_two_and_a_half_square_arrays():
+    # G is formed by each of its users and dropped on return, so the
+    # 1000x1000 first L-step, whose power steps form none, holds at most
+    # the Cholesky tail check's G - P with B^T B or the factor, and then L
+    x, mu, surrogate = first_l_step_weights(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000)
+    step, peak = traced_peak(l_step, x, mu, surrogate)
+    assert (step.route, step.certified) == ("low_rank", True)
+    assert peak <= 2.5 * 1000 * 1000 * 8, peak / (1000 * 1000 * 8)
 
 
 def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
