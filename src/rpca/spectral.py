@@ -33,7 +33,7 @@ KEPT_REL_ERROR = 1e-8
 
 # Bounds on the low-rank route (see ``_certified_route``): at most this many
 # power steps per attempt, continued while the kept block's residual falls
-# at least RITZ_FALL times per step.
+# at least RITZ_FALL times per step and is still above the rounding slack.
 RITZ_STEPS = 10
 RITZ_FALL = 10.0
 
@@ -166,10 +166,14 @@ def _gram_pays(rows: int, p: int) -> bool:
     ``RITZ_STEPS`` steps of the cold ``RITZ_BLOCK`` Gaussian columns: for a
     square ``B``, ``G`` pays below ``p = 2 * RITZ_STEPS * RITZ_BLOCK = 320``.
     A warm attempt's block has ``k + WARM_BLOCK`` columns, so there ``G``
-    saves less than counted. Each side of the rule wins on a workload: the
-    2000x400 ``cli-tall`` solve spends about a fifth more time in the power
-    steps without ``G``, and the 1000x1000 ``square-1000`` one pays more to
-    form ``G`` than its few-column warm steps save.
+    saves less than counted. The 1000x1000 ``square-1000`` solve pays more
+    to form ``G`` than its few-column warm steps save. The 2000x400
+    ``cli-tall`` solve spent about a fifth more time in the power steps
+    without ``G`` while each attempt stepped on to the rounding floor; now
+    that its attempts end at the slack, about 5 steps each, it spends no
+    more: 151 and 157 ms per solve ``G``-free against 156 and 162 ms with
+    ``G`` at one BLAS thread, 103 and 121 against 111 and 136 ms at two
+    (medians of two rounds of 8 interleaved solves each, 2-core box).
     """
     return rows * p * p < RITZ_STEPS * RITZ_BLOCK * (4 * rows * p - 2 * p * p)
 
@@ -294,9 +298,11 @@ def _certified_route(
 
     Otherwise the steps go on while the kept block's residual ``rho_k =
     ||G W_k - W_k Theta_k||_F`` falls at least ``RITZ_FALL`` times per step,
-    which also makes the kept vectors accurate well past the figure the
-    certificate needs. The last step is then certified when its kept values
-    are, with ``err = rho_k + slack`` (by Kahan's residual bound ``k``
+    and end on the first step that keeps ``k >= 1`` values with ``rho_k <=
+    slack``: past the slack a step can at most halve ``err = rho_k +
+    slack``. With ``k = 0``, ``rho_k`` is 0 and says nothing, so only the
+    stall ends such an attempt. The last step is then certified when its
+    kept values are, with that ``err`` (by Kahan's residual bound ``k``
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
     :func:`gram_tail_below` shows ``lambda_(k+1)(G) < c``, ``c`` the square
     of the largest value the prox drops. Then exactly ``k`` values are kept,
@@ -323,7 +329,8 @@ def _certified_route(
     if basis.shape[1] * WARM_RANK_DIVISOR <= b.shape[1]:
         try:
             prev = np.inf
-            for steps, r in enumerate(ritz_iterations(b, basis), start=1):
+            ritz = ritz_iterations(b, basis)
+            for steps, r in enumerate(ritz, start=1):
                 singulars, sig, k = _roots_and_prox(r.theta, mu, surrogate)
                 if k == r.theta.size:
                     break  # no dropped Ritz value, so no bound on the rest
@@ -333,16 +340,18 @@ def _certified_route(
                 if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
                     return kept, "low_rank", True
                 rho_k = float(np.linalg.norm(r.residuals[:k]))
-                last = steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev
+                last = steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev or (k > 0 and rho_k <= r.slack)
                 if last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
                     if not certify:
                         return kept, "low_rank", False
                     c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
+                    ritz.close()  # drops the power steps' G before the bound forms its own
                     if gram_tail_below(b, r, k, c):
                         return kept, "low_rank", True
                 if last:
                     break
                 prev = rho_k
+            ritz.close()  # after a break: drops the power steps' G before the gram route forms its own
         except np.linalg.LinAlgError:
             pass
     try:

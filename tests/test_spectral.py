@@ -436,6 +436,73 @@ def test_a_certified_l_step_holds_at_most_two_and_a_half_square_arrays():
     assert peak <= 2.5 * 1000 * 1000 * 8, peak / (1000 * 1000 * 8)
 
 
+def test_a_certified_l_step_drops_the_power_steps_gram_before_the_cholesky_bound():
+    # below p = 320 the power steps form their own G; the attempt closes
+    # them before the Cholesky tail check forms its G - P, so the 300x300
+    # first L-step holds about two p x p arrays, not three
+    x, mu, surrogate = first_l_step_weights(SyntheticSpec(300, 300, rank=5, sparsity=0.05), 0)
+    assert _gram_pays(300, 300)
+    step, peak = traced_peak(l_step, x, mu, surrogate)
+    assert (step.route, step.certified) == ("low_rank", True)
+    assert peak <= 2.5 * 300 * 300 * 8, peak / (300 * 300 * 8)
+
+
+@pytest.mark.parametrize(
+    "spec, seed, most",
+    [
+        pytest.param(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000, 60, id="1000x1000"),
+        pytest.param(SyntheticSpec(2000, 400, rank=5, sparsity=0.05), 0, None, id="2000x400"),
+    ],
+)
+def test_an_attempt_ends_once_its_kept_residual_is_below_the_slack(monkeypatch, spec, seed, most, ritz_calls):
+    # err = rho_k + slack on each kept value, so once the kept block's
+    # residual rho_k is below the rounding slack another power step can at
+    # most halve err: every attempt that keeps k >= 1 values ends on the
+    # first such step, in a G-free (1000x1000) and a G-formed (2000x400)
+    # raw solve. working_start's power step is an attempt with no prox
+    events = ritz_calls["events"]
+    roots_and_prox = rpca.spectral._roots_and_prox
+
+    def logged(theta, mu, surrogate):
+        out = roots_and_prox(theta, mu, surrogate)
+        events.append(("kept", out[2]))
+        return out
+
+    monkeypatch.setattr(rpca.spectral, "_roots_and_prox", logged)
+    r = solve(generate_synthetic(spec, seed)[0])
+    assert r.converged and all(rec.l_route == "low_rank" for rec in r.history)
+    attempts = [i for i, e in enumerate(events) if e[0] == "attempt"]
+    ended = 0
+    for i, j in zip(attempts, attempts[1:] + [len(events)]):
+        window = events[i + 1:j]
+        steps = [(e[1], f[1]) for e, f in zip(window, window[1:]) if e[0] == "step" and f[0] == "kept"]
+        if not steps or steps[-1][1] == 0:
+            continue
+        below = [bool(k > 0 and np.linalg.norm(it.residuals[:k]) <= it.slack) for it, k in steps]
+        assert below.index(True) == len(steps) - 1, below
+        ended += 1
+    assert ended >= r.iterations
+    if most is not None:
+        assert ritz_calls["steps"] <= most, ritz_calls["steps"]
+
+
+def test_an_attempt_that_keeps_nothing_is_not_cut_short(ritz_calls):
+    # a Gaussian target under the nuclear prox with 1/mu between sigma_1
+    # and ||T||_F: the prox keeps no value, and the trace outside the block
+    # bounds nothing, so the trace bound fails at every step. With k = 0
+    # the kept residual is 0 by definition and says nothing about
+    # convergence: the attempt stalls at its second step, as it would
+    # without the slack rule, and the gram route certifies the empty keep
+    nuclear = nuclear_surrogate()
+    a = np.random.default_rng(7).standard_normal((300, 300))
+    sigma_1, frob = np.linalg.norm(a, 2), np.linalg.norm(a)
+    mu = 1.0 / np.sqrt(sigma_1 * frob)
+    assert sigma_1 < 1.0 / mu < frob
+    step = l_step(a, mu, nuclear)
+    assert step.route == "gram" and not step.proxed.any() and step.basis.shape == (300, 0)
+    assert counts(ritz_calls) == (1, 2, 0)
+
+
 def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
     # l_step hands the route walk, and so both Gram routes, the target or
     # its transpose, whichever is tall: the l2,1 solve certifies low_rank
