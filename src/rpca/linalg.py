@@ -1,4 +1,4 @@
-"""Dense-matrix plumbing: input checks, the thin SVD and the numerical rank rule."""
+"""Dense-matrix plumbing: input checks, the thin SVD, the numerical rank rule and row blocks."""
 
 from __future__ import annotations
 
@@ -14,6 +14,24 @@ class SvdFactors(NamedTuple):
     u: np.ndarray
     singulars: np.ndarray
     vt: np.ndarray
+
+
+# Bytes of one row block in the solver step's elementwise passes, and in the
+# rows of L formed from its factors. The passes are memory-bound; a block
+# this size keeps the operands of the whole chain of operations on it in a
+# 2 MB L2 cache, so each full-size array crosses the memory bus once per
+# pass instead of once per operation.
+BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(m: int, n: int) -> list[slice]:
+    """Row slices of about ``BLOCK_BYTES`` each of an ``m x n`` float array.
+
+    A one-column array is one block: numpy sums a single column pairwise,
+    not row by row, so the step's column sums could not continue its sum.
+    """
+    rows = max(1, BLOCK_BYTES // (8 * n)) if n > 1 else max(1, m)
+    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
 # Relative cutoff below which a singular value no longer counts toward a rank.

@@ -18,11 +18,12 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .linalg import as_matrix, integer, real_number
+from .linalg import as_matrix, integer, real_number, row_blocks
 from .sparse import (
     ENTRYWISE_L1,
     L1,
@@ -34,13 +35,6 @@ from .sparse import (
 )
 from .surrogates import GAMMA, RankSurrogate, gamma_surrogate, surrogate_value
 from . import linalg, spectral
-
-# Bytes of one row block in the step's elementwise passes. The passes are
-# memory-bound; a block this size keeps the operands of the whole chain of
-# operations on it in a 2 MB L2 cache, so each full-size array crosses the
-# memory bus once per pass instead of once per operation.
-BLOCK_BYTES = 256 * 1024
-
 
 # Under ``auto_scale`` the loop runs on ``c * X``, ``c`` the power of two
 # that puts the estimate of sigma_1(c * X) within a factor sqrt(2) of this
@@ -127,14 +121,18 @@ class SolverConfig:
 class SolverState:
     """Iterate: primal pair, multiplier, the next step's weights, iteration count, warm basis.
 
-    ``gamma`` is the gamma of the next step's penalty, ``None`` for the
-    configured surrogate (always with the nuclear penalty). ``certified``
-    tells whether the L-step that made ``l`` certified its keep/drop
-    decision; only a step taken with ``certify=False`` can leave it false
-    (see :func:`step`).
+    L is carried as its factors, ``l_factors`` (see ``spectral.LowRank``);
+    ``l`` forms it in full on first access and keeps it, so a state whose
+    ``l`` is never read holds no full-size L. ``l_factors`` is ``None`` in
+    the loop's own copy of a state, whose L no step reads, and ``l`` is then
+    ``None`` too. ``gamma`` is the gamma of the next step's penalty,
+    ``None`` for the configured surrogate (always with the nuclear
+    penalty). ``certified`` tells whether the L-step that made L certified
+    its keep/drop decision; only a step taken with ``certify=False`` can
+    leave it false (see :func:`step`).
     """
 
-    l: np.ndarray
+    l_factors: spectral.LowRank | None
     s: np.ndarray
     y: np.ndarray
     mu: float
@@ -146,6 +144,10 @@ class SolverState:
     warm_basis: np.ndarray = field(default_factory=lambda: spectral.COLD)
     gamma: float | None = None
     certified: bool = True
+
+    @cached_property
+    def l(self) -> np.ndarray | None:
+        return None if self.l_factors is None else self.l_factors.dense()
 
 
 @dataclass(frozen=True)
@@ -178,7 +180,9 @@ class SolverResult:
     last L-step's prox certifies at L (see :func:`kkt_residuals`). ``scale``
     is the working scale ``c`` (1 without ``auto_scale``): L and S are the
     solve of ``c * X`` divided by ``c``, while the history and both KKT
-    figures are those of ``c * X``.
+    figures are those of ``c * X``. L is the last state's factors formed in
+    full (see :class:`SolverState`), the only full-size L a solve forms
+    unless its callback reads one.
     """
 
     l: np.ndarray
@@ -190,16 +194,6 @@ class SolverResult:
     kkt_primal: float
     kkt_dual: float
     scale: float = 1.0
-
-
-def _row_blocks(m: int, n: int) -> list[slice]:
-    """Row slices of about ``BLOCK_BYTES`` each of an ``m x n`` float array.
-
-    A one-column array is one block: numpy sums a single column pairwise,
-    not row by row, so ``_add_column_squares`` could not continue its sum.
-    """
-    rows = max(1, BLOCK_BYTES // (8 * n)) if n > 1 else max(1, m)
-    return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 
 def _add_column_squares(sums: np.ndarray, a: np.ndarray, buf: np.ndarray, first: bool) -> None:
@@ -235,80 +229,102 @@ def _require_finite_iterate(a: np.ndarray) -> None:
 
 
 def step(
-    x, state: SolverState, cfg: SolverConfig, norm_x: float, certify: bool = True
+    x, state: SolverState, cfg: SolverConfig, norm_x: float, certify: bool = True, c: float = 1.0
 ) -> tuple[SolverState, IterationRecord]:
-    """One multiplier iteration from ``state``: L-step, S-step, dual step.
+    """One multiplier iteration from ``state`` on ``c * X``: L-step, S-step, dual step.
 
     L is the spectral prox of ``X - S - Y/mu`` at weight mu (see
     ``spectral.l_step``), S the shrink of ``X - L - Y/mu`` at threshold
     lambda/mu, then ``Y + mu*(L + S - X)`` and the next weights of
-    :func:`next_weights`. The prox and the Lagrangian take the penalty at
-    ``state.gamma``. ``x`` must be a
-    finite 2-D float array (``solve`` checks it once) and ``norm_x`` its
-    Frobenius norm. The L-step starts its low-rank route from
+    :func:`next_weights`, with ``c * x`` for X. The prox and the Lagrangian
+    take the penalty at ``state.gamma``. ``x`` must be a finite 2-D float
+    array (``solve`` checks it once) and ``norm_x`` the Frobenius norm of
+    ``c * x``. The L-step starts its low-rank route from
     ``state.warm_basis``, and the next state carries the basis the L-step
-    returns. ``state.l`` is not read. Returns the next state and the
-    iteration's record, whose Lagrangian is evaluated at the new pair and
-    the old multiplier and weights. ``certify`` goes to the L-step: when it
-    is false a ``low_rank`` L-step may be accepted without the bound on the
-    values it drops, and the next state's ``certified`` is then false.
+    returns. ``state.l_factors`` is not read. Returns the next state and
+    the iteration's record, whose Lagrangian is evaluated at the new pair
+    and the old multiplier and weights. ``certify`` goes to the L-step:
+    when it is false a ``low_rank`` L-step may be accepted without the bound
+    on the values it drops, and the next state's ``certified`` is then
+    false.
 
-    The elementwise work runs in row blocks of ``BLOCK_BYTES``: one pass
-    forms the L-step's target, and one pass after it forms the shrink's
-    target, S, the residual ``R = L + S - X`` and the new multiplier. The
-    l2,1 shrink scales whole columns, so a pass between the two forms its
-    target and sums the squares of each column, and the main pass shrinks
-    that target in place. Each entry comes from the same floating-point
-    operations as the whole-array expressions above, and every scalar sum
-    and norm is still taken over one full-size array, so the results are
-    those of the unblocked step to the bit. Each target is checked for
-    finite entries once. One buffer holds the L-step's target, then the
-    shrink's target and R. The record's ``||R||_F^2`` and ``<Y, R>`` are dot
-    products over R in that buffer, and ``|S|`` and ``S - S_prev`` go
-    through it in turn. The l2,1 penalty is ``sum(max(n_j - tau, 0))`` over
-    the shrink target's column norms ``n_j``: ``||S||_2,1`` in exact
-    arithmetic. L, S and the multiplier are new arrays; ``state``'s arrays
-    are only read.
+    The elementwise work runs in row blocks of ``linalg.BLOCK_BYTES``: one
+    pass forms the L-step's target, and one pass after it forms the
+    shrink's target, S, the residual ``R = L + S - X`` and the new
+    multiplier. The l2,1 shrink scales whole columns, so a pass between the
+    two forms its target and sums the squares of each column, and the main
+    pass shrinks that target in place. Each pass that reads X scales its
+    block into a block buffer when ``c`` is not 1, and L's row block is
+    formed from the L-step's factors (``spectral.LowRank.rows``) in the
+    rows of the new multiplier, which the main pass writes last, so neither
+    ``c * X`` nor L exists in full.
+    Each entry comes from the same floating-point operations as the
+    whole-array expressions above, with L formed by the same row blocks as
+    ``LowRank.dense``, and every scalar sum and norm is still taken over one
+    full-size array, so the results are those of the unblocked step to the
+    bit. The L-step's target and the l1 shrink's target are checked for
+    finite entries; the l2,1 shrink's target through its column norms,
+    which are not finite when it holds a NaN or an infinity. S's buffer
+    holds the L-step's target until the main pass writes S over it, and
+    one buffer allocated after the L-step holds the shrink's target and R.
+    The record's ``||R||_F^2`` and ``<Y, R>`` are dot products over R in
+    that buffer, and ``|S|`` and ``S - S_prev`` go through it in turn. The l2,1 penalty
+    is ``sum(max(n_j - tau, 0))`` over the shrink target's column norms
+    ``n_j``: ``||S||_2,1`` in exact arithmetic. S and the multiplier are
+    new arrays, and the next state carries L as the L-step's factors;
+    ``state``'s arrays are only read.
     """
     y, s_prev, mu = state.y, state.s, state.mu
     surrogate = cfg.surrogate if state.gamma is None else replace(cfg.surrogate, gamma=state.gamma)
     m, n = x.shape
-    blocks = _row_blocks(m, n)
+    blocks = row_blocks(m, n)
     rows = blocks[0].stop if blocks else 0
     buf = np.empty((rows + 1, n))
     w = buf[1:]
+    x_rows = None if c == 1.0 else np.empty((rows, n))
 
-    t = np.empty((m, n))
+    def x_block(b: slice) -> np.ndarray:
+        """Rows ``b`` of ``c * x``: a view of ``x`` when ``c`` is 1."""
+        return x[b] if x_rows is None else np.multiply(x[b], c, out=x_rows[: b.stop - b.start])
+
+    # S's buffer holds the L-step's target, which the main pass overwrites
+    # with S once nothing reads the target. The R buffer and Y_next come
+    # after the L-step: allocated before it, or Y_next before S, the same
+    # arrays left the process's peak RSS one full-size array higher on the
+    # column-outlier benchmark, through where the heap placed them
+    s = np.empty((m, n))
     for b in blocks:
-        _require_finite_iterate(_target(x[b], s_prev[b], y[b], mu, t[b], w[: b.stop - b.start]))
-    prox = spectral.l_step(t, mu, surrogate, state.warm_basis, certify)
-    l, sig, route, basis = prox
+        _require_finite_iterate(_target(x_block(b), s_prev[b], y[b], mu, s[b], w[: b.stop - b.start]))
+    prox = spectral.l_step(s, mu, surrogate, state.warm_basis, certify)
+    factors, sig, route, basis = prox
+    t = np.empty((m, n))
 
     tau = cfg.lam / mu
     check_tau(tau)
     l21 = cfg.penalty.kind == L21
+    # each row block of Y_next holds that block of L until the main pass
+    # writes Y_next over it, after its last read of L
+    y_next = np.empty((m, n))
     if l21:
         q_sums = np.zeros(n)
         for b in blocks:
-            q = t[b]
-            _require_finite_iterate(_target(x[b], l[b], y[b], mu, q, w[: b.stop - b.start]))
+            q = _target(x_block(b), factors.rows(b, y_next[b]), y[b], mu, t[b], w[: b.stop - b.start])
             _add_column_squares(q_sums, q, buf, b.start == 0)
         q_norms = np.sqrt(q_sums)
         _require_finite_iterate(q_norms)
         scale = column_scale(q_norms, tau)
-    s = np.empty((m, n))
-    y_next = np.empty((m, n))
     y_max = []
     for b in blocks:
         r, sb, wb = t[b], s[b], w[: b.stop - b.start]
+        xb, lb = x_block(b), y_next[b] if l21 else factors.rows(b, y_next[b])
         if l21:
             np.multiply(r, scale, out=sb)
         else:
-            _target(x[b], l[b], y[b], mu, r, wb)
+            _target(xb, lb, y[b], mu, r, wb)
             _require_finite_iterate(r)
             soft_threshold(r, tau, sb, wb)
-        np.add(l[b], sb, out=r)
-        np.subtract(r, x[b], out=r)
+        np.add(lb, sb, out=r)
+        np.subtract(r, xb, out=r)
         np.multiply(mu, r, out=wb)
         np.add(y[b], wb, out=y_next[b])
         if n:
@@ -343,7 +359,7 @@ def step(
     )
     mu_next, gamma_next = next_weights(cfg, mu, state.gamma)
     next_state = SolverState(
-        l=l,
+        l_factors=factors,
         s=s,
         y=y_next,
         mu=mu_next,
@@ -479,22 +495,22 @@ ProgressCallback = Callable[[SolverState, IterationRecord], None]
 
 
 def _loop_step(
-    x, prev: SolverState, cfg: SolverConfig, norm_x: float
+    x, prev: SolverState, cfg: SolverConfig, norm_x: float, c: float
 ) -> tuple[SolverState, IterationRecord, bool]:
     """The step :func:`solve` goes on from, after ``prev``, and whether it meets the stop rule.
 
     The step is taken uncertified, and taken again with ``certify=True``
-    when it was not certified and the loop would end on it. Its L, S and Y
+    when it was not certified and the loop would end on it. Its S and Y
     are released before the second step allocates its own.
     """
     def stops(record: IterationRecord) -> bool:
         return record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
 
-    state, record = step(x, prev, cfg, norm_x, certify=False)
+    state, record = step(x, prev, cfg, norm_x, certify=False, c=c)
     if state.certified or not (stops(record) or state.iter == cfg.max_outer):
         return state, record, stops(record)
     del state
-    state, record = step(x, prev, cfg, norm_x)
+    state, record = step(x, prev, cfg, norm_x, c=c)
     return state, record, stops(record)
 
 
@@ -510,14 +526,18 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     callback : callable, optional
         Invoked once per outer iteration with the state the loop continues
         from (frozen) and that iteration's record. The arrays handed over are
-        not mutated afterwards. The loop holds only the arrays its next
-        step reads, so a callback that keeps a state keeps its arrays alive
-        too.
+        not mutated afterwards. The state carries L as factors; reading
+        ``state.l`` forms L in full and keeps it with the state. The loop
+        holds only the arrays its next step reads, so a callback that keeps
+        a state keeps its arrays alive too.
 
     With ``cfg.auto_scale`` the loop runs on ``c * X``, and the callback
-    sees that loop's states. The loop starts at the weights of
-    :func:`working_start`; when its gamma lies above the configured one, the
-    loop stops only on a step taken at the configured gamma.
+    sees that loop's states. No copy of ``c * X`` is kept: each step scales
+    X one row block at a time, by the same multiply, and ``||c * X||_F`` is
+    taken from a copy freed before the loop starts. The loop starts at the
+    weights of :func:`working_start`; when its gamma lies above the
+    configured one, the loop stops only on a step taken at the configured
+    gamma.
 
     Every step is taken with ``certify=False`` (see :func:`step`), so the
     ``low_rank`` L-step proves no tail bound on a step the next one
@@ -544,19 +564,18 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         cfg = SolverConfig()
     t0 = time.perf_counter()
     c, mu0, gamma0 = working_start(x, cfg)
-    if c != 1.0:
-        x = x * c
-    zero = np.zeros_like(x)
-    state = SolverState(l=zero, s=zero, y=zero, mu=mu0, gamma=gamma0)
-    del zero
     with np.errstate(over="ignore"):  # an X this large leaves a record figure infinite (see ``step``)
-        norm_x = float(np.linalg.norm(x))
+        norm_x = float(np.linalg.norm(x if c == 1.0 else x * c))
+    zero = np.zeros_like(x)
+    state = SolverState(l_factors=None, s=zero, y=zero, mu=mu0, gamma=gamma0)
+    del zero
     history: list[IterationRecord] = []
     converged = False
     while state.iter < cfg.max_outer:
-        # the step does not read L: drop it, unless the callback kept it
-        state = replace(state, l=None)
-        state, record, converged = _loop_step(x, state, cfg, norm_x)
+        # the step does not read L: drop its factors, and any L the callback
+        # formed, unless the callback kept the state
+        state = replace(state, l_factors=None)
+        state, record, converged = _loop_step(x, state, cfg, norm_x, c)
         history.append(record)
         if callback is not None:
             callback(state, record)

@@ -11,11 +11,12 @@ arXiv:0909.4061): its ``theta`` are the Ritz values. The ``gram`` route
 eigendecomposes ``G``: its ``theta`` are the eigenvalues, clipped at 0.
 One function, ``_certified_route``, tries them in that order. Each user of
 ``G`` (the power steps, the Cholesky tail bound and the ``gram`` route)
-forms its own and drops it when done, so none is alive when L is rebuilt
-from the kept vectors ``W`` and ``B W``, or from the thin SVD
-(``linalg.svd``, route ``svd``) when neither route certifies. A step taken
-with ``certify=False`` (the ALM loop's inner steps) skips the ``low_rank``
-route's Cholesky tail bound.
+forms its own and drops it when done, so none is alive when the step
+takes ``B W`` from the kept vectors ``W``. The step returns L as two factors
+(:class:`LowRank`) built from ``W`` and ``B W``, or from the thin SVD
+(``linalg.svd``, route ``svd``) when neither route certifies; L in full is
+formed only where it is read. A step taken with ``certify=False`` (the ALM
+loop's inner steps) skips the ``low_rank`` route's Cholesky tail bound.
 """
 
 from __future__ import annotations
@@ -74,20 +75,52 @@ class RitzSpectrum(NamedTuple):
     slack: float
 
 
-class LStep(NamedTuple):
-    """An L-step's result: L, the proxed singular values, the route that produced them
-    and the next attempt's start (see :func:`l_step`).
+class LowRank(NamedTuple):
+    """An ``m x n`` matrix held as its factors ``left @ right``, ``m x k`` and ``k x n``.
 
-    ``certified`` tells whether the keep/drop decision is certified. It is a
-    class attribute, not a field, so the result unpacks as its four fields:
+    Its entries are defined by row blocks: rows ``b`` are ``left[b] @
+    right`` (:meth:`rows`), and :meth:`dense` forms the whole matrix by the
+    blocks of ``linalg.row_blocks``, the blocks the solver step forms L by.
+    On the benchmark shapes a row block equals the rows of the whole
+    product ``left @ right`` to the bit; on 300x300 targets, and on narrow
+    tall ones at ``k >= 20`` (4000x50, 3000x60, 3072x100), the two differ
+    in the last bits. So every dense L is formed here.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+
+    def rows(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Rows ``b`` of the matrix, written to ``out`` and returned."""
+        return np.matmul(self.left[b], self.right, out=out)
+
+    def dense(self) -> np.ndarray:
+        """The matrix as a new array, formed by row blocks."""
+        out = np.empty((self.left.shape[0], self.right.shape[1]))
+        for b in linalg.row_blocks(*out.shape):
+            self.rows(b, out[b])
+        return out
+
+
+class LStep(NamedTuple):
+    """An L-step's result: L as factors, the proxed singular values, the route that
+    produced them and the next attempt's start (see :func:`l_step`).
+
+    ``l`` forms L in full from ``l_factors`` on each access. ``certified``
+    tells whether the keep/drop decision is certified. It is a class
+    attribute, not a field, so the result unpacks as its four fields:
     ``True`` here, ``False`` on :class:`UncertifiedLStep`.
     """
 
-    l: np.ndarray
+    l_factors: LowRank
     proxed: np.ndarray
     route: str
     basis: np.ndarray
     certified = True
+
+    @property
+    def l(self) -> np.ndarray:
+        return self.l_factors.dense()
 
 
 class UncertifiedLStep(LStep):
@@ -281,7 +314,7 @@ def _certified_route(
     They are ``None``, with the name ``svd``, when neither certifies. Both
     routes give eigenvalue estimates ``theta`` of ``G = B^T B``,
     nonincreasing, and hand them to :func:`_certified` with the route's
-    error and tail bound; only the prox and the rebuild take their roots.
+    error and tail bound; only the prox and L's factors take their roots.
 
     When ``basis`` has at most ``p / WARM_RANK_DIVISOR`` columns, ``p``
     those of ``b`` (none at a cold start), the ``low_rank`` route is tried
@@ -383,8 +416,13 @@ def l_step(
     the smaller Gram matrix: ``low_rank``, power steps from ``basis`` (the
     kept vectors of a previous step, no columns for a cold start), and then
     ``gram``, an eigendecomposition, a fraction of the cost of a thin SVD.
-    L is rebuilt from their kept vectors ``W`` and ``B W``. When neither
-    certifies, the step takes the thin SVD of ``a``.
+    When neither certifies, the step takes the thin SVD ``U diag(s) V^T``
+    of ``a``. L comes back as its factors, with ``sigma`` the kept proxed
+    values and ``s`` the singular values they come from: ``(B W
+    diag(sigma/s), W^T)`` for a tall ``a``, ``(W diag(sigma/s), (B W)^T)``
+    for a wide one, ``W`` the kept vectors, and ``(U diag(sigma), V^T)``
+    on the ``svd`` route, over all ``min(m, n)`` columns: the product over
+    the kept columns alone rounds L differently in the last bits.
 
     The result's ``basis`` is the next step's start: the kept singular
     vectors on the smaller side, a new array.
@@ -404,11 +442,11 @@ def l_step(
         sig = prox_vector(f.singulars, mu, surrogate)
         k = int(np.count_nonzero(sig))
         w = f.vt[:k].T if tall else f.u[:, :k]
-        l = (f.u * sig) @ f.vt
+        factors = LowRank(f.u * sig, f.vt)
     else:
         w, singulars, sig = kept
         k = w.shape[1]
         bw = _times(b, w)
         scale = sig[:k] / singulars[:k]
-        l = (bw * scale) @ w.T if tall else (w * scale) @ bw.T
-    return (LStep if certified else UncertifiedLStep)(l, sig, route, w.copy())
+        factors = LowRank(bw * scale, w.T) if tall else LowRank(w * scale, bw.T)
+    return (LStep if certified else UncertifiedLStep)(factors, sig, route, w.copy())

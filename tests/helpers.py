@@ -327,7 +327,8 @@ def reference_step(x, state, cfg, norm_x):
     surrogate = step_surrogate(cfg, state.gamma)
     target = x - state.s - y / mu
     linalg.require_finite(target)
-    l, sig, route, basis = spectral.l_step(target, mu, surrogate, state.warm_basis)
+    prox = spectral.l_step(target, mu, surrogate, state.warm_basis)
+    l, sig, route, basis = prox.l, prox.proxed, prox.route, prox.basis
     s = shrink(q := x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))
@@ -344,7 +345,7 @@ def reference_step(x, state, cfg, norm_x):
         gamma=surrogate.gamma,
     )
     next_state = SolverState(
-        l=l,
+        l_factors=prox.l_factors,
         s=s,
         y=y_next,
         mu=min(cfg.rho * mu, cfg.mu_max),
@@ -365,11 +366,13 @@ class IterationAuditor:
 
     def __init__(self, x, cfg):
         from rpca.solver import SolverState
+        from rpca.spectral import LowRank
 
         self.x = x
         self.cfg = cfg
+        zero_l = LowRank(np.zeros((x.shape[0], 0)), np.zeros((0, x.shape[1])))
         self.prev = SolverState(
-            l=np.zeros_like(x), s=np.zeros_like(x), y=np.zeros_like(x), mu=cfg.mu0
+            l_factors=zero_l, s=np.zeros_like(x), y=np.zeros_like(x), mu=cfg.mu0
         )
         self.max_y_inf = 0.0
         self.max_y_col = 0.0

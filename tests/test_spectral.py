@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from helpers import (
     traced_peak,
     wide_injected_columns,
 )
-from rpca.linalg import svd
+from rpca.linalg import row_blocks, svd
 from rpca.solver import SolverConfig, scaled_lambda, solve, working_start
 from rpca.sparse import COLUMNWISE_L21
 from rpca.spectral import (
@@ -34,6 +38,12 @@ from rpca.spectral import (
 )
 from rpca.surrogates import gamma_surrogate, nuclear_surrogate, prox_vector
 from rpca.synthetic import SyntheticSpec, generate_synthetic
+
+
+def dense_l_step(*args):
+    """``l_step(*args)`` unpacked, with L formed in full in place of its factors."""
+    step = l_step(*args)
+    return step.l, step.proxed, step.route, step.basis
 
 
 def test_gram_spectrum_matches_svd():
@@ -121,7 +131,7 @@ def test_gram_certificate_boundary(value, offset):
     delta = GRAM_ERROR_FACTOR * a.shape[0] * np.finfo(np.float64).eps * lam[0]
     sign = 1.0 if value == "dropped" else -1.0
     mu = 1.0 / np.sqrt(lam[5] + sign * offset * delta)
-    l, sig, route, _ = l_step(a, mu, nuclear)  # p = 12: a cold start takes no power step
+    l, sig, route, _ = dense_l_step(a, mu, nuclear)  # p = 12: a cold start takes no power step
     ref = prox_matrix(a, mu, nuclear)
     assert route == ("svd" if offset < 1.0 else "gram")
     if route == "gram":
@@ -167,7 +177,7 @@ def test_l_step_matches_full_svd_prox(surrogate, svd_calls):
         "deficient-wide": planted_spectrum(rng, 12, 40, deficient),
     }
     for name, a in cases.items():
-        l, sig, _, _ = l_step(a, mu, surrogate)
+        l, sig, _, _ = dense_l_step(a, mu, surrogate)
         ref = prox_matrix(a, mu, surrogate)
         assert np.linalg.norm(l - ref) <= 1e-12 * np.linalg.norm(ref), name
         assert np.count_nonzero(sig) == np.linalg.matrix_rank(ref), name
@@ -179,7 +189,7 @@ def test_l_step_falls_back_when_kept_values_are_uncertified(surrogate, svd_calls
     # at mu = 1e11 both keep-thresholds fall below sqrt(delta) of this
     # twelve-decade spectrum, so the Gram spectrum cannot certify the step
     a = planted_spectrum(np.random.default_rng(32), 30, 20, np.logspace(0, -12, 20))
-    l, _, _, _ = l_step(a, 1e11, surrogate)
+    l, _, _, _ = dense_l_step(a, 1e11, surrogate)
     assert np.array_equal(l, prox_matrix(a, 1e11, surrogate))
     assert svd_calls == [a.shape]
 
@@ -191,7 +201,7 @@ def test_l_step_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
     surrogate = gamma_surrogate()
     a = planted_spectrum(np.random.default_rng(33), 20, 15, np.linspace(20.0, 1.0, 15))
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    assert np.array_equal(l_step(a, 0.02, surrogate)[0], prox_matrix(a, 0.02, surrogate))
+    assert np.array_equal(l_step(a, 0.02, surrogate).l, prox_matrix(a, 0.02, surrogate))
     assert svd_calls == [a.shape]
 
 
@@ -202,7 +212,7 @@ def test_low_rank_route_falls_back_when_the_eigensolver_fails(monkeypatch, svd_c
     surrogate = gamma_surrogate()
     a = planted_spectrum(np.random.default_rng(33), 40, 30, np.linspace(20.0, 1.0, 30))
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    l, _, route, _ = l_step(a, 0.02, surrogate)
+    l, _, route, _ = dense_l_step(a, 0.02, surrogate)
     assert route == "svd"
     assert np.array_equal(l, prox_matrix(a, 0.02, surrogate))
     assert svd_calls == [a.shape]
@@ -222,7 +232,7 @@ def test_low_rank_route_matches_full_svd_prox(surrogate, tall, svd_calls):
     for seed in range(3):
         a = wide_injected_columns(seed)
         a = a.T if tall else a
-        l, sig, route, _ = l_step(a, mu, surrogate)
+        l, sig, route, _ = dense_l_step(a, mu, surrogate)
         ref = prox_matrix(a, mu, surrogate)
         assert route == "low_rank", seed
         assert np.count_nonzero(sig) == 3, seed
@@ -238,7 +248,7 @@ def test_low_rank_route_certifies_an_entrywise_bulk(ritz_calls):
     # certifies the step
     cfg = SolverConfig()
     a = planted_200(0)
-    l, sig, route, basis = l_step(a, cfg.mu0, cfg.surrogate)
+    l, sig, route, basis = dense_l_step(a, cfg.mu0, cfg.surrogate)
     ref = prox_matrix(a, cfg.mu0, cfg.surrogate)
     assert route == "low_rank"
     assert ritz_calls["attempts"] == 1 and ritz_calls["tails"] == 1
@@ -293,7 +303,7 @@ def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
     nuclear = nuclear_surrogate()
     a = planted_spectrum(np.random.default_rng(36), 60, 120, np.r_[10.0, 9.9, 9.8, np.full(57, 9.6)])
     mu = 1.0 / 9.7
-    l, sig, route, _ = l_step(a, mu, nuclear)
+    l, sig, route, _ = dense_l_step(a, mu, nuclear)
     assert route == "gram" and np.count_nonzero(sig) == 3
     assert np.array_equal(l, l_step(a, mu, nuclear, np.eye(60)).l)  # a p-column basis is never stepped
     assert counts(ritz_calls) == (1, 2, 0)
@@ -429,7 +439,9 @@ def test_certified_and_uncertified_attempts_take_the_same_power_steps(spec, seed
 def test_a_certified_l_step_holds_at_most_two_and_a_half_square_arrays():
     # G is formed by each of its users and dropped on return, so the
     # 1000x1000 first L-step, whose power steps form none, holds at most
-    # the Cholesky tail check's G - P with B^T B or the factor, and then L
+    # the Cholesky tail check's G - P with B^T B or the factor: 2.02 of
+    # them. L comes back as two thin factors, and it did not set the peak
+    # when the step returned it as one 1000x1000 array either
     x, mu, surrogate = first_l_step_weights(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000)
     step, peak = traced_peak(l_step, x, mu, surrogate)
     assert (step.route, step.certified) == ("low_rank", True)
@@ -535,7 +547,7 @@ def test_low_rank_certificate_boundary_on_the_tail(side, ritz_calls):
     tail = max(r.theta[3], r.frob2 - r.theta.sum()) + np.linalg.norm(r.residuals) + r.slack
     assert tail > 20.0
     mu = 1.0 / (np.sqrt(tail) * (1.0 - side * 1e-3))
-    l, sig, route, _ = l_step(a, mu, nuclear)
+    l, sig, route, _ = dense_l_step(a, mu, nuclear)
     ref = prox_matrix(a, mu, nuclear)
     assert route == "low_rank"
     assert counts(ritz_calls) == (2, 1 + (1 if side < 0 else 2), 0)
@@ -556,7 +568,7 @@ def test_low_rank_route_needs_accurate_kept_values(ritz_calls):
     tail = max(r.theta[3], r.frob2 - r.theta.sum()) + rho + r.slack
     assert rho > 1e-6 * r.theta[2]
     mu = 1.0 / (2.0 * np.sqrt(tail))
-    l, sig, route, _ = l_step(a, mu, nuclear)
+    l, sig, route, _ = dense_l_step(a, mu, nuclear)
     assert route == "low_rank"
     assert counts(ritz_calls) == (2, 3, 0)
     assert np.count_nonzero(sig) == 3
@@ -587,7 +599,7 @@ def test_cholesky_certificate_boundary_on_the_tail(side, ritz_calls):
     assert tail_reference(a, 3, c) is (side > 0)
     before = counts(ritz_calls)
     mu = 1.0 / np.sqrt(c)
-    l, sig, route, _ = l_step(a, mu, nuclear)
+    l, sig, route, _ = dense_l_step(a, mu, nuclear)
     ref = prox_matrix(a, mu, nuclear)
     assert route == ("low_rank" if side > 0 else "gram")
     assert np.count_nonzero(sig) == (3 if side > 0 else 4)
@@ -614,7 +626,7 @@ def test_cholesky_tail_fails_over_when_the_block_misses_a_value(ritz_calls):
     v = np.linalg.qr(rng.standard_normal((120, 60)))[0]
     a = (u * np.r_[30.0, 20.0, 10.0, 2.0, np.ones(56)]) @ v.T
     mu = 1.0 / 1.5
-    l, sig, route, _ = l_step(a, mu, nuclear)
+    l, sig, route, _ = dense_l_step(a, mu, nuclear)
     tails = [e for e in ritz_calls["events"] if e[0] == "tail"]
     assert [(k, certified) for _, _, k, certified in tails] == [(3, False)]
     assert not tail_reference(a, 3, 2.25)
@@ -641,3 +653,83 @@ def test_cholesky_tail_agrees_with_the_full_eigh(tall):
             certified = rpca.spectral.gram_tail_below(a, r, 4, c)
             assert certified <= tail_reference(a, 4, c), (seed, c)
             assert certified is bool(c > lam5), (seed, c)
+
+
+# rank 3 over a flat bulk, 400x150: 273 rows to a row block on the tall
+# target, 81 on the wide one, so both are formed in two blocks or more
+ROUTE_TARGET = planted_spectrum(np.random.default_rng(42), 400, 150, np.r_[50.0, 40.0, 30.0, np.ones(147)])
+
+
+@pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+@pytest.mark.parametrize("route, mu, basis, kept", [
+    ("low_rank", 0.1, COLD, 3),
+    ("gram", 0.1, np.eye(150), 3),  # a p-column basis is never stepped
+    ("svd", 0.1, COLD, 3),  # with the eigensolver failing
+    ("low_rank", 1e-3, COLD, 0),  # the nuclear threshold 1000 lies above every value
+], ids=["low_rank", "gram", "svd", "k=0"])
+def test_the_dense_l_is_the_row_blocks_the_step_forms(monkeypatch, tall, route, mu, basis, kept):
+    # one definition of L: the step forms L's row blocks from the factors
+    # into one reused buffer, and every dense L, here LStep.l, is those
+    # blocks to the bit
+    if route == "svd":
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+    a = ROUTE_TARGET if tall else ROUTE_TARGET.T
+    step = l_step(a, mu, nuclear_surrogate(), basis)
+    assert step.route == route and np.count_nonzero(step.proxed) == kept
+    l = step.l
+    blocks = row_blocks(*a.shape)
+    assert len(blocks) >= 2
+    buf = np.empty((blocks[0].stop, a.shape[1]))
+    for b in blocks:
+        rows = step.l_factors.rows(b, buf[: b.stop - b.start])
+        assert rows.tobytes() == l[b].tobytes(), b
+    assert l.any() == (kept > 0)
+
+
+WHOLE_PRODUCT_CHECK = """
+import numpy as np
+from rpca.solver import SolverConfig, working_start
+from rpca.spectral import l_step
+from rpca.surrogates import gamma_surrogate, nuclear_surrogate
+from rpca.synthetic import SyntheticSpec, generate_synthetic
+
+def first_step(spec, seed):
+    x = generate_synthetic(spec, seed)[0]
+    _, mu, gamma = working_start(x, SolverConfig())
+    return l_step(x, mu, gamma_surrogate(gamma))
+
+rng = np.random.default_rng(5)
+u = np.linalg.qr(rng.standard_normal((500, 3)))[0]
+v = np.linalg.qr(rng.standard_normal((4000, 3)))[0]
+wide = (u * [60.0, 50.0, 40.0]) @ v.T + 0.01 * rng.standard_normal((500, 4000))
+steps = [
+    first_step(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000),
+    first_step(SyntheticSpec(2000, 400, rank=5, sparsity=0.05), 0),
+    l_step(wide, 0.05, nuclear_surrogate()),
+]
+for step, k in zip(steps, (10, 5, 3)):
+    f = step.l_factors
+    assert step.route == "low_rank" and f.left.shape[1] == k, (step.route, f.left.shape)
+    assert step.l.tobytes() == (f.left @ f.right).tobytes(), f.left.shape
+"""
+
+
+def test_on_the_benchmark_shapes_the_dense_l_is_the_whole_product():
+    # at one BLAS thread, on the three benchmark shapes with their kept
+    # ranks (1000x1000 with k = 10, 2000x400 with k = 5, 500x4000 with
+    # k = 3), the row blocks equal the whole product left @ right, the
+    # expression (B W diag(sigma/s)) @ W^T or (W diag(sigma/s)) @ (B W)^T
+    # that formed L before L was carried as factors, so the benchmark
+    # solves keep their bits. Elsewhere the two can differ in the last bits,
+    # at one and at two threads: on 300x300 targets at every k measured (3
+    # to 40; the raw 300x300 solve with 20% corruption moves in its last
+    # bits), and on narrow tall targets at k >= 20, such as 4000x50,
+    # 3000x60 and 3072x100 on the gram route
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", WHOLE_PRODUCT_CHECK], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
