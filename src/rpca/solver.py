@@ -129,7 +129,7 @@ class SolverState:
     ``None`` for the configured surrogate (always with the nuclear
     penalty). ``certified`` tells whether the L-step that made L certified
     its keep/drop decision; only a step taken with ``certify=False`` can
-    leave it false (see :func:`step`).
+    leave it false, with that L-step's ``ritz`` (see :func:`solve`).
     """
 
     l_factors: spectral.LowRank | None
@@ -143,7 +143,11 @@ class SolverState:
     # columns
     warm_basis: np.ndarray = field(default_factory=lambda: spectral.COLD)
     gamma: float | None = None
-    certified: bool = True
+    ritz: spectral.RitzSpectrum | None = None
+
+    @property
+    def certified(self) -> bool:
+        return self.ritz is None
 
     @cached_property
     def l(self) -> np.ndarray | None:
@@ -228,6 +232,25 @@ def _require_finite_iterate(a: np.ndarray) -> None:
         )
 
 
+def _first_pass(x, state: SolverState, c: float):
+    """The step's row blocks, its block buffer (one row taller than a block), the rows of ``c * x``
+    and its first pass: the L-step's target ``c X - S - Y/mu`` from ``state``, checked finite."""
+    m, n = x.shape
+    blocks = row_blocks(m, n)
+    rows = blocks[0].stop if blocks else 0
+    buf = np.empty((rows + 1, n))
+    x_rows = None if c == 1.0 else np.empty((rows, n))
+
+    def x_block(b: slice) -> np.ndarray:
+        return x[b] if x_rows is None else np.multiply(x[b], c, out=x_rows[: b.stop - b.start])
+
+    t, w = np.empty((m, n)), buf[1:]
+    for b in blocks:
+        t_b = _target(x_block(b), state.s[b], state.y[b], state.mu, t[b], w[: b.stop - b.start])
+        _require_finite_iterate(t_b)
+    return blocks, buf, x_block, t
+
+
 def step(
     x, state: SolverState, cfg: SolverConfig, norm_x: float, certify: bool = True, c: float = 1.0
 ) -> tuple[SolverState, IterationRecord]:
@@ -245,58 +268,45 @@ def step(
     the iteration's record, whose Lagrangian is evaluated at the new pair
     and the old multiplier and weights. ``certify`` goes to the L-step:
     when it is false a ``low_rank`` L-step may be accepted without the bound
-    on the values it drops, and the next state's ``certified`` is then
-    false.
+    on the values it drops, and the next state is then not ``certified``.
 
     The elementwise work runs in row blocks of ``linalg.BLOCK_BYTES``: one
-    pass forms the L-step's target, and one pass after it forms the
-    shrink's target, S, the residual ``R = L + S - X`` and the new
+    pass forms the L-step's target (:func:`_first_pass`), and one after it
+    the shrink's target, S, the residual ``R = L + S - X`` and the new
     multiplier. The l2,1 shrink scales whole columns, so a pass between the
     two forms its target and sums the squares of each column, and the main
     pass shrinks that target in place. Each pass that reads X scales its
     block into a block buffer when ``c`` is not 1, and L's row block is
-    formed from the L-step's factors (``spectral.LowRank.rows``) in the
-    rows of the new multiplier, which the main pass writes last, so neither
-    ``c * X`` nor L exists in full.
-    Each entry comes from the same floating-point operations as the
-    whole-array expressions above, with L formed by the same row blocks as
-    ``LowRank.dense``, and every scalar sum and norm is still taken over one
-    full-size array, so the results are those of the unblocked step to the
-    bit. The L-step's target and the l1 shrink's target are checked for
-    finite entries; the l2,1 shrink's target through its column norms,
-    which are not finite when it holds a NaN or an infinity. S's buffer
-    holds the L-step's target until the main pass writes S over it, and
-    one buffer allocated after the L-step holds the shrink's target and R.
-    The record's ``||R||_F^2`` and ``<Y, R>`` are dot products over R in
-    that buffer, and ``|S|`` and ``S - S_prev`` go through it in turn. The l2,1 penalty
-    is ``sum(max(n_j - tau, 0))`` over the shrink target's column norms
-    ``n_j``: ``||S||_2,1`` in exact arithmetic. S and the multiplier are
-    new arrays, and the next state carries L as the L-step's factors;
+    formed from the L-step's factors (``spectral.LowRank.rows``) in the rows
+    of the new multiplier, which the main pass writes last, so neither
+    ``c * X`` nor L exists in full. Each entry comes from the same floating-point
+    operations as the whole-array expressions above, with L formed by the
+    same row blocks as ``LowRank.dense``, and every scalar sum and norm is
+    still taken over one full-size array, so the results are those of the
+    unblocked step to the bit. The L-step's target and the l1 shrink's
+    target are checked for finite entries; the l2,1 shrink's target through
+    its column norms, which are not finite when it holds a NaN or an
+    infinity. S's buffer holds the L-step's target until the main pass
+    writes S over it, and one buffer allocated after the L-step holds the
+    shrink's target and R. The record's ``||R||_F^2`` and ``<Y, R>`` are dot
+    products over R in that buffer, and ``|S|`` and ``S - S_prev`` go
+    through it in turn. The l2,1 penalty is ``sum(max(n_j - tau, 0))`` over
+    the shrink target's column norms ``n_j``: ``||S||_2,1`` in exact
+    arithmetic. The next state carries L as the L-step's factors;
     ``state``'s arrays are only read.
     """
     y, s_prev, mu = state.y, state.s, state.mu
     surrogate = cfg.surrogate if state.gamma is None else replace(cfg.surrogate, gamma=state.gamma)
     m, n = x.shape
-    blocks = row_blocks(m, n)
-    rows = blocks[0].stop if blocks else 0
-    buf = np.empty((rows + 1, n))
-    w = buf[1:]
-    x_rows = None if c == 1.0 else np.empty((rows, n))
-
-    def x_block(b: slice) -> np.ndarray:
-        """Rows ``b`` of ``c * x``: a view of ``x`` when ``c`` is 1."""
-        return x[b] if x_rows is None else np.multiply(x[b], c, out=x_rows[: b.stop - b.start])
-
     # S's buffer holds the L-step's target, which the main pass overwrites
     # with S once nothing reads the target. The R buffer and Y_next come
     # after the L-step: allocated before it, or Y_next before S, the same
     # arrays left the process's peak RSS one full-size array higher on the
     # column-outlier benchmark, through where the heap placed them
-    s = np.empty((m, n))
-    for b in blocks:
-        _require_finite_iterate(_target(x_block(b), s_prev[b], y[b], mu, s[b], w[: b.stop - b.start]))
+    blocks, buf, x_block, s = _first_pass(x, state, c)
+    w = buf[1:]
     prox = spectral.l_step(s, mu, surrogate, state.warm_basis, certify)
-    factors, sig, route, basis = prox
+    factors, sig = prox.l_factors, prox.proxed
     t = np.empty((m, n))
 
     tau = cfg.lam / mu
@@ -354,7 +364,7 @@ def step(
         y_inf_norm=float(np.max(y_max)) if y_max else 0.0,
         mu=mu,
         mu_s_change=mu * s_change,
-        l_route=route,
+        l_route=prox.route,
         gamma=surrogate.gamma,
     )
     mu_next, gamma_next = next_weights(cfg, mu, state.gamma)
@@ -364,9 +374,9 @@ def step(
         y=y_next,
         mu=mu_next,
         iter=state.iter + 1,
-        warm_basis=basis,
+        warm_basis=prox.basis,
         gamma=gamma_next,
-        certified=prox.certified,
+        ritz=prox.ritz,
     )
     return next_state, record
 
@@ -494,26 +504,6 @@ def working_start(x: np.ndarray, cfg: SolverConfig) -> tuple[float, float, float
 ProgressCallback = Callable[[SolverState, IterationRecord], None]
 
 
-def _loop_step(
-    x, prev: SolverState, cfg: SolverConfig, norm_x: float, c: float
-) -> tuple[SolverState, IterationRecord, bool]:
-    """The step :func:`solve` goes on from, after ``prev``, and whether it meets the stop rule.
-
-    The step is taken uncertified, and taken again with ``certify=True``
-    when it was not certified and the loop would end on it. Its S and Y
-    are released before the second step allocates its own.
-    """
-    def stops(record: IterationRecord) -> bool:
-        return record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
-
-    state, record = step(x, prev, cfg, norm_x, certify=False, c=c)
-    if state.certified or not (stops(record) or state.iter == cfg.max_outer):
-        return state, record, stops(record)
-    del state
-    state, record = step(x, prev, cfg, norm_x, c=c)
-    return state, record, stops(record)
-
-
 def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None = None) -> SolverResult:
     """Run the multiplier loop from ``S = 0, Y = 0`` until the residual tolerance.
 
@@ -539,14 +529,14 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     configured one, the loop stops only on a step taken at the configured
     gamma.
 
-    Every step is taken with ``certify=False`` (see :func:`step`), so the
-    ``low_rank`` L-step proves no tail bound on a step the next one
-    replaces. A step the loop would end on, by the stop rule or at
-    ``max_outer``, is released when it was not certified and taken again
-    from the same state with its L-step certified; the loop stops only if
-    that step meets the stop rule too, and otherwise goes on from it. The
-    callback and the history see only the step the loop goes on from, so
-    the returned L and ``kkt_dual`` rest on a certified L-step.
+    Every step but the one that uses up ``max_outer`` is taken with
+    ``certify=False`` (see :func:`step`). When such a step meets the stop
+    rule uncertified, its target is rebuilt by the step's first pass, the
+    previous state is let go, and ``spectral.tail_certified`` runs the
+    skipped bound on the target with the step's ``ritz``. If it holds, the
+    step is the certified one to the bit and the loop stops; otherwise
+    the loop goes on from it. No step is taken twice, and the returned L
+    and ``kkt_dual`` rest on a certified L-step.
 
     Returns
     -------
@@ -574,8 +564,19 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     while state.iter < cfg.max_outer:
         # the step does not read L: drop its factors, and any L the callback
         # formed, unless the callback kept the state
-        state = replace(state, l_factors=None)
-        state, record, converged = _loop_step(x, state, cfg, norm_x, c)
+        prev = replace(state, l_factors=None)
+        del state
+        state, record = step(x, prev, cfg, norm_x, certify=prev.iter + 1 == cfg.max_outer, c=c)
+        converged = record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
+        # the target is rebuilt while S_prev and Y_prev are alive, the step's
+        # own peak, and the bound's G and factor come once they are gone
+        target = _first_pass(x, prev, c)[3] if converged and not state.certified else None
+        del prev
+        if target is not None:
+            k = state.warm_basis.shape[1]
+            converged = spectral.tail_certified(target, state.ritz, k, record.mu, cfg.surrogate)
+            del target
+            state = replace(state, ritz=None) if converged else state
         history.append(record)
         if callback is not None:
             callback(state, record)

@@ -9,18 +9,19 @@ and the prox acts on their square roots. The ``low_rank`` route takes power
 steps with Rayleigh–Ritz on a small block (Halko, Martinsson & Tropp,
 arXiv:0909.4061): its ``theta`` are the Ritz values. The ``gram`` route
 eigendecomposes ``G``: its ``theta`` are the eigenvalues, clipped at 0.
-One function, ``_certified_route``, tries them in that order. Each user of
-``G`` (the power steps, the Cholesky tail bound and the ``gram`` route)
-forms its own and drops it when done, so none is alive when the step
-takes ``B W`` from the kept vectors ``W``. The step returns L as two factors
-(:class:`LowRank`) built from ``W`` and ``B W``, or from the thin SVD
-(``linalg.svd``, route ``svd``) when neither route certifies; L in full is
-formed only where it is read. A step taken with ``certify=False`` (the ALM
-loop's inner steps) skips the ``low_rank`` route's Cholesky tail bound.
+One function, ``_certified_route``, tries them in that order. The power
+steps never form ``G``; the Cholesky tail bound and the ``gram`` route form
+their own and drop it, so none is alive when the step takes ``B W`` from
+the kept vectors ``W``. The step returns L as two factors (:class:`LowRank`)
+built from ``W`` and ``B W``, or from the thin SVD (``linalg.svd``, route
+``svd``) when neither route certifies. A step taken with ``certify=False``
+skips the ``low_rank`` route's Cholesky tail bound, which
+:func:`tail_certified` can run on it later.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -102,33 +103,42 @@ class LowRank(NamedTuple):
         return out
 
 
-class LStep(NamedTuple):
+@dataclass(frozen=True)
+class LStep:
     """An L-step's result: L as factors, the proxed singular values, the route that
     produced them and the next attempt's start (see :func:`l_step`).
 
     ``l`` forms L in full from ``l_factors`` on each access. ``certified``
-    tells whether the keep/drop decision is certified. It is a class
-    attribute, not a field, so the result unpacks as its four fields:
-    ``True`` here, ``False`` on :class:`UncertifiedLStep`.
+    tells whether the keep/drop decision is certified: only an
+    :class:`UncertifiedLStep` has a ``ritz``.
     """
 
     l_factors: LowRank
     proxed: np.ndarray
     route: str
     basis: np.ndarray
-    certified = True
+    ritz = None
+
+    @property
+    def certified(self) -> bool:
+        return self.ritz is None
 
     @property
     def l(self) -> np.ndarray:
         return self.l_factors.dense()
 
 
+@dataclass(frozen=True)
 class UncertifiedLStep(LStep):
     """A ``low_rank`` step that :func:`l_step`, asked not to certify, accepted
-    without a certified bound on the values it drops."""
+    without a certified bound on the values it drops.
 
-    __slots__ = ()
-    certified = False
+    ``ritz`` is the spectrum of the last power step, which kept ``k =
+    basis.shape[1]`` values, with its vectors cut to those ``k``: ``basis``
+    itself, not a copy. :func:`tail_certified` runs the skipped bound on it.
+    """
+
+    ritz: RitzSpectrum
 
 
 def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
@@ -147,13 +157,12 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     and then the last step's Ritz vectors ``W = Q E``, and yields the
     eigenpairs ``Theta, E`` of ``Q^T (G Q)`` with their residuals; ``(G Q)
     E`` is the next ``G Y``. The start costs two products with ``B`` and
-    ``||B||_F`` one pass, and the first step takes ``G Q = B^T (B Q)``, two
-    more. After it, ``G`` is formed for the later steps where
-    :func:`_gram_pays`, and applied as it is; elsewhere every step takes
-    ``B^T (B Q)``. ``slack`` covers the rounding of either form (see
-    below). The caller stops the iteration. Yields nothing when the block
-    has ``p`` or more columns, where it spans everything. Raises
-    ``LinAlgError`` when the eigensolver fails or a product overflows.
+    ``||B||_F`` one pass, and every step takes ``G Q = B^T (B Q)``, two
+    more: no ``p x p`` array is formed. ``slack`` covers the rounding of
+    these and of :func:`gram_tail_below`'s ``G`` (see below). The caller
+    stops the iteration. Yields nothing when the block has ``p`` or more
+    columns, where it spans everything. Raises ``LinAlgError`` when the
+    eigensolver fails or a product overflows.
     """
     rows, p = b.shape
     width = WARM_BLOCK if basis.shape[1] else RITZ_BLOCK
@@ -173,11 +182,10 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     # same rounding with lambda_max; ||B||_F^2 also covers the loss of
     # orthogonality of the Householder Q, O(p * eps).
     slack = GRAM_ERROR_FACTOR * rows * np.finfo(np.float64).eps * frob2
-    gram = None
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             q = np.linalg.qr(gy)[0]
-            gq = _times(b.T, _times(b, q)) if gram is None else gram @ q
+            gq = _times(b.T, _times(b, q))
             theta, e = np.linalg.eigh(q.T @ gq)
             if not (np.isfinite(theta).all() and np.isfinite(frob2)):
                 raise np.linalg.LinAlgError(f"Gram products of a {rows}x{p} matrix are not finite")
@@ -186,39 +194,17 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
             gy = gq @ e
             residuals = np.linalg.norm(gy - w * theta, axis=0)
         yield RitzSpectrum(theta, w, residuals, frob2, slack)
-        if gram is None and _gram_pays(rows, p):
-            gram = b.T @ b  # finite: each entry is at most ||B||_F^2 in magnitude
-
-
-def _gram_pays(rows: int, p: int) -> bool:
-    """Whether forming ``G`` for the power steps of a ``rows x p`` tall ``B`` is predicted to pay.
-
-    Forming ``G = B^T B`` takes ``rows * p^2`` flops. Each later step then
-    takes ``G Q``, ``2 p^2`` flops per block column, instead of ``B^T (B
-    Q)``, ``4 rows p``. The prediction counts an attempt's budget of
-    ``RITZ_STEPS`` steps of the cold ``RITZ_BLOCK`` Gaussian columns: for a
-    square ``B``, ``G`` pays below ``p = 2 * RITZ_STEPS * RITZ_BLOCK = 320``.
-    A warm attempt's block has ``k + WARM_BLOCK`` columns, so there ``G``
-    saves less than counted. The 1000x1000 ``square-1000`` solve pays more
-    to form ``G`` than its few-column warm steps save. The 2000x400
-    ``cli-tall`` solve spent about a fifth more time in the power steps
-    without ``G`` while each attempt stepped on to the rounding floor; now
-    that its attempts end at the slack, about 5 steps each, it spends no
-    more: 151 and 157 ms per solve ``G``-free against 156 and 162 ms with
-    ``G`` at one BLAS thread, 103 and 121 against 111 and 136 ms at two
-    (medians of two rounds of 8 interleaved solves each, 2-core box).
-    """
-    return rows * p * p < RITZ_STEPS * RITZ_BLOCK * (4 * rows * p - 2 * p * p)
 
 
 def _times(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``m @ y``, taken as ``(y^T m^T)^T`` unless ``m`` is row-major.
+    """``m @ y`` for the target or its transpose ``m`` and a block ``y``, taken as ``(y^T m^T)^T``.
 
-    ``m`` is the target or its transpose. The transposed form reads the
-    row-major one of the two row by row, which BLAS does several times
-    faster than a product with its transpose when ``y`` has few columns.
+    OpenBLAS runs this form several times faster than ``m @ y`` for a
+    column-major ``m``, and a third faster, with the same bits, for a
+    row-major one: 1000x1000 times 1000x14 in 0.53–0.58 against 0.78–0.99
+    ms at two BLAS threads, 0.91 against 1.24 ms at one (2-core box).
     """
-    return m @ y if m.flags.c_contiguous else (y.T @ m.T).T
+    return (y.T @ m.T).T
 
 
 def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
@@ -289,6 +275,19 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
     return lo
 
 
+def tail_certified(a: np.ndarray, r: RitzSpectrum, k: int, mu: float, surrogate: RankSurrogate) -> bool:
+    """Whether :func:`gram_tail_below` certifies that the prox at mu keeps ``k >= 1`` values of ``r``.
+
+    ``r`` is a power step on the tall view of the target ``a`` (its vectors
+    may be cut to the first ``k``), and the bound is the square of the
+    largest value the prox drops. The route walk asks it of a certified
+    attempt; ``solver.solve`` of an :class:`UncertifiedLStep`, on the same bits.
+    """
+    b = a if a.shape[0] >= a.shape[1] else a.T
+    dropped, kept = np.sqrt(np.maximum(r.theta[[k, k - 1]], 0.0))
+    return gram_tail_below(b, r, k, _largest_dropped(dropped, kept, mu, surrogate) ** 2)
+
+
 def _roots_and_prox(theta, mu: float, surrogate: RankSurrogate) -> tuple[np.ndarray, np.ndarray, int]:
     """The square roots of ``theta`` clipped at 0, their prox and the number ``k`` of values it keeps.
 
@@ -307,9 +306,9 @@ _Kept = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _certified_route(
     b: np.ndarray, mu: float, surrogate: RankSurrogate, basis: np.ndarray, certify: bool = True
-) -> tuple[_Kept | None, str, bool]:
+) -> tuple[_Kept | None, str, RitzSpectrum | None]:
     """The first certified route of ``low_rank`` and ``gram``: its kept vectors and values, its name
-    and whether it is certified.
+    and, on a step accepted uncertified, the Ritz spectrum it kept from (``None`` when certified).
 
     They are ``None``, with the name ``svd``, when neither certifies. Both
     routes give eigenvalue estimates ``theta`` of ``G = B^T B``,
@@ -326,8 +325,7 @@ def _certified_route(
     ||B||_F^2 - sum(theta)``, so by Weyl's inequality ``lambda_(k+1)(G) <=
     max(theta_(k+1), rest) + rho`` and ``|lambda_i(G) - theta_i| <= rho``
     for the kept values. Each step is certified at once by that trace
-    bound, both figures widened by the rounding ``slack``: it needs no
-    ``G``.
+    bound, both figures widened by the rounding ``slack``.
 
     Otherwise the steps go on while the kept block's residual ``rho_k =
     ||G W_k - W_k Theta_k||_F`` falls at least ``RITZ_FALL`` times per step,
@@ -337,16 +335,16 @@ def _certified_route(
     stall ends such an attempt. The last step is then certified when its
     kept values are, with that ``err`` (by Kahan's residual bound ``k``
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
-    :func:`gram_tail_below` shows ``lambda_(k+1)(G) < c``, ``c`` the square
+    :func:`tail_certified` shows ``lambda_(k+1)(G) < c``, ``c`` the square
     of the largest value the prox drops. Then exactly ``k`` values are kept,
     each known as well as on the ``gram`` route.
 
     With ``certify`` false the attempt takes the same steps and accepts
-    its last one once the kept values are accurate, without
-    :func:`gram_tail_below`: the kept values are then known as well, but a
-    value the block missed may lie above the largest one the prox drops.
-    Such a step is the only one returned uncertified; the trace bound,
-    ``gram`` and ``svd`` are certified as with ``certify``.
+    its last one once the kept values are accurate, without the bound:
+    the kept values are then known as well, but a value the block missed
+    may lie above the largest one the prox drops. Such a step is the only
+    one returned uncertified, with the spectrum the bound needs; the
+    trace bound, ``gram`` and ``svd`` are certified as with ``certify``.
 
     An attempt fails when the block keeps every Ritz value, which leaves
     the rest unbounded, when the residual stalls or the steps run out
@@ -362,8 +360,7 @@ def _certified_route(
     if basis.shape[1] * WARM_RANK_DIVISOR <= b.shape[1]:
         try:
             prev = np.inf
-            ritz = ritz_iterations(b, basis)
-            for steps, r in enumerate(ritz, start=1):
+            for steps, r in enumerate(ritz_iterations(b, basis), start=1):
                 singulars, sig, k = _roots_and_prox(r.theta, mu, surrogate)
                 if k == r.theta.size:
                     break  # no dropped Ritz value, so no bound on the rest
@@ -371,38 +368,35 @@ def _certified_route(
                 rho = float(np.linalg.norm(r.residuals))
                 tail = max(float(r.theta[k]), r.frob2 - float(r.theta.sum())) + rho + r.slack
                 if _certified(r.theta, k, rho + r.slack, tail, mu, surrogate):
-                    return kept, "low_rank", True
+                    return kept, "low_rank", None
                 rho_k = float(np.linalg.norm(r.residuals[:k]))
                 last = steps == RITZ_STEPS or not rho_k * RITZ_FALL < prev or (k > 0 and rho_k <= r.slack)
                 if last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
                     if not certify:
-                        return kept, "low_rank", False
-                    c = _largest_dropped(singulars[k], singulars[k - 1], mu, surrogate) ** 2
-                    ritz.close()  # drops the power steps' G before the bound forms its own
-                    if gram_tail_below(b, r, k, c):
-                        return kept, "low_rank", True
+                        return kept, "low_rank", r
+                    if tail_certified(b, r, k, mu, surrogate):
+                        return kept, "low_rank", None
                 if last:
                     break
                 prev = rho_k
-            ritz.close()  # after a break: drops the power steps' G before the gram route forms its own
         except np.linalg.LinAlgError:
             pass
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves lam non-finite
             lam, vecs = np.linalg.eigh(b.T @ b)
     except np.linalg.LinAlgError:
-        return None, "svd", True
+        return None, "svd", None
     if not np.isfinite(lam).all():
-        return None, "svd", True
+        return None, "svd", None
     theta = np.maximum(lam[::-1], 0.0)
     delta = GRAM_ERROR_FACTOR * b.shape[0] * np.finfo(np.float64).eps * float(np.max(theta, initial=0.0))
     singulars, sig, k = _roots_and_prox(theta, mu, surrogate)
     tail = theta[k] + delta if k < theta.size else 0.0
     if not _certified(theta, k, delta, tail, mu, surrogate):
-        return None, "svd", True
+        return None, "svd", None
     # boolean indexing: a slice view or a C-ordered copy of these columns
     # rounds B V differently in the last bits
-    return (vecs[:, ::-1][:, sig > 0.0], singulars, sig), "gram", True
+    return (vecs[:, ::-1][:, sig > 0.0], singulars, sig), "gram", None
 
 
 def l_step(
@@ -436,7 +430,7 @@ def l_step(
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
-    kept, route, certified = _certified_route(b, mu, surrogate, basis, certify)
+    kept, route, ritz = _certified_route(b, mu, surrogate, basis, certify)
     if kept is None:
         f = linalg.svd(a)
         sig = prox_vector(f.singulars, mu, surrogate)
@@ -449,4 +443,7 @@ def l_step(
         bw = _times(b, w)
         scale = sig[:k] / singulars[:k]
         factors = LowRank(bw * scale, w.T) if tall else LowRank(w * scale, bw.T)
-    return (LStep if certified else UncertifiedLStep)(factors, sig, route, w.copy())
+    basis = w.copy()
+    if ritz is None:
+        return LStep(factors, sig, route, basis)
+    return UncertifiedLStep(factors, sig, route, basis, ritz._replace(vectors=basis))

@@ -99,6 +99,23 @@ def test_only_linalg_imports_numbers():
     assert [name for name in importers if name != "linalg.py"] == []
 
 
+def test_the_l_step_target_enters_a_product_only_through_times():
+    # in spectral.py the target is ``a`` or its tall view ``b``. It may
+    # enter ``@`` only inside ``_times``, which takes every product with a
+    # block in the layout BLAS runs fastest, or as the Gram matrix
+    # ``b.T @ b``: a ``b @ q`` written anywhere else fails here. Parsed,
+    # not imported
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "rpca" / "spectral.py").read_text())
+    times = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_times")
+    inside = {id(node) for node in ast.walk(times)}
+    products = [node for node in ast.walk(tree) if id(node) not in inside
+                and isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    target = [ast.unparse(node) for node in products
+              if {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & {"a", "b"}]
+    assert len(products) > len(target) > 0
+    assert set(target) == {"b.T @ b"}, target
+
+
 def test_the_tracer_wraps_no_more_gone_names():
     # perfbench/tracing.py replaces the (module, attribute) pairs of its
     # WRAPPED list for a traced run, and a pair that no longer resolves

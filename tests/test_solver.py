@@ -461,12 +461,13 @@ def test_kkt_primal_small_after_convergence():
     assert np.isfinite(r.kkt_dual)
 
 
-def test_a_step_that_meets_tol_uncertified_is_taken_again_certified(monkeypatch):
-    # the solve's steps skip the Cholesky tail bound. The first one it asks
-    # for, on the re-take of the step that met tol uncertified, is refused
-    # here: the re-take then takes the gram route, and the solve returns
-    # that certified step, or goes on from it, never the uncertified one.
-    # The C07 and C08 per-iteration checks hold along the run
+def test_a_refused_bound_goes_on_and_certifies_a_later_step_in_place(monkeypatch):
+    # the solve takes every step once, uncertified. On a step that meets
+    # tol it rebuilds the target and runs the Cholesky tail bound on the
+    # Ritz spectrum that step's L-step ended on. The first such bound is
+    # refused here: the loop then goes on from the uncertified step, as
+    # from any inner step, and certifies a later step in place. The C07
+    # and C08 per-iteration checks hold along the run
     from helpers import IterationAuditor
 
     x = planted_200(0)
@@ -490,17 +491,37 @@ def test_a_step_that_meets_tol_uncertified_is_taken_again_certified(monkeypatch)
     auditor = IterationAuditor(x, cfg)
     states = []
     r = solve(x, cfg, callback=lambda state, rec: (auditor(state, rec), states.append(state)))
-    assert r.converged and len(refused) == 1
-    j, certify, proved, route, _ = taken[refused[0]]
-    assert taken[refused[0] - 1] == (j, False, False, "low_rank", True)
-    assert (certify, proved, route) == (True, True, "gram")
-    assert r.history[j - 1].l_route == "gram" and states[j - 1].certified
-    assert [rec.iter for rec in r.history] == list(range(1, r.iterations + 1))
+    j = refused[0]
+    assert r.converged and len(refused) == 1 and r.iterations > j
+    assert taken[j - 1] == (j, False, False, "low_rank", True) and not states[j - 1].certified
+    assert taken[-1] == (r.iterations, False, False, "low_rank", True)
+    assert [t[0] for t in taken] == [rec.iter for rec in r.history] == list(range(1, r.iterations + 1))
     assert states[-1].certified and states[-1].l is r.l
     assert r.history[-1].residual <= cfg.tol and r.kkt_primal <= cfg.tol and np.isfinite(r.kkt_dual)
     assert auditor.max_y_inf <= cfg.lam + 1e-12
     assert auditor.worst_l_step <= 1e-8 and auditor.worst_s_step <= 1e-8
     assert auditor.worst_identity <= 1e-12
+
+
+@pytest.mark.parametrize("max_outer", [500, 4], ids=["converging", "max-outer"])
+def test_solve_takes_each_step_once(monkeypatch, max_outer):
+    # no step is taken twice: step runs exactly `iterations` times, each
+    # from the state the last one returned, and only the step that uses up
+    # max_outer is taken with certify=True
+    real_step = rpca.solver.step
+    calls = []
+
+    def counted(x, state, cfg, norm_x, certify=True, c=1.0):
+        calls.append((state.iter, certify))
+        return real_step(x, state, cfg, norm_x, certify, c)
+
+    monkeypatch.setattr(rpca.solver, "step", counted)
+    r = solve(planted_200(0), SolverConfig(max_outer=max_outer))
+    if max_outer == 4:
+        assert not r.converged and r.iterations == 4
+    else:
+        assert r.converged and r.iterations > 4
+    assert calls == [(i, i + 1 == max_outer) for i in range(r.iterations)]
 
 
 def test_a_solve_that_uses_up_max_outer_ends_on_a_certified_step(ritz_calls):
@@ -857,6 +878,17 @@ def test_an_l21_solve_holds_at_most_five_and_a_half_full_size_arrays():
     assert peak <= 5.5 * x.nbytes, peak / x.nbytes
 
 
+def test_a_square_solve_holds_at_most_five_and_a_half_full_size_arrays():
+    # at 1000x1000 a p x p array is full-size: the last step's target is
+    # rebuilt while S_prev and Y_prev are alive, five arrays as in the step
+    # itself, and the Cholesky bound's G and factor come once those two
+    # are gone: 5.08 X.nbytes (7.05 with them kept through the bound)
+    x = generate_synthetic(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000)[0]
+    r, peak = traced_peak(solve, x)
+    assert r.converged and r.history[-1].l_route == "low_rank"
+    assert peak <= 5.5 * x.nbytes, peak / x.nbytes
+
+
 @pytest.mark.parametrize("penalty", [ENTRYWISE_L1, COLUMNWISE_L21], ids=["l1", "l21"])
 def test_step_holds_at_most_three_and_a_half_full_size_arrays(penalty):
     # S (first the L-step's target), the R buffer and Y_next, 3.07
@@ -872,15 +904,17 @@ def test_step_holds_at_most_three_and_a_half_full_size_arrays(penalty):
 def test_solve_lets_go_of_the_arrays_no_step_reads(monkeypatch, keep_records):
     # while step k+1 runs, step k's L factors and the all-zero start are
     # collected when nothing outside the loop keeps them. The last step
-    # meets tol uncertified, and is taken again certified from the same
-    # state: by then the uncertified step's factors, S and Y are collected
-    # too. No full-size L is formed but the result's, from the last step's
-    # factors
+    # meets tol uncertified, and its target is rebuilt while the previous
+    # S and Y are alive: they are collected before the Cholesky tail bound
+    # runs on it, and the step's own factors, S and Y are kept. No
+    # full-size L is formed but the result's, from the last step's factors
     x = planted_200(0)
     real_step = rpca.solver.step
+    tail_below = rpca.spectral.gram_tail_below
     dense = rpca.spectral.LowRank.dense
     refs = {}
     alive = []
+    bounds = []
     formed = []
 
     def watched(x, state, cfg, norm_x, certify=True, c=1.0):
@@ -889,22 +923,28 @@ def test_solve_lets_go_of_the_arrays_no_step_reads(monkeypatch, keep_records):
         else:
             taken = tuple(ref() is not None for ref in refs["taken"])
             alive.append((state.iter, certify, taken, refs["start"]() is not None))
+        refs["prev"] = [weakref.ref(state.s), weakref.ref(state.y)]
         nxt, rec = real_step(x, state, cfg, norm_x, certify, c)
         refs["taken"] = [weakref.ref(a) for a in (*nxt.l_factors, nxt.s, nxt.y)]
         return nxt, rec
+
+    def bound(b, r, k, c):
+        bounds.append(tuple(ref() is not None for ref in refs["prev"] + refs["taken"]))
+        return tail_below(b, r, k, c)
 
     def counted(factors):
         formed.append((factors.left, dense(factors)))
         return formed[-1][1]
 
     monkeypatch.setattr(rpca.solver, "step", watched)
+    monkeypatch.setattr(rpca.spectral, "gram_tail_below", bound)
     monkeypatch.setattr(rpca.spectral.LowRank, "dense", counted)
     records = []
     r = solve(x, callback=(lambda state, rec: records.append(rec)) if keep_records else None)
     n = r.iterations
     assert n > 3
-    inner = [(k, False, (False, False, True, True), False) for k in range(1, n)]
-    assert alive == inner + [(n - 1, True, (False, False, False, False), False)]
+    assert alive == [(k, False, (False, False, True, True), False) for k in range(1, n)]
+    assert bounds == [(False, False, True, True, True, True)]
     assert len(formed) == 1 and formed[0][0] is refs["taken"][0]() and formed[0][1] is r.l
 
 
