@@ -17,20 +17,16 @@ class SvdFactors(NamedTuple):
 
 
 # Bytes of one row block in the solver step's elementwise passes, and in the
-# rows of L formed from its factors. The passes are memory-bound; a block
-# this size keeps the operands of the whole chain of operations on it in a
-# 2 MB L2 cache, so each full-size array crosses the memory bus once per
-# pass instead of once per operation.
+# rows of L formed from its factors. Each pass forms L's rows from its
+# factors, and scales X by the working scale c, one block at a time, so
+# neither L nor c * X exists in full. The passes are bound by operation
+# count, not by memory traffic, and no other block size measured faster.
 BLOCK_BYTES = 256 * 1024
 
 
 def row_blocks(m: int, n: int) -> list[slice]:
-    """Row slices of about ``BLOCK_BYTES`` each of an ``m x n`` float array.
-
-    A one-column array is one block: numpy sums a single column pairwise,
-    not row by row, so the step's column sums could not continue its sum.
-    """
-    rows = max(1, BLOCK_BYTES // (8 * n)) if n > 1 else max(1, m)
+    """Row slices, in order, of about ``BLOCK_BYTES`` each of an ``m x n`` float array."""
+    rows = max(1, BLOCK_BYTES // (8 * max(n, 1)))
     return [slice(i, min(i + rows, m)) for i in range(0, m, rows)]
 
 

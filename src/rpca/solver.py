@@ -200,22 +200,6 @@ class SolverResult:
     scale: float = 1.0
 
 
-def _add_column_squares(sums: np.ndarray, a: np.ndarray, buf: np.ndarray, first: bool) -> None:
-    """Add the column sums of ``a * a`` to ``sums`` in ``np.linalg.norm(axis=0)``'s order.
-
-    numpy reduces a C-ordered array over axis 0 one row after another, so
-    reducing ``[sums; a * a]`` continues the sum over the rows before ``a``
-    as one reduction over the whole array would. ``buf`` holds at least one
-    more row than ``a``; ``first`` marks the block of row 0.
-    """
-    lead = 0 if first else 1
-    k = a.shape[0]
-    buf[0] = sums
-    with np.errstate(over="ignore"):  # an infinite sum is reported by ``step``
-        np.multiply(a, a, out=buf[lead : lead + k])
-        np.add.reduce(buf[: lead + k], axis=0, out=sums)
-
-
 def _target(x, a, y, mu: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """``out = (x - a) - y/mu``, each entry rounded as the whole-array expression rounds it."""
     np.subtract(x, a, out=out)
@@ -233,22 +217,22 @@ def _require_finite_iterate(a: np.ndarray) -> None:
 
 
 def _first_pass(x, state: SolverState, c: float):
-    """The step's row blocks, its block buffer (one row taller than a block), the rows of ``c * x``
-    and its first pass: the L-step's target ``c X - S - Y/mu`` from ``state``, checked finite."""
+    """The step's row blocks, its block buffer of one block's rows, the rows of ``c * x`` and its
+    first pass: the L-step's target ``c X - S - Y/mu`` from ``state``, checked finite."""
     m, n = x.shape
     blocks = row_blocks(m, n)
     rows = blocks[0].stop if blocks else 0
-    buf = np.empty((rows + 1, n))
+    w = np.empty((rows, n))
     x_rows = None if c == 1.0 else np.empty((rows, n))
 
     def x_block(b: slice) -> np.ndarray:
         return x[b] if x_rows is None else np.multiply(x[b], c, out=x_rows[: b.stop - b.start])
 
-    t, w = np.empty((m, n)), buf[1:]
+    t = np.empty((m, n))
     for b in blocks:
         t_b = _target(x_block(b), state.s[b], state.y[b], state.mu, t[b], w[: b.stop - b.start])
         _require_finite_iterate(t_b)
-    return blocks, buf, x_block, t
+    return blocks, w, x_block, t
 
 
 def step(
@@ -274,26 +258,27 @@ def step(
     pass forms the L-step's target (:func:`_first_pass`), and one after it
     the shrink's target, S, the residual ``R = L + S - X`` and the new
     multiplier. The l2,1 shrink scales whole columns, so a pass between the
-    two forms its target and sums the squares of each column, and the main
-    pass shrinks that target in place. Each pass that reads X scales its
-    block into a block buffer when ``c`` is not 1, and L's row block is
-    formed from the L-step's factors (``spectral.LowRank.rows``) in the rows
-    of the new multiplier, which the main pass writes last, so neither
-    ``c * X`` nor L exists in full. Each entry comes from the same floating-point
+    two forms its target, whose column norms are then taken over the whole
+    array as ``np.linalg.norm(axis=0)`` takes them, and the main pass
+    shrinks that target in place. Each pass that reads X scales its block
+    into a block buffer when ``c`` is not 1, and L's row block is formed
+    from the L-step's factors (``spectral.LowRank.rows``) in the rows of the
+    new multiplier, which the main pass writes last, so neither ``c * X``
+    nor L exists in full. Each entry comes from the same floating-point
     operations as the whole-array expressions above, with L formed by the
-    same row blocks as ``LowRank.dense``, and every scalar sum and norm is
-    still taken over one full-size array, so the results are those of the
-    unblocked step to the bit. The L-step's target and the l1 shrink's
-    target are checked for finite entries; the l2,1 shrink's target through
-    its column norms, which are not finite when it holds a NaN or an
-    infinity. S's buffer holds the L-step's target until the main pass
-    writes S over it, and one buffer allocated after the L-step holds the
-    shrink's target and R. The record's ``||R||_F^2`` and ``<Y, R>`` are dot
-    products over R in that buffer, and ``|S|`` and ``S - S_prev`` go
-    through it in turn. The l2,1 penalty is ``sum(max(n_j - tau, 0))`` over
-    the shrink target's column norms ``n_j``: ``||S||_2,1`` in exact
-    arithmetic. The next state carries L as the L-step's factors;
-    ``state``'s arrays are only read.
+    same row blocks as ``LowRank.dense``, and every sum and norm is taken
+    over one full-size array, so the results are those of the unblocked
+    step to the bit. The L-step's target and the l1 shrink's target are
+    checked for finite entries; the l2,1 shrink's target through its column
+    norms, which are not finite when it holds a NaN or an infinity. S's
+    buffer holds the L-step's target, then on l2,1 the squares behind the
+    column norms, until the main pass writes S over it, and one buffer
+    allocated after the L-step holds the shrink's target and R. The
+    record's ``||R||_F^2`` and ``<Y, R>`` are dot products over R in that
+    buffer, and ``|S|`` and ``S - S_prev`` go through it in turn. The l2,1
+    penalty is ``sum(max(n_j - tau, 0))`` over the shrink target's column
+    norms ``n_j``: ``||S||_2,1`` in exact arithmetic. The next state
+    carries L as the L-step's factors; ``state``'s arrays are only read.
     """
     y, s_prev, mu = state.y, state.s, state.mu
     surrogate = cfg.surrogate if state.gamma is None else replace(cfg.surrogate, gamma=state.gamma)
@@ -303,8 +288,7 @@ def step(
     # after the L-step: allocated before it, or Y_next before S, the same
     # arrays left the process's peak RSS one full-size array higher on the
     # column-outlier benchmark, through where the heap placed them
-    blocks, buf, x_block, s = _first_pass(x, state, c)
-    w = buf[1:]
+    blocks, w, x_block, s = _first_pass(x, state, c)
     prox = spectral.l_step(s, mu, surrogate, state.warm_basis, certify)
     factors, sig = prox.l_factors, prox.proxed
     t = np.empty((m, n))
@@ -316,11 +300,12 @@ def step(
     # writes Y_next over it, after its last read of L
     y_next = np.empty((m, n))
     if l21:
-        q_sums = np.zeros(n)
         for b in blocks:
-            q = _target(x_block(b), factors.rows(b, y_next[b]), y[b], mu, t[b], w[: b.stop - b.start])
-            _add_column_squares(q_sums, q, buf, b.start == 0)
-        q_norms = np.sqrt(q_sums)
+            _target(x_block(b), factors.rows(b, y_next[b]), y[b], mu, t[b], w[: b.stop - b.start])
+        # np.linalg.norm(t, axis=0) by its own expression, with the squares
+        # in S's buffer: the L-step's target there is dead
+        with np.errstate(over="ignore"):  # an infinite norm is reported below
+            q_norms = np.sqrt(np.add.reduce(np.multiply(t, t, out=s), axis=0))
         _require_finite_iterate(q_norms)
         scale = column_scale(q_norms, tau)
     y_max = []

@@ -15,8 +15,9 @@ their own and drop it, so none is alive when the step takes ``B W`` from
 the kept vectors ``W``. The step returns L as two factors (:class:`LowRank`)
 built from ``W`` and ``B W``, or from the thin SVD (``linalg.svd``, route
 ``svd``) when neither route certifies. A step taken with ``certify=False``
-skips the ``low_rank`` route's Cholesky tail bound, which
-:func:`tail_certified` can run on it later.
+skips the ``low_rank`` route's Cholesky tail bound and carries the
+spectrum that bound needs as :class:`LStep`'s ``ritz``, on which
+:func:`tail_certified` can run it later.
 """
 
 from __future__ import annotations
@@ -108,37 +109,19 @@ class LStep:
     """An L-step's result: L as factors, the proxed singular values, the route that
     produced them and the next attempt's start (see :func:`l_step`).
 
-    ``l`` forms L in full from ``l_factors`` on each access. ``certified``
-    tells whether the keep/drop decision is certified: only an
-    :class:`UncertifiedLStep` has a ``ritz``.
+    ``ritz`` is ``None`` when the keep/drop decision is certified. On a
+    ``low_rank`` step that :func:`l_step`, asked not to certify, accepted
+    without a certified bound on the values it drops, it is the spectrum of
+    the last power step, which kept ``k = basis.shape[1]`` values, with its
+    vectors cut to those ``k``: ``basis`` itself, not a copy.
+    :func:`tail_certified` runs the skipped bound on it.
     """
 
     l_factors: LowRank
     proxed: np.ndarray
     route: str
     basis: np.ndarray
-    ritz = None
-
-    @property
-    def certified(self) -> bool:
-        return self.ritz is None
-
-    @property
-    def l(self) -> np.ndarray:
-        return self.l_factors.dense()
-
-
-@dataclass(frozen=True)
-class UncertifiedLStep(LStep):
-    """A ``low_rank`` step that :func:`l_step`, asked not to certify, accepted
-    without a certified bound on the values it drops.
-
-    ``ritz`` is the spectrum of the last power step, which kept ``k =
-    basis.shape[1]`` values, with its vectors cut to those ``k``: ``basis``
-    itself, not a copy. :func:`tail_certified` runs the skipped bound on it.
-    """
-
-    ritz: RitzSpectrum
+    ritz: RitzSpectrum | None = None
 
 
 def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpectrum]:
@@ -281,7 +264,8 @@ def tail_certified(a: np.ndarray, r: RitzSpectrum, k: int, mu: float, surrogate:
     ``r`` is a power step on the tall view of the target ``a`` (its vectors
     may be cut to the first ``k``), and the bound is the square of the
     largest value the prox drops. The route walk asks it of a certified
-    attempt; ``solver.solve`` of an :class:`UncertifiedLStep`, on the same bits.
+    attempt; ``solver.solve`` of the ``ritz`` of an uncertified
+    :class:`LStep`, on the same bits.
     """
     b = a if a.shape[0] >= a.shape[1] else a.T
     dropped, kept = np.sqrt(np.maximum(r.theta[[k, k - 1]], 0.0))
@@ -423,10 +407,10 @@ def l_step(
 
     With ``certify`` false a ``low_rank`` step whose kept values are
     accurate is accepted without the Cholesky bound on the values it drops
-    (see :func:`_certified_route`) and returned as an
-    :class:`UncertifiedLStep`: each kept value is still known to
+    (see :func:`_certified_route`) and returned with the spectrum the bound
+    needs as its ``ritz``: each kept value is still known to
     ``KEPT_REL_ERROR``, but the step may keep too few. Its ``route`` still
-    reads ``low_rank``.
+    reads ``low_rank``. Every other step has no ``ritz``.
     """
     tall = a.shape[0] >= a.shape[1]
     b = a if tall else a.T
@@ -444,6 +428,4 @@ def l_step(
         scale = sig[:k] / singulars[:k]
         factors = LowRank(bw * scale, w.T) if tall else LowRank(w * scale, bw.T)
     basis = w.copy()
-    if ritz is None:
-        return LStep(factors, sig, route, basis)
-    return UncertifiedLStep(factors, sig, route, basis, ritz._replace(vectors=basis))
+    return LStep(factors, sig, route, basis, None if ritz is None else ritz._replace(vectors=basis))

@@ -328,7 +328,7 @@ def reference_step(x, state, cfg, norm_x):
     target = x - state.s - y / mu
     linalg.require_finite(target)
     prox = spectral.l_step(target, mu, surrogate, state.warm_basis)
-    l, sig, route, basis = prox.l, prox.proxed, prox.route, prox.basis
+    l, sig, route, basis = prox.l_factors.dense(), prox.proxed, prox.route, prox.basis
     s = shrink(q := x - l - y / mu, cfg.lam / mu, cfg.penalty)
     resid = l + s - x
     resid_norm = float(np.linalg.norm(resid))

@@ -99,6 +99,24 @@ def test_only_linalg_imports_numbers():
     assert [name for name in importers if name != "linalg.py"] == []
 
 
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency: a module of src/rpca that
+    # imports anything else, scipy say, passes wherever that is installed
+    # and breaks a clean install. Parsed, not imported
+    foreign = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "rpca").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name) for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"numpy", "rpca"}]
+    assert foreign == []
+
+
 def test_the_l_step_target_enters_a_product_only_through_times():
     # in spectral.py the target is ``a`` or its tall view ``b``. It may
     # enter ``@`` only inside ``_times``, which takes every product with a

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rpca.linalg import svd
+from rpca.linalg import BLOCK_BYTES, row_blocks, svd
 
 
 def test_svd_identity():
@@ -66,3 +66,18 @@ def test_svd_non_convergence_names_the_shape(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError) as exc:
         svd(np.ones((3, 2)))
     assert str(exc.value) == "SVD did not converge for a 3x2 matrix"
+
+
+BLOCK_COLUMNS = BLOCK_BYTES // 8
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, BLOCK_COLUMNS + 7])
+def test_row_blocks_tile_the_rows_in_order(n):
+    # one rule for every width, the one-column array included: at most
+    # BLOCK_BYTES of rows per block, and at least one row
+    limit = max(1, BLOCK_BYTES // (8 * max(n, 1)))
+    for m in (0, 1, 2 * limit + 3):
+        blocks = row_blocks(m, n)
+        assert [0] + [b.stop for b in blocks] == [b.start for b in blocks] + [m], (m, n)
+        assert all(0 < b.stop - b.start <= limit for b in blocks), (m, n)
+        assert len(blocks) == -(-m // limit), (m, n)

@@ -727,13 +727,15 @@ def assert_step_matches_reference(x, state, cfg):
 
 
 # Shapes around the step's row blocks of BLOCK_BYTES: a partial last block,
-# rows wider than a block (one row per block), a one-column matrix taller
-# than a block (one block), single rows and columns, and empty matrices.
+# rows wider than a block (one row per block), one-column matrices taller
+# than a block (two blocks) and than two (a full middle block and a partial
+# last one), single rows and columns, and empty matrices.
 BLOCK_COLUMNS = BLOCK_BYTES // 8
 STEP_SHAPES = {
     "partial-last-block": (100, 1000),
     "row-wider-than-a-block": (3, BLOCK_COLUMNS + 7),
     "column-taller-than-a-block": (BLOCK_COLUMNS + 7, 1),
+    "column-taller-than-two-blocks": (2 * BLOCK_COLUMNS + 3, 1),
     "one-row": (1, 50),
     "one-column": (50, 1),
     "no-rows": (0, 5),

@@ -42,7 +42,7 @@ from rpca.synthetic import SyntheticSpec, generate_synthetic
 def dense_l_step(*args):
     """``l_step(*args)`` unpacked, with L formed in full in place of its factors."""
     step = l_step(*args)
-    return step.l, step.proxed, step.route, step.basis
+    return step.l_factors.dense(), step.proxed, step.route, step.basis
 
 
 def test_gram_spectrum_matches_svd():
@@ -153,10 +153,10 @@ def test_warm_basis_rule(ritz_calls):
     full = l_step(a, 1e-3, nuclear, np.eye(60))
     assert ritz_calls["steps"] == steps
     assert (warm.route, warm.basis.shape) == (full.route, full.basis.shape) == ("gram", (60, 5))
-    assert np.array_equal(warm.l, full.l)
+    assert np.array_equal(warm.l_factors.dense(), full.l_factors.dense())
     ref = prox_matrix(a, 1e-3, nuclear)
     for step in (low, warm):
-        assert np.linalg.norm(step.l - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(step.l_factors.dense() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("surrogate", SURROGATES)
@@ -200,7 +200,7 @@ def test_l_step_falls_back_when_the_eigensolver_fails(monkeypatch, svd_calls):
     surrogate = gamma_surrogate()
     a = planted_spectrum(np.random.default_rng(33), 20, 15, np.linspace(20.0, 1.0, 15))
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    assert np.array_equal(l_step(a, 0.02, surrogate).l, prox_matrix(a, 0.02, surrogate))
+    assert np.array_equal(l_step(a, 0.02, surrogate).l_factors.dense(), prox_matrix(a, 0.02, surrogate))
     assert svd_calls == [a.shape]
 
 
@@ -304,7 +304,7 @@ def test_low_rank_route_falls_through_on_a_flat_bulk(ritz_calls):
     mu = 1.0 / 9.7
     l, sig, route, _ = dense_l_step(a, mu, nuclear)
     assert route == "gram" and np.count_nonzero(sig) == 3
-    assert np.array_equal(l, l_step(a, mu, nuclear, np.eye(60)).l)  # a p-column basis is never stepped
+    assert np.array_equal(l, l_step(a, mu, nuclear, np.eye(60)).l_factors.dense())  # a p-column basis is never stepped
     assert counts(ritz_calls) == (1, 2, 0)
 
 
@@ -420,14 +420,14 @@ def test_certified_and_uncertified_attempts_take_the_same_power_steps(spec, seed
     proved = l_step(x, mu, surrogate)
     free_steps = [e[1] for e in events[start:middle] if e[0] == "step"]
     proved_steps = [e[1] for e in events[middle:] if e[0] == "step"]
-    assert (free.route, free.certified) == ("low_rank", False) and len(free_steps) > 1
-    assert (proved.route, proved.certified) == ("low_rank", True)
+    assert (free.route, free.ritz is None) == ("low_rank", False) and len(free_steps) > 1
+    assert (proved.route, proved.ritz is None) == ("low_rank", True)
     assert not any(e[0] == "tail" for e in events[start:middle])
     assert [e[0] for e in events[middle:]].count("tail") == 1
     assert len(free_steps) == len(proved_steps)
     assert all(np.array_equal(f.theta, p.theta) for f, p in zip(free_steps, proved_steps))
     assert np.count_nonzero(free.proxed) == np.count_nonzero(proved.proxed) == spec.rank
-    assert np.array_equal(free.l, proved.l) and np.array_equal(free.basis, proved.basis)
+    assert np.array_equal(free.l_factors.dense(), proved.l_factors.dense()) and np.array_equal(free.basis, proved.basis)
     assert free.ritz.theta is free_steps[-1].theta and free.ritz.vectors is free.basis
     assert proved.ritz is None
     assert rpca.spectral.tail_certified(x, free.ritz, spec.rank, mu, surrogate)
@@ -466,7 +466,7 @@ def test_a_certified_l_step_holds_at_most_two_and_a_half_square_arrays():
     # when the step returned it as one 1000x1000 array either
     x, mu, surrogate = first_l_step_weights(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000)
     step, peak = traced_peak(l_step, x, mu, surrogate)
-    assert (step.route, step.certified) == ("low_rank", True)
+    assert (step.route, step.ritz is None) == ("low_rank", True)
     assert peak <= 2.5 * 1000 * 1000 * 8, peak / (1000 * 1000 * 8)
 
 
@@ -476,7 +476,7 @@ def test_a_certified_300x300_l_step_holds_at_most_two_and_a_half_square_arrays()
     # p x p arrays, not three
     x, mu, surrogate = first_l_step_weights(SyntheticSpec(300, 300, rank=5, sparsity=0.05), 0)
     step, peak = traced_peak(l_step, x, mu, surrogate)
-    assert (step.route, step.certified) == ("low_rank", True)
+    assert (step.route, step.ritz is None) == ("low_rank", True)
     assert peak <= 2.5 * 300 * 300 * 8, peak / (300 * 300 * 8)
 
 
@@ -690,7 +690,7 @@ ROUTE_TARGET = planted_spectrum(np.random.default_rng(42), 400, 150, np.r_[50.0,
 ], ids=["low_rank", "gram", "svd", "k=0"])
 def test_the_dense_l_is_the_row_blocks_the_step_forms(monkeypatch, tall, route, mu, basis, kept):
     # one definition of L: the step forms L's row blocks from the factors
-    # into one reused buffer, and every dense L, here LStep.l, is those
+    # into one reused buffer, and every dense L, here ``LowRank.dense``, is those
     # blocks to the bit
     if route == "svd":
         def fail(_):
@@ -700,7 +700,7 @@ def test_the_dense_l_is_the_row_blocks_the_step_forms(monkeypatch, tall, route, 
     a = ROUTE_TARGET if tall else ROUTE_TARGET.T
     step = l_step(a, mu, nuclear_surrogate(), basis)
     assert step.route == route and np.count_nonzero(step.proxed) == kept
-    l = step.l
+    l = step.l_factors.dense()
     blocks = row_blocks(*a.shape)
     assert len(blocks) >= 2
     buf = np.empty((blocks[0].stop, a.shape[1]))
@@ -734,7 +734,7 @@ steps = [
 for step, k in zip(steps, (10, 5, 3)):
     f = step.l_factors
     assert step.route == "low_rank" and f.left.shape[1] == k, (step.route, f.left.shape)
-    assert step.l.tobytes() == (f.left @ f.right).tobytes(), f.left.shape
+    assert step.l_factors.dense().tobytes() == (f.left @ f.right).tobytes(), f.left.shape
 """
 
 
