@@ -45,14 +45,17 @@ def read_matrix_csv(path) -> np.ndarray:
         raise MatrixIoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MatrixIoError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    # loadtxt strips U+001F around a token, which float does not, and warns
+    # when every line is blank; both cases go to the token parser. The text
+    # is let go once split: splitlines does not break on U+001F
+    unit_separator = "\x1f" in text
     lines = text.splitlines()
+    del text
     if lines and lines[-1] == "":
         lines.pop()  # tolerate one trailing blank line
     if not lines:
         raise MatrixIoError(f"{path}: no rows")
-    # loadtxt strips U+001F around a token, which float does not, and warns
-    # when every line is blank; both cases go to the token parser
-    if "\x1f" not in text and any(lines):
+    if not unit_separator and any(lines):
         try:
             out = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
         except ValueError:

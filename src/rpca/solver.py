@@ -516,12 +516,20 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
 
     Every step but the one that uses up ``max_outer`` is taken with
     ``certify=False`` (see :func:`step`). When such a step meets the stop
-    rule uncertified, its target is rebuilt by the step's first pass, the
-    previous state is let go, and ``spectral.tail_certified`` runs the
-    skipped bound on the target with the step's ``ritz``. If it holds, the
-    step is the certified one to the bit and the loop stops; otherwise
-    the loop goes on from it. No step is taken twice, and the returned L
-    and ``kkt_dual`` rest on a certified L-step.
+    rule uncertified, the loop runs the skipped bound of
+    ``spectral.tail_certified`` with the step's ``ritz``, in an order that
+    holds no more than the step's own full-size arrays: the bound's shift
+    first (``spectral.tail_shift``), which refuses a bound below the
+    rounding slack before anything is rebuilt; then the target, rebuilt by
+    the step's first pass while the previous state is alive; then ``G``
+    (``spectral.gram``) once that state is let go; then the factor, in
+    ``G``'s own buffer once the target is gone too
+    (``spectral.gram_tail_below``). At the factor the loop holds S, Y,
+    ``G``, numpy's Cholesky result and LAPACK's copy of its input: five
+    arrays of ``X``'s size on a square ``X``, as many as the step's main
+    pass. If the bound holds, the step is the certified one to the bit and
+    the loop stops; otherwise the loop goes on from it. No step is taken
+    twice, and the returned L and ``kkt_dual`` rest on a certified L-step.
 
     Returns
     -------
@@ -553,15 +561,22 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         del state
         state, record = step(x, prev, cfg, norm_x, certify=prev.iter + 1 == cfg.max_outer, c=c)
         converged = record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
-        # the target is rebuilt while S_prev and Y_prev are alive, the step's
-        # own peak, and the bound's G and factor come once they are gone
-        target = _first_pass(x, prev, c)[3] if converged and not state.certified else None
+        # the in-place bound (see above): its shift reads only the spectrum.
+        # The target is rebuilt while S_prev and Y_prev are alive, the
+        # step's own peak; G is formed once they are gone, and factored in
+        # its own buffer once the target is gone too
+        ritz, k = state.ritz, state.warm_basis.shape[1]
+        bound, shift = converged and ritz is not None, 0.0
+        if bound:
+            shift = spectral.tail_shift(ritz, spectral.prox_tail(ritz, k, record.mu, cfg.surrogate))
+        target = _first_pass(x, prev, c)[3] if shift > 0.0 else None
         del prev
-        if target is not None:
-            k = state.warm_basis.shape[1]
-            converged = spectral.tail_certified(target, state.ritz, k, record.mu, cfg.surrogate)
-            del target
+        g = None if target is None else spectral.gram(target)
+        del target
+        if bound:
+            converged = g is not None and spectral.gram_tail_below(g, ritz, k, shift)
             state = replace(state, ritz=None) if converged else state
+        del g
         history.append(record)
         if callback is not None:
             callback(state, record)

@@ -16,8 +16,10 @@ the kept vectors ``W``. The step returns L as two factors (:class:`LowRank`)
 built from ``W`` and ``B W``, or from the thin SVD (``linalg.svd``, route
 ``svd``) when neither route certifies. A step taken with ``certify=False``
 skips the ``low_rank`` route's Cholesky tail bound and carries the
-spectrum that bound needs as :class:`LStep`'s ``ritz``, on which
-:func:`tail_certified` can run it later.
+spectrum that bound needs as :class:`LStep`'s ``ritz``, on which the
+bound can run later: :func:`tail_shift`, :func:`gram` and
+:func:`gram_tail_below` are its parts, which ``solver.solve`` runs in its
+own order.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ class LStep:
     ``low_rank`` step that :func:`l_step`, asked not to certify, accepted
     without a certified bound on the values it drops, it is the spectrum of
     the last power step, which kept ``k = basis.shape[1]`` values, with its
-    vectors cut to those ``k``: ``basis`` itself, not a copy.
-    :func:`tail_certified` runs the skipped bound on it.
+    vectors cut to those ``k``: ``basis`` itself, not a copy. The
+    skipped bound (:func:`tail_certified`) can run on it later.
     """
 
     l_factors: LowRank
@@ -142,10 +144,10 @@ def ritz_iterations(b: np.ndarray, basis: np.ndarray = COLD) -> Iterator[RitzSpe
     E`` is the next ``G Y``. The start costs two products with ``B`` and
     ``||B||_F`` one pass, and every step takes ``G Q = B^T (B Q)``, two
     more: no ``p x p`` array is formed. ``slack`` covers the rounding of
-    these and of :func:`gram_tail_below`'s ``G`` (see below). The caller
-    stops the iteration. Yields nothing when the block has ``p`` or more
-    columns, where it spans everything. Raises ``LinAlgError`` when the
-    eigensolver fails or a product overflows.
+    these and of :func:`gram`'s ``G`` (see :func:`gram_tail_below`). The
+    caller stops the iteration. Yields nothing when the block has ``p`` or
+    more columns, where it spans everything. Raises ``LinAlgError`` when
+    the eigensolver fails or a product overflows.
     """
     rows, p = b.shape
     width = WARM_BLOCK if basis.shape[1] else RITZ_BLOCK
@@ -190,36 +192,53 @@ def _times(m: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y.T @ m.T).T
 
 
-def gram_tail_below(b: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
-    """Whether ``lambda_(k+1)(G) < c`` is certified by one Cholesky factorization.
+def gram(a: np.ndarray) -> np.ndarray:
+    """``G = B^T B`` of the tall view ``B`` of ``a`` (``a`` or ``a.T``), a new array; an overflow
+    leaves infinities."""
+    b = a if a.shape[0] >= a.shape[1] else a.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return b.T @ b
 
-    ``r`` holds Ritz pairs of ``G = B^T B`` from a power step of
-    :func:`ritz_iterations`, ``b`` at least as tall as wide, and ``W_k``,
-    ``Theta_k`` its first ``k``. ``P = W_k Theta_k W_k^T`` is positive
-    semidefinite of rank ``k``, so ``lambda_(k+1)(G) <= lambda_max(G - P)``
-    by Weyl's inequality, whatever ``W_k``. Factors ``c' I - G + P``, with
-    ``G`` formed here as a temporary. If that succeeds, the matrix plus the
-    factorization's backward error is positive definite (Higham, Accuracy
-    and Stability of Numerical Algorithms, Thm 10.3: the error is at most
-    ``(p+1) eps`` times ``||R||_F^2``, the trace of the factored matrix,
-    which is at most ``p (c + ||B||_F^2)``). So ``c' = c - slack - p(p+1)
-    eps (c + ||B||_F^2)`` leaves ``lambda_max(G - P) < c``; ``slack`` covers
-    the rounding in ``G``, in ``P`` (at most ``k eps sum(theta)``) and in
-    their difference. ``p`` is ``b``'s number of columns; ``k < p``. A
-    ``c'`` that is not positive is refused before ``G`` is formed.
+
+def tail_shift(r: RitzSpectrum, c: float) -> float:
+    """The shift ``c'`` at which :func:`gram_tail_below` certifies ``lambda_(k+1)(G) < c`` on ``r``.
+
+    ``c' = c - slack - p(p+1) eps (c + ||B||_F^2)``, ``p`` the rows of
+    ``r.vectors``; a ``c'`` that is not positive certifies nothing, since
+    ``G - P`` keeps ``p - k >= 1`` eigenvalues at least ``lambda_min(G) >=
+    0``. It reads only the spectrum, so a caller can refuse such a bound
+    before it forms ``G`` or what ``G`` is formed from.
     """
-    p = b.shape[1]
-    eps = np.finfo(np.float64).eps
-    shift = c - r.slack - p * (p + 1) * eps * (c + r.frob2)
-    if not shift > 0.0:
-        return False  # G - P keeps p - k >= 1 eigenvalues >= lambda_min(G) >= 0
+    p = r.vectors.shape[0]
+    return float(c - r.slack - p * (p + 1) * np.finfo(np.float64).eps * (c + r.frob2))
+
+
+def gram_tail_below(g: np.ndarray, r: RitzSpectrum, k: int, shift: float) -> bool:
+    """Whether ``lambda_(k+1)(G) < c`` is certified by one Cholesky factorization, written over ``g``.
+
+    ``g`` is the ``p x p`` ``G = B^T B`` (:func:`gram`) and ``shift`` the
+    positive ``c' = tail_shift(r, c)``. ``r`` holds Ritz pairs of ``G``
+    from a power step of :func:`ritz_iterations` on ``B``, and ``W_k``,
+    ``Theta_k`` are its first ``k < p``. ``P = W_k Theta_k W_k^T`` is
+    positive semidefinite of rank ``k``, so ``lambda_(k+1)(G) <=
+    lambda_max(G - P)`` by Weyl's inequality, whatever ``W_k``. Factors
+    ``c' I - G + P``, formed in ``g``. If that succeeds, the matrix plus
+    the factorization's backward error is positive definite (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3: the error is
+    at most ``(p+1) eps`` times ``||R||_F^2``, the trace of the factored
+    matrix, which is at most ``p (c + ||B||_F^2)``). So ``c'`` leaves
+    ``lambda_max(G - P) < c``; ``slack`` covers the rounding in ``G``, in
+    ``P`` (at most ``k eps sum(theta)``) and in their difference. Besides
+    ``g`` the factorization holds two ``p x p`` arrays: numpy's result and
+    LAPACK's work copy of its input, which numpy allocates where
+    ``tracemalloc`` does not see it.
+    """
     w = r.vectors[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (w * r.theta[:k]) @ w.T
-        m -= b.T @ b
-    m[np.diag_indices(p)] += shift
+        np.subtract((w * r.theta[:k]) @ w.T, g, out=g)
+    g[np.diag_indices(g.shape[0])] += shift
     try:
-        np.linalg.cholesky(m)
+        np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -258,18 +277,29 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
     return lo
 
 
-def tail_certified(a: np.ndarray, r: RitzSpectrum, k: int, mu: float, surrogate: RankSurrogate) -> bool:
-    """Whether :func:`gram_tail_below` certifies that the prox at mu keeps ``k >= 1`` values of ``r``.
+def prox_tail(r: RitzSpectrum, k: int, mu: float, surrogate: RankSurrogate) -> float:
+    """The square of the largest value the prox at mu drops, when it keeps ``k >= 1`` values of ``r``.
 
-    ``r`` is a power step on the tall view of the target ``a`` (its vectors
-    may be cut to the first ``k``), and the bound is the square of the
-    largest value the prox drops. The route walk asks it of a certified
-    attempt; ``solver.solve`` of the ``ritz`` of an uncertified
-    :class:`LStep`, on the same bits.
+    It lies between ``theta_(k+1)`` and ``theta_k``: the ``c`` that
+    :func:`tail_certified` bounds ``lambda_(k+1)(G)`` by. ``r``'s vectors
+    may be cut to the first ``k``.
     """
-    b = a if a.shape[0] >= a.shape[1] else a.T
     dropped, kept = np.sqrt(np.maximum(r.theta[[k, k - 1]], 0.0))
-    return gram_tail_below(b, r, k, _largest_dropped(dropped, kept, mu, surrogate) ** 2)
+    return _largest_dropped(dropped, kept, mu, surrogate) ** 2
+
+
+def tail_certified(a: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
+    """Whether :func:`gram_tail_below` certifies ``lambda_(k+1)(G) < c`` for ``G`` of the target ``a``.
+
+    ``r`` is a power step on the tall view of ``a``. A bound whose
+    :func:`tail_shift` is not positive is refused before ``G`` is formed.
+    The route walk asks it of a certified attempt, with ``c`` from
+    :func:`prox_tail`, and keeps ``a``, from which it forms ``B W`` next.
+    ``solver.solve`` runs the same bound on an uncertified :class:`LStep`'s
+    ``ritz`` in its own order, so that ``a`` is gone when it factors.
+    """
+    shift = tail_shift(r, c)
+    return shift > 0.0 and gram_tail_below(gram(a), r, k, shift)
 
 
 def _roots_and_prox(theta, mu: float, surrogate: RankSurrogate) -> tuple[np.ndarray, np.ndarray, int]:
@@ -358,7 +388,7 @@ def _certified_route(
                 if last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
                     if not certify:
                         return kept, "low_rank", r
-                    if tail_certified(b, r, k, mu, surrogate):
+                    if tail_certified(b, r, k, prox_tail(r, k, mu, surrogate)):
                         return kept, "low_rank", None
                 if last:
                     break
@@ -366,8 +396,7 @@ def _certified_route(
         except np.linalg.LinAlgError:
             pass
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow leaves lam non-finite
-            lam, vecs = np.linalg.eigh(b.T @ b)
+        lam, vecs = np.linalg.eigh(gram(b))  # an overflow leaves lam non-finite
     except np.linalg.LinAlgError:
         return None, "svd", None
     if not np.isfinite(lam).all():

@@ -61,8 +61,8 @@ def ritz_calls(monkeypatch):
             calls["events"].append(("step", r))
             yield r
 
-    def counted_tail(a, r, k, c):
-        certified = tail_below(a, r, k, c)
+    def counted_tail(g, r, k, shift):
+        certified = tail_below(g, r, k, shift)
         calls["tails"] += 1
         calls["events"].append(("tail", r, k, certified))
         return certified

@@ -503,6 +503,25 @@ def test_a_refused_bound_goes_on_and_certifies_a_later_step_in_place(monkeypatch
     assert auditor.worst_identity <= 1e-12
 
 
+def test_a_bound_below_the_rounding_slack_is_refused_before_the_target_is_rebuilt(monkeypatch):
+    # solve takes the in-place bound's shift from the Ritz spectrum alone:
+    # a shift that is not positive refuses the bound before the target is
+    # rebuilt, and the loop goes on from the uncertified step. Each step
+    # takes one first pass, and only the bound that is run rebuilds one
+    tail_shift, first_pass = rpca.spectral.tail_shift, rpca.solver._first_pass
+    shifts, passes = [], []
+
+    def refuse_once(r, c):
+        shifts.append(tail_shift(r, c) if shifts else 0.0)
+        return shifts[-1]
+
+    monkeypatch.setattr(rpca.spectral, "tail_shift", refuse_once)
+    monkeypatch.setattr(rpca.solver, "_first_pass", lambda *args: passes.append(1) or first_pass(*args))
+    r = solve(planted_200(0))
+    assert r.converged and len(shifts) == 2 and shifts[1] > 0.0
+    assert len(passes) == r.iterations + 1
+
+
 @pytest.mark.parametrize("max_outer", [500, 4], ids=["converging", "max-outer"])
 def test_solve_takes_each_step_once(monkeypatch, max_outer):
     # no step is taken twice: step runs exactly `iterations` times, each
@@ -880,14 +899,36 @@ def test_an_l21_solve_holds_at_most_five_and_a_half_full_size_arrays():
     assert peak <= 5.5 * x.nbytes, peak / x.nbytes
 
 
-def test_a_square_solve_holds_at_most_five_and_a_half_full_size_arrays():
-    # at 1000x1000 a p x p array is full-size: the last step's target is
+def test_a_square_solve_holds_at_most_five_and_a_half_full_size_arrays(monkeypatch):
+    # at 1000x1000 a p x p array is full-size. The last step's target is
     # rebuilt while S_prev and Y_prev are alive, five arrays as in the step
-    # itself, and the Cholesky bound's G and factor come once those two
-    # are gone: 5.08 X.nbytes (7.05 with them kept through the bound)
+    # itself; the Cholesky bound's G comes once those two are gone, and its
+    # factor once the target is gone too. numpy's Cholesky mallocs a work
+    # copy of its input where tracemalloc does not see it, so the wrapper
+    # holds an array of that size while it runs. S, Y, G, the copy and the
+    # factor are then 5.04 X.nbytes, 6.04 with the target alive through the
+    # factor; the solve's peak is the step's own, 5.08
     x = generate_synthetic(SyntheticSpec(1000, 1000, rank=10, sparsity=0.05), 1000)[0]
+    first_pass, cholesky = rpca.solver._first_pass, np.linalg.cholesky
+    targets, collected = [], []
+
+    def rebuilt(*args):
+        out = first_pass(*args)
+        targets.append(weakref.ref(out[3]))
+        return out
+
+    def charged(m):
+        collected.append(targets[-1]() is None)
+        work = np.empty_like(m)
+        factor = cholesky(m)
+        del work
+        return factor
+
+    monkeypatch.setattr(rpca.solver, "_first_pass", rebuilt)
+    monkeypatch.setattr(np.linalg, "cholesky", charged)
     r, peak = traced_peak(solve, x)
     assert r.converged and r.history[-1].l_route == "low_rank"
+    assert collected == [True]
     assert peak <= 5.5 * x.nbytes, peak / x.nbytes
 
 

@@ -31,9 +31,9 @@ from rpca.spectral import (
     WARM_RANK_DIVISOR,
     _certified_route,
     _largest_dropped,
-    gram_tail_below,
     l_step,
     ritz_iterations,
+    tail_certified,
 )
 from rpca.surrogates import gamma_surrogate, nuclear_surrogate, prox_vector
 from rpca.synthetic import SyntheticSpec, generate_synthetic
@@ -89,18 +89,18 @@ def test_ritz_overflow_is_linalg_error():
 def test_gram_tail_below_a_tiny_bound_skips_the_factorization(monkeypatch):
     # a bound below the rounding slack is refused before anything is
     # factored or B^T B is formed: the refusal holds no p x p array, while a
-    # bound that is factored holds two at once, B^T B and the matrix it is
-    # subtracted from
+    # bound that is factored holds two at once, B^T B and, in turn, the
+    # rank-k product subtracted into it and the factor
     b = np.random.default_rng(4).standard_normal((40, 30))
     square = 30 * 30 * 8
     r = next(ritz_iterations(b))
     calls = []
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
-    refused, peak = traced_peak(gram_tail_below, b, r, 3, 1e-300)
+    refused, peak = traced_peak(tail_certified, b, r, 3, 1e-300)
     assert refused is False and peak < square
     assert calls == []
-    _, peak = traced_peak(gram_tail_below, b, r, 3, 1e6)
+    _, peak = traced_peak(tail_certified, b, r, 3, 1e6)
     assert calls == [(30, 30)] and peak >= 2 * square
 
 
@@ -430,7 +430,7 @@ def test_certified_and_uncertified_attempts_take_the_same_power_steps(spec, seed
     assert np.array_equal(free.l_factors.dense(), proved.l_factors.dense()) and np.array_equal(free.basis, proved.basis)
     assert free.ritz.theta is free_steps[-1].theta and free.ritz.vectors is free.basis
     assert proved.ritz is None
-    assert rpca.spectral.tail_certified(x, free.ritz, spec.rank, mu, surrogate)
+    assert tail_certified(x, free.ritz, spec.rank, rpca.spectral.prox_tail(free.ritz, spec.rank, mu, surrogate))
 
 
 @pytest.mark.parametrize("cols", [0, 1, 14, 26])
@@ -616,7 +616,7 @@ def test_cholesky_certificate_boundary_on_the_tail(side, ritz_calls):
     a = planted_spectrum(np.random.default_rng(35), 60, 120, CHOLESKY_SPECTRUM)
     c = 1.0 + side * 1e-3
     r = list(itertools.islice(rpca.spectral.ritz_iterations(a.T), 4))[-1]
-    assert rpca.spectral.gram_tail_below(a.T, r, 3, c) is (side > 0)
+    assert rpca.spectral.tail_certified(a.T, r, 3, c) is (side > 0)
     assert tail_reference(a, 3, c) is (side > 0)
     before = counts(ritz_calls)
     mu = 1.0 / np.sqrt(c)
@@ -671,7 +671,7 @@ def test_cholesky_tail_agrees_with_the_full_eigh(tall):
         r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 6))[-1]
         lam5 = np.sort(spectrum)[::-1][4] ** 2
         for c in lam5 * np.r_[0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]:
-            certified = rpca.spectral.gram_tail_below(a, r, 4, c)
+            certified = rpca.spectral.tail_certified(a, r, 4, c)
             assert certified <= tail_reference(a, 4, c), (seed, c)
             assert certified is bool(c > lam5), (seed, c)
 
