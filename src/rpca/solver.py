@@ -127,9 +127,9 @@ class SolverState:
     the loop's own copy of a state, whose L no step reads, and ``l`` is then
     ``None`` too. ``gamma`` is the gamma of the next step's penalty,
     ``None`` for the configured surrogate (always with the nuclear
-    penalty). ``certified`` tells whether the L-step that made L certified
+    penalty). ``ritz`` is ``None`` when the L-step that made L certified
     its keep/drop decision; only a step taken with ``certify=False`` can
-    leave it false, with that L-step's ``ritz`` (see :func:`solve`).
+    leave it set, to that L-step's ``ritz`` (see :func:`solve`).
     """
 
     l_factors: spectral.LowRank | None
@@ -144,10 +144,6 @@ class SolverState:
     warm_basis: np.ndarray = field(default_factory=lambda: spectral.COLD)
     gamma: float | None = None
     ritz: spectral.RitzSpectrum | None = None
-
-    @property
-    def certified(self) -> bool:
-        return self.ritz is None
 
     @cached_property
     def l(self) -> np.ndarray | None:
@@ -252,7 +248,7 @@ def step(
     the iteration's record, whose Lagrangian is evaluated at the new pair
     and the old multiplier and weights. ``certify`` goes to the L-step:
     when it is false a ``low_rank`` L-step may be accepted without the bound
-    on the values it drops, and the next state is then not ``certified``.
+    on the values it drops, and the next state then carries its ``ritz``.
 
     The elementwise work runs in row blocks of ``linalg.BLOCK_BYTES``: one
     pass forms the L-step's target (:func:`_first_pass`), and one after it
@@ -337,7 +333,7 @@ def step(
         penalty = float(np.abs(s, out=t).sum())
     with np.errstate(over="ignore"):
         # a sum of squares overflows above about 1e154; the record then holds
-        # an infinity, which write_json refuses
+        # an infinity, which ends the solve unconverged (see ``solve``)
         s_change = float(np.linalg.norm(np.subtract(s, s_prev, out=t)))
     record = IterationRecord(
         iter=state.iter + 1,
@@ -516,8 +512,8 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
 
     Every step but the one that uses up ``max_outer`` is taken with
     ``certify=False`` (see :func:`step`). When such a step meets the stop
-    rule uncertified, the loop runs the skipped bound of
-    ``spectral.tail_certified`` with the step's ``ritz``, in an order that
+    rule uncertified, the loop runs the skipped Cholesky bound on the
+    step's ``ritz``, by the route walk's three calls, in an order that
     holds no more than the step's own full-size arrays: the bound's shift
     first (``spectral.tail_shift``), which refuses a bound below the
     rounding slack before anything is rebuilt; then the target, rebuilt by
@@ -530,6 +526,9 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
     pass. If the bound holds, the step is the certified one to the bit and
     the loop stops; otherwise the loop goes on from it. No step is taken
     twice, and the returned L and ``kkt_dual`` rest on a certified L-step.
+    A step whose record holds an infinity or a NaN (an overflow at the
+    scale of X) ends the loop with ``converged=False``, and no bound runs
+    on it.
 
     Returns
     -------
@@ -560,7 +559,8 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         prev = replace(state, l_factors=None)
         del state
         state, record = step(x, prev, cfg, norm_x, certify=prev.iter + 1 == cfg.max_outer, c=c)
-        converged = record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
+        finite = all(math.isfinite(v) for v in vars(record).values() if isinstance(v, float))
+        converged = finite and record.residual <= cfg.tol and record.gamma == cfg.surrogate.gamma
         # the in-place bound (see above): its shift reads only the spectrum.
         # The target is rebuilt while S_prev and Y_prev are alive, the
         # step's own peak; G is formed once they are gone, and factored in
@@ -580,7 +580,7 @@ def solve(x, cfg: SolverConfig | None = None, callback: ProgressCallback | None 
         history.append(record)
         if callback is not None:
             callback(state, record)
-        if converged:
+        if converged or not finite:
             break
 
     kkt_primal, kkt_dual = kkt_residuals(state, record, norm_x)

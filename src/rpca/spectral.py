@@ -14,12 +14,11 @@ steps never form ``G``; the Cholesky tail bound and the ``gram`` route form
 their own and drop it, so none is alive when the step takes ``B W`` from
 the kept vectors ``W``. The step returns L as two factors (:class:`LowRank`)
 built from ``W`` and ``B W``, or from the thin SVD (``linalg.svd``, route
-``svd``) when neither route certifies. A step taken with ``certify=False``
-skips the ``low_rank`` route's Cholesky tail bound and carries the
-spectrum that bound needs as :class:`LStep`'s ``ritz``, on which the
-bound can run later: :func:`tail_shift`, :func:`gram` and
-:func:`gram_tail_below` are its parts, which ``solver.solve`` runs in its
-own order.
+``svd``) when neither route certifies. The ``low_rank`` route's Cholesky
+tail bound is three calls, :func:`tail_shift`, :func:`gram` and
+:func:`gram_tail_below`, which both the walk and ``solver.solve`` make. A
+step taken with ``certify=False`` skips it and carries the spectrum it
+needs as :class:`LStep`'s ``ritz``, on which ``solve`` runs it later.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ class LStep:
     without a certified bound on the values it drops, it is the spectrum of
     the last power step, which kept ``k = basis.shape[1]`` values, with its
     vectors cut to those ``k``: ``basis`` itself, not a copy. The
-    skipped bound (:func:`tail_certified`) can run on it later.
+    skipped Cholesky bound can run on it later.
     """
 
     l_factors: LowRank
@@ -280,26 +279,12 @@ def _largest_dropped(lo: float, hi: float, mu: float, surrogate: RankSurrogate) 
 def prox_tail(r: RitzSpectrum, k: int, mu: float, surrogate: RankSurrogate) -> float:
     """The square of the largest value the prox at mu drops, when it keeps ``k >= 1`` values of ``r``.
 
-    It lies between ``theta_(k+1)`` and ``theta_k``: the ``c`` that
-    :func:`tail_certified` bounds ``lambda_(k+1)(G)`` by. ``r``'s vectors
-    may be cut to the first ``k``.
+    It lies between ``theta_(k+1)`` and ``theta_k``: the ``c`` of the
+    Cholesky bound's :func:`tail_shift`. ``r``'s vectors may be cut to the
+    first ``k``.
     """
     dropped, kept = np.sqrt(np.maximum(r.theta[[k, k - 1]], 0.0))
     return _largest_dropped(dropped, kept, mu, surrogate) ** 2
-
-
-def tail_certified(a: np.ndarray, r: RitzSpectrum, k: int, c: float) -> bool:
-    """Whether :func:`gram_tail_below` certifies ``lambda_(k+1)(G) < c`` for ``G`` of the target ``a``.
-
-    ``r`` is a power step on the tall view of ``a``. A bound whose
-    :func:`tail_shift` is not positive is refused before ``G`` is formed.
-    The route walk asks it of a certified attempt, with ``c`` from
-    :func:`prox_tail`, and keeps ``a``, from which it forms ``B W`` next.
-    ``solver.solve`` runs the same bound on an uncertified :class:`LStep`'s
-    ``ritz`` in its own order, so that ``a`` is gone when it factors.
-    """
-    shift = tail_shift(r, c)
-    return shift > 0.0 and gram_tail_below(gram(a), r, k, shift)
 
 
 def _roots_and_prox(theta, mu: float, surrogate: RankSurrogate) -> tuple[np.ndarray, np.ndarray, int]:
@@ -349,9 +334,13 @@ def _certified_route(
     stall ends such an attempt. The last step is then certified when its
     kept values are, with that ``err`` (by Kahan's residual bound ``k``
     eigenvalues of ``G`` lie within ``rho_k`` of the kept Ritz values), and
-    :func:`tail_certified` shows ``lambda_(k+1)(G) < c``, ``c`` the square
-    of the largest value the prox drops. Then exactly ``k`` values are kept,
-    each known as well as on the ``gram`` route.
+    the Cholesky bound shows ``lambda_(k+1)(G) < c``, ``c`` the square of
+    the largest value the prox drops (:func:`prox_tail`). Then exactly
+    ``k`` values are kept, each known as well as on the ``gram`` route. The
+    bound's :func:`tail_shift` refuses a shift that is not positive before
+    ``G`` is formed; otherwise :func:`gram_tail_below` factors over the
+    ``G`` of :func:`gram`. ``b`` stays alive: ``l_step`` forms ``B W`` from
+    it next.
 
     With ``certify`` false the attempt takes the same steps and accepts
     its last one once the kept values are accurate, without the bound:
@@ -388,7 +377,8 @@ def _certified_route(
                 if last and k and _certified(r.theta, k, rho_k + r.slack, 0.0, mu, surrogate):
                     if not certify:
                         return kept, "low_rank", r
-                    if tail_certified(b, r, k, prox_tail(r, k, mu, surrogate)):
+                    shift = tail_shift(r, prox_tail(r, k, mu, surrogate))
+                    if shift > 0.0 and gram_tail_below(gram(b), r, k, shift):
                         return kept, "low_rank", None
                 if last:
                     break

@@ -168,7 +168,7 @@ def test_only_a_raw_gamma_l1_solve_takes_a_power_step_before_its_first_l_step(
 ):
     # a raw solve reads its start gamma off one power step of X with the
     # gamma and l1 penalties, the ones the walk is mapped for. At max_outer
-    # = 1 the one step may be taken again, certified: only the first
+    # = 1 the one step is taken certified from the start: only the first
     # L-step counts here
     seen = []
     l_step = rpca.spectral.l_step
@@ -483,7 +483,7 @@ def test_a_refused_bound_goes_on_and_certifies_a_later_step_in_place(monkeypatch
 
     def watched(x, state, cfg, norm_x, certify=True, c=1.0):
         nxt, rec = real_step(x, state, cfg, norm_x, certify, c)
-        taken.append((rec.iter, certify, nxt.certified, rec.l_route, rec.residual <= cfg.tol))
+        taken.append((rec.iter, certify, nxt.ritz is None, rec.l_route, rec.residual <= cfg.tol))
         return nxt, rec
 
     monkeypatch.setattr(rpca.spectral, "gram_tail_below", refuse_once)
@@ -493,10 +493,10 @@ def test_a_refused_bound_goes_on_and_certifies_a_later_step_in_place(monkeypatch
     r = solve(x, cfg, callback=lambda state, rec: (auditor(state, rec), states.append(state)))
     j = refused[0]
     assert r.converged and len(refused) == 1 and r.iterations > j
-    assert taken[j - 1] == (j, False, False, "low_rank", True) and not states[j - 1].certified
+    assert taken[j - 1] == (j, False, False, "low_rank", True) and states[j - 1].ritz is not None
     assert taken[-1] == (r.iterations, False, False, "low_rank", True)
     assert [t[0] for t in taken] == [rec.iter for rec in r.history] == list(range(1, r.iterations + 1))
-    assert states[-1].certified and states[-1].l is r.l
+    assert states[-1].ritz is None and states[-1].l is r.l
     assert r.history[-1].residual <= cfg.tol and r.kkt_primal <= cfg.tol and np.isfinite(r.kkt_dual)
     assert auditor.max_y_inf <= cfg.lam + 1e-12
     assert auditor.worst_l_step <= 1e-8 and auditor.worst_s_step <= 1e-8
@@ -544,13 +544,24 @@ def test_solve_takes_each_step_once(monkeypatch, max_outer):
 
 
 def test_a_solve_that_uses_up_max_outer_ends_on_a_certified_step(ritz_calls):
-    # the budget's last step is taken again, certified, like a step that
-    # meets tol: the returned L and kkt_dual rest on a certified L-step
+    # the budget's last step is taken certified, as a step that meets tol
+    # is certified in place: the returned L and kkt_dual rest on a
+    # certified L-step
     states = []
     r = solve(planted_200(0), SolverConfig(max_outer=2), callback=lambda st, rec: states.append(st))
     assert not r.converged and r.iterations == 2
-    assert [st.certified for st in states] == [False, True] and states[-1].l is r.l
+    assert [st.ritz is None for st in states] == [False, True] and states[-1].l is r.l
     assert [rec.l_route for rec in r.history] == ["low_rank"] * 2 and ritz_calls["tails"] == 1
+
+
+def test_a_solve_whose_record_overflows_does_not_converge():
+    # every entry is finite and the first step meets tol, but at this scale
+    # ||S - S_prev||_F overflows: the record's mu_s_change, and so the KKT
+    # dual, is infinite, and the loop ends on that step unconverged
+    x = np.random.default_rng(0).standard_normal((60, 40)) * 1e200
+    r = solve(x)
+    assert r.history[0].residual <= SolverConfig().tol and r.history[0].mu_s_change == np.inf
+    assert not r.converged and r.iterations == 1 and r.kkt_dual == np.inf
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 0.0])

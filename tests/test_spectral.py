@@ -33,7 +33,6 @@ from rpca.spectral import (
     _largest_dropped,
     l_step,
     ritz_iterations,
-    tail_certified,
 )
 from rpca.surrogates import gamma_surrogate, nuclear_surrogate, prox_vector
 from rpca.synthetic import SyntheticSpec, generate_synthetic
@@ -88,19 +87,25 @@ def test_ritz_overflow_is_linalg_error():
 
 def test_gram_tail_below_a_tiny_bound_skips_the_factorization(monkeypatch):
     # a bound below the rounding slack is refused before anything is
-    # factored or B^T B is formed: the refusal holds no p x p array, while a
-    # bound that is factored holds two at once, B^T B and, in turn, the
-    # rank-k product subtracted into it and the factor
-    b = np.random.default_rng(4).standard_normal((40, 30))
+    # factored or B^T B is formed. On a rank-3 target the Ritz values past
+    # the third are 0, so the nuclear prox at mu = 1e300 keeps three and
+    # drops the rest at c = 0: the walk's certified attempt refuses its
+    # shift, factors nothing and forms one G, the gram route's own. A bound
+    # that is factored holds two p x p arrays at once, B^T B and, in turn,
+    # the rank-k product subtracted into it and the factor
+    b = np.zeros((40, 30))
+    b[:, :3] = np.random.default_rng(4).standard_normal((40, 3))
     square = 30 * 30 * 8
-    r = next(ritz_iterations(b))
-    calls = []
-    cholesky = np.linalg.cholesky
+    tail_shift, gram, cholesky = rpca.spectral.tail_shift, rpca.spectral.gram, np.linalg.cholesky
+    shifts, grams, calls = [], [], []
+    monkeypatch.setattr(rpca.spectral, "tail_shift", lambda r, c: shifts.append(tail_shift(r, c)) or shifts[-1])
+    monkeypatch.setattr(rpca.spectral, "gram", lambda a: grams.append(a.shape) or gram(a))
     monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m))
-    refused, peak = traced_peak(tail_certified, b, r, 3, 1e-300)
-    assert refused is False and peak < square
-    assert calls == []
-    _, peak = traced_peak(tail_certified, b, r, 3, 1e6)
+    _certified_route(b, 1e300, nuclear_surrogate(), COLD)
+    assert len(shifts) == 1 and shifts[0] <= 0.0
+    assert calls == [] and grams == [(40, 30)]
+    r = next(ritz_iterations(b))
+    _, peak = traced_peak(lambda: rpca.spectral.gram_tail_below(gram(b), r, 3, tail_shift(r, 1e6)))
     assert calls == [(30, 30)] and peak >= 2 * square
 
 
@@ -430,7 +435,8 @@ def test_certified_and_uncertified_attempts_take_the_same_power_steps(spec, seed
     assert np.array_equal(free.l_factors.dense(), proved.l_factors.dense()) and np.array_equal(free.basis, proved.basis)
     assert free.ritz.theta is free_steps[-1].theta and free.ritz.vectors is free.basis
     assert proved.ritz is None
-    assert tail_certified(x, free.ritz, spec.rank, rpca.spectral.prox_tail(free.ritz, spec.rank, mu, surrogate))
+    shift = rpca.spectral.tail_shift(free.ritz, rpca.spectral.prox_tail(free.ritz, spec.rank, mu, surrogate))
+    assert shift > 0.0 and rpca.spectral.gram_tail_below(rpca.spectral.gram(x), free.ritz, spec.rank, shift)
 
 
 @pytest.mark.parametrize("cols", [0, 1, 14, 26])
@@ -539,7 +545,9 @@ def test_an_attempt_that_keeps_nothing_is_not_cut_short(ritz_calls):
 def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
     # l_step hands the route walk, and so both Gram routes, the target or
     # its transpose, whichever is tall: the l2,1 solve certifies low_rank
-    # steps, the entrywise one takes gram steps and Cholesky tail checks
+    # steps, the entrywise one takes gram steps and Cholesky tail checks.
+    # The bound factors the p x p G of the tall view, p = 100 on the
+    # 100x200 solve; the wide view's G would be 200x200
     shapes = {"_certified_route": [], "ritz_iterations": [], "gram_tail_below": []}
     for name, calls in shapes.items():
         def recorded(b, *args, original=getattr(rpca.spectral, name), calls=calls):
@@ -551,6 +559,7 @@ def test_gram_routes_get_the_tall_view_of_a_wide_target(monkeypatch):
     solve(generate_synthetic(SyntheticSpec(m=100, n=200, rank=5, sparsity=0.2), 0)[0])
     for name, calls in shapes.items():
         assert calls and all(rows >= cols for rows, cols in calls), name
+    assert set(shapes["gram_tail_below"]) == {(100, 100)}
 
 
 @pytest.mark.parametrize("side", [-1.0, 1.0], ids=["below", "above"])
@@ -616,7 +625,8 @@ def test_cholesky_certificate_boundary_on_the_tail(side, ritz_calls):
     a = planted_spectrum(np.random.default_rng(35), 60, 120, CHOLESKY_SPECTRUM)
     c = 1.0 + side * 1e-3
     r = list(itertools.islice(rpca.spectral.ritz_iterations(a.T), 4))[-1]
-    assert rpca.spectral.tail_certified(a.T, r, 3, c) is (side > 0)
+    shift = rpca.spectral.tail_shift(r, c)
+    assert (shift > 0.0 and rpca.spectral.gram_tail_below(rpca.spectral.gram(a.T), r, 3, shift)) is (side > 0)
     assert tail_reference(a, 3, c) is (side > 0)
     before = counts(ritz_calls)
     mu = 1.0 / np.sqrt(c)
@@ -671,7 +681,8 @@ def test_cholesky_tail_agrees_with_the_full_eigh(tall):
         r = list(itertools.islice(rpca.spectral.ritz_iterations(a), 6))[-1]
         lam5 = np.sort(spectrum)[::-1][4] ** 2
         for c in lam5 * np.r_[0.5, 1.0 - 1e-6, 1.0 + 1e-6, 2.0]:
-            certified = rpca.spectral.tail_certified(a, r, 4, c)
+            shift = rpca.spectral.tail_shift(r, c)
+            certified = shift > 0.0 and rpca.spectral.gram_tail_below(rpca.spectral.gram(a), r, 4, shift)
             assert certified <= tail_reference(a, 4, c), (seed, c)
             assert certified is bool(c > lam5), (seed, c)
 
